@@ -22,7 +22,6 @@ from .genus import (
     GenusSeries,
     NearPoleError,
     RationalityError,
-    SectorKey,
     cone_supertrace_series,
     ell_genus_numeric,
     ell_genus_series,

@@ -1,9 +1,25 @@
 """Internal engine assembling twisted-sector supertrace series exactly.
 
-Series here are plain dicts keyed by scaled integer exponents (kq, ky) with
-integer coefficient vectors over the power basis of zeta_N; all rational
+A series is a dict keyed by scaled integer exponents (kq, ky) whose values
+are integer coefficient vectors over the power basis of zeta_N; all rational
 normalization (1/|G|, character-sum weights) is applied once at the end, so
 the hot loops touch only machine/big integers.
+
+Series products are Kronecker substitutions.  Each q-row of an operand is
+packed into one Python int: the term at ky fills a cell of 2*phi-1 signed
+slots, cells spaced by the gcd g of the y-steps of both operands, so one
+big-integer multiply per pair of q-rows does the y-convolution and the
+zeta-polynomial product together (Harvey, "Faster polynomial multiplication
+via multipoint Kronecker substitution", arXiv:0712.4046).  The slot width is
+proven wide enough: an output slot sums at most min(nnz_a, nnz_b) products
+of coefficients, so bits(max|a| * max|b| * min(nnz_a, nnz_b)) plus a sign bit
+suffice.  Products are decoded once per output row, cut to the y-window and
+reduced mod Phi_N.
+
+The single-variable factors are built without general products: each
+fermionic binomial is a shift-and-add and each bosonic geometric tower a
+first-order recurrence along its step, in both cases cut to the window after
+every factor exactly as a term-by-term product would be.
 
 The double group sum is evaluated per side either directly over the group
 elements or, when the annihilator of the group inside prod_j Z/m_j is
@@ -13,14 +29,19 @@ smaller, through the character-sum identity
 
 which factorizes over coordinates and collapses |G|^2 sector products to
 |ann(G)|^2 of them.
+
+Everything here is standard library only.
 """
 
 from __future__ import annotations
 
 import itertools
+import sys
+from array import array
 from dataclasses import dataclass, field
 from fractions import Fraction
-from math import prod
+from math import gcd, prod
+from operator import add, sub
 
 from .exactmath import (
     CycNum,
@@ -89,24 +110,6 @@ def root_vec(n: int, k: int) -> Vec:
     return _power_rows(n)[k % n]
 
 
-def vec_mul(u, v, phi: int, rows) -> list[int]:
-    out = [0] * phi
-    for i, ui in enumerate(u):
-        if not ui:
-            continue
-        for j, vj in enumerate(v):
-            if not vj:
-                continue
-            c = ui * vj
-            k = i + j
-            if k < phi:
-                out[k] += c
-            else:
-                for idx, r in rows[k]:
-                    out[idx] += c * r
-    return out
-
-
 def vec_conj(u, ctx: SeriesContext) -> list[int]:
     out = [0] * ctx.phi
     for i, ui in enumerate(u):
@@ -118,53 +121,192 @@ def vec_conj(u, ctx: SeriesContext) -> list[int]:
     return out
 
 
-def series_mul(a: Series, b: Series, ctx: SeriesContext) -> Series:
-    if len(a) > len(b):
-        a, b = b, a
-    qcap, ylo, yhi, phi, rows = ctx.qcap, ctx.ylo, ctx.yhi, ctx.phi, ctx.rows
-    out: Series = {}
-    b_items = list(b.items())
-    for (kq1, ky1), v1 in a.items():
-        for (kq2, ky2), v2 in b_items:
-            kq = kq1 + kq2
-            if kq > qcap:
+# Signed array typecodes by item size: slots of 1, 2, 4 or 8 bytes move between
+# ints and bytes at C speed; wider slots go chunk by chunk.
+_SLOT_CODES = {array(code).itemsize: code for code in "bhilq"}
+
+
+def _slot_bytes(bound: int) -> int:
+    """Bytes per slot for signed values of magnitude at most ``bound``."""
+    need = bound.bit_length() // 8 + 1  # one spare bit for the sign
+    return next((size for size in (1, 2, 4, 8) if size >= need), need)
+
+
+def _bias(nbytes: int, count: int) -> int:
+    """Half the slot range in each of ``count`` slots."""
+    return int.from_bytes((b"\0" * (nbytes - 1) + b"\x80") * count, "little")
+
+
+def _pack(slots: list[int], nbytes: int) -> int:
+    """sum_k slots[k] 2^(8 nbytes k) for signed slots of nbytes bytes each.
+
+    The bytes hold each slot in two's complement; flipping every slot's top
+    bit turns that into slot + half with no borrows, and the bias comes off
+    as one integer.
+    """
+    code = _SLOT_CODES.get(nbytes)
+    if code is not None:
+        arr = array(code, slots)
+        if sys.byteorder == "big":
+            arr.byteswap()
+        raw = arr.tobytes()
+    else:
+        raw = b"".join(c.to_bytes(nbytes, "little", signed=True) for c in slots)
+    bias = _bias(nbytes, len(slots))
+    return (int.from_bytes(raw, "little") ^ bias) - bias
+
+
+def _unpack(x: int, nbytes: int, count: int, lo: int, hi: int) -> list[int]:
+    """Signed slots lo .. hi-1 of a packed value with ``count`` slots."""
+    bias = _bias(nbytes, count)
+    raw = ((x + bias) ^ bias).to_bytes(count * nbytes, "little")[lo * nbytes:hi * nbytes]
+    code = _SLOT_CODES.get(nbytes)
+    if code is None:
+        return [int.from_bytes(raw[i:i + nbytes], "little", signed=True)
+                for i in range(0, len(raw), nbytes)]
+    arr = array(code)
+    arr.frombytes(raw)
+    if sys.byteorder == "big":
+        arr.byteswap()
+    return arr.tolist()
+
+
+class _Rows:
+    """A series split into q-rows, with what its Kronecker packings need.
+
+    ``rows`` lists (kq, [(ky, vector), ...]) by increasing kq, each row by
+    increasing ky; ``step`` is the gcd of the y-steps inside the rows (0 when
+    every row has a single term), ``peak`` the largest coefficient magnitude
+    and ``nnz`` the number of nonzero coefficients.
+    """
+
+    __slots__ = ("rows", "step", "peak", "nnz")
+
+    def __init__(self, rows: list, peak: int, nnz: int):
+        step = 0
+        for _, terms in rows:
+            y0 = terms[0][0]
+            for ky, _ in terms:
+                step = gcd(step, ky - y0)
+        self.rows = rows
+        self.step = step
+        self.peak = peak
+        self.nnz = nnz
+
+    @classmethod
+    def of(cls, series: Series) -> "_Rows":
+        by_q: dict[int, list] = {}
+        peak = nnz = 0
+        for (kq, ky), vec in series.items():
+            by_q.setdefault(kq, []).append((ky, vec))
+            peak = max(peak, max(map(abs, vec)))
+            nnz += len(vec) - vec.count(0)
+        for terms in by_q.values():
+            terms.sort()
+        return cls(sorted(by_q.items()), peak, nnz)
+
+    def items(self):
+        for kq, terms in self.rows:
+            for ky, vec in terms:
+                yield (kq, ky), vec
+
+    def packed(self, g: int, nbytes: int, cell: int):
+        """Rows as (kq, ymin, cells, int), coefficient i of the term at ky in
+        slot ((ky - ymin) // g) * cell + i of nbytes-byte signed slots."""
+        for kq, terms in self.rows:
+            y0 = terms[0][0]
+            cells = (terms[-1][0] - y0) // g + 1
+            slots = [0] * (cells * cell)
+            for ky, vec in terms:
+                at = (ky - y0) // g * cell
+                slots[at:at + len(vec)] = vec
+            yield kq, y0, cells, _pack(slots, nbytes)
+
+
+def _mul_rows(a: _Rows, b: _Rows, ctx: SeriesContext) -> _Rows:
+    """Truncated product, one big-integer multiply per pair of q-rows.
+
+    A cell of 2*phi-1 slots holds the unreduced product of two coefficient
+    vectors, so the y-convolution and the zeta-polynomial product of two rows
+    are one integer product.  Each output slot sums at most min(nnz_a, nnz_b)
+    coefficient products, so slots of bits(peak_a * peak_b * min(nnz)) plus a
+    sign bit keep every slot exact.  Products are accumulated per
+    (kq, ky mod g), then each sum is decoded once, cut to [ylo, yhi] and
+    reduced mod Phi_N.
+    """
+    if not a.nnz or not b.nnz:
+        return _Rows([], 0, 0)  # a zero operand; its coefficients fix no slot width
+    phi, reduce_rows, qcap, ylo, yhi = ctx.phi, ctx.rows, ctx.qcap, ctx.ylo, ctx.yhi
+    cell = 2 * phi - 1
+    g = gcd(a.step, b.step) or 1
+    nbytes = _slot_bytes(a.peak * b.peak * min(a.nnz, b.nnz))
+    cell_bits = 8 * nbytes * cell
+    acc: dict[tuple[int, int], list] = {}
+    packed_b = list(b.packed(g, nbytes, cell))
+    for kq1, y1, n1, x1 in a.packed(g, nbytes, cell):
+        room = qcap - kq1
+        for kq2, y2, n2, x2 in packed_b:
+            if kq2 > room:
+                break
+            e, c = divmod(y1 + y2, g)
+            top = e + n1 + n2 - 1
+            key = (kq1 + kq2, c)
+            slot = acc.get(key)
+            if slot is None:
+                acc[key] = [e, top, x1 * x2]
                 continue
-            ky = ky1 + ky2
-            if ky < ylo or ky > yhi:
-                continue
-            prod_vec = vec_mul(v1, v2, phi, rows)
-            key = (kq, ky)
-            cur = out.get(key)
-            if cur is None:
-                out[key] = prod_vec
+            if e >= slot[0]:
+                slot[2] += (x1 * x2) << (cell_bits * (e - slot[0]))
             else:
-                for i, c in enumerate(prod_vec):
-                    cur[i] += c
-    return {k: v for k, v in out.items() if any(v)}
+                slot[2] = (slot[2] << (cell_bits * (slot[0] - e))) + x1 * x2
+                slot[0] = e
+            if top > slot[1]:
+                slot[1] = top
+
+    rows: list = []
+    peak = nnz = 0
+    for kq, c in sorted(acc):
+        e, top, x = acc.pop((kq, c))  # each sum is freed once decoded
+        base = e * g + c
+        lo = max(0, -((base - ylo) // g))
+        hi = min(top - e, (yhi - base) // g + 1)
+        if lo >= hi:
+            continue
+        digits = _unpack(x, nbytes, (top - e) * cell, lo * cell, hi * cell)
+        # column t holds slot t of every cell; fold t >= phi into the basis
+        cols = [digits[t::cell] for t in range(phi)]
+        for t in range(phi, cell):
+            high = digits[t::cell]
+            for i, r in reduce_rows[t]:
+                if r == 1:
+                    cols[i] = list(map(add, cols[i], high))
+                elif r == -1:
+                    cols[i] = list(map(sub, cols[i], high))
+                else:
+                    cols[i] = [u + r * v for u, v in zip(cols[i], high)]
+        for col in cols:
+            peak = max(peak, max(col), -min(col))
+            nnz += len(col) - col.count(0)
+        if not rows or rows[-1][0] != kq:
+            rows.append((kq, []))
+        terms = rows[-1][1]
+        ky = base + lo * g
+        for vec in zip(*cols):
+            if any(vec):
+                terms.append((ky, vec))
+            ky += g
+    rows = [(kq, sorted(terms)) for kq, terms in rows if terms]
+    return _Rows(rows, peak, nnz)
 
 
-def series_add_scaled(acc: Series, s: Series, vec: Vec, ctx: SeriesContext) -> None:
-    """acc += vec * s (vec a coefficient vector, e.g. a root of unity)."""
-    phi, rows = ctx.phi, ctx.rows
-    for key, v in s.items():
-        scaled = vec_mul(vec, v, phi, rows)
-        cur = acc.get(key)
-        if cur is None:
-            acc[key] = scaled
-        else:
-            for i, c in enumerate(scaled):
-                cur[i] += c
+def series_mul(a: Series, b: Series, ctx: SeriesContext) -> Series:
+    """Product of two series, truncated to the context window."""
+    return {key: list(vec) for key, vec in _mul_rows(_Rows.of(a), _Rows.of(b), ctx).items()}
 
 
-def series_add_conj(acc: Series, s: Series, ctx: SeriesContext) -> None:
-    for key, v in s.items():
-        scaled = vec_conj(v, ctx)
-        cur = acc.get(key)
-        if cur is None:
-            acc[key] = scaled
-        else:
-            for i, c in enumerate(scaled):
-                cur[i] += c
+def _add_term(acc: Series, key: tuple[int, int], vec) -> None:
+    cur = acc.get(key)
+    acc[key] = list(vec) if cur is None else list(map(add, cur, vec))
 
 
 # ---------------------------------------------------------------------------
@@ -185,6 +327,11 @@ def variable_factor(ctx: SeriesContext, j: int, a: int, b: int) -> Series:
     This is the j-th factor of the twisted-sector product with the
     (y^-1 q)^theta piece of the sector prefactor folded in, so every stored
     q-exponent is non-negative.
+
+    The factor is built one binomial or geometric tower at a time, each
+    product cut to the window as it is formed.  While building, coefficients
+    are vectors over x^0 .. x^(N-1) with x^N = 1, so a root of unity acts by
+    rotation; they are reduced mod Phi_N once at the end.
     """
     qj = ctx.charges[j]
     m = ctx.moduli[j]
@@ -198,88 +345,133 @@ def variable_factor(ctx: SeriesContext, j: int, a: int, b: int) -> Series:
     b %= m
     theta = Fraction(a, m)
     ib = (b * (n // m)) % n
-    one = root_vec(n, 0)
-    zeta = root_vec(n, ib)
-    zeta_bar = root_vec(n, -ib)
-
-    def neg(vec: Vec) -> Vec:
-        return tuple(-c for c in vec)
-
     qcap, ylo, yhi = ctx.qcap, ctx.ylo, ctx.yhi
 
     # (y^-1 q)^theta * (1 - zeta_bar y^(1-qj) q^(-theta)): non-negative q-powers
     series: Series = {}
     kq1, ky1 = _scaled_exponent(theta, d), _scaled_exponent(-theta, d)
     if kq1 <= qcap and ylo <= ky1 <= yhi:
-        series[(kq1, ky1)] = list(one)
+        series[(kq1, ky1)] = [1] + [0] * (n - 1)
     ky2 = _scaled_exponent(1 - qj - theta, d)
     if ylo <= ky2 <= yhi:
-        series[(0, ky2)] = list(neg(zeta_bar))
+        series[(0, ky2)] = _rotate([-1] + [0] * (n - 1), -ib)
 
-    polys: list[Series] = []
-    # remaining fermionic factors with positive q-exponent
-    k = 1
-    while True:
-        kq = _scaled_exponent(Fraction(k) - theta, d)
-        if kq > qcap:
-            break
-        ky = _scaled_exponent(1 - qj, d)
-        poly = {(0, 0): list(one)}
-        if ylo <= ky <= yhi:
-            poly[(kq, ky)] = list(neg(zeta_bar))
-        polys.append(poly)
-        k += 1
-    k = 1
-    while True:
-        kq = _scaled_exponent(Fraction(k) + theta, d)
-        if kq > qcap:
-            break
-        ky = _scaled_exponent(qj - 1, d)
-        poly = {(0, 0): list(one)}
-        if ylo <= ky <= yhi:
-            poly[(kq, ky)] = list(neg(zeta))
-        polys.append(poly)
-        k += 1
-    # bosonic towers, expanded in the fixed annulus
-    k = 0
-    while True:
-        step_q = _scaled_exponent(Fraction(k) + theta, d)
-        if step_q > qcap:
-            break
-        step_y = _scaled_exponent(qj, d)
-        geom: Series = {}
-        s = 0
+    # remaining fermionic factors (1 - zeta_bar y^(1-qj) q^(k-theta)) and
+    # (1 - zeta y^(qj-1) q^(k+theta)) with positive q-exponent
+    for sign, y_exp in ((-1, 1 - qj), (1, qj - 1)):
+        k = 1
         while True:
-            kq, ky = s * step_q, s * step_y
-            if kq > qcap or ky > yhi:
+            kq = _scaled_exponent(k + sign * theta, d)
+            if kq > qcap:
                 break
-            if ky >= ylo:
-                geom[(kq, ky)] = list(root_vec(n, (s * ib) % n))
-            s += 1
-        polys.append(geom)
-        k += 1
-    k = 1
-    while True:
-        step_q = _scaled_exponent(Fraction(k) - theta, d)
-        if step_q > qcap:
-            break
-        step_y = _scaled_exponent(-qj, d)
-        geom = {}
-        s = 0
+            ky = _scaled_exponent(y_exp, d)
+            if ylo <= ky <= yhi:
+                series = _times_binomial(series, kq, ky, sign * ib, ctx)
+            k += 1
+    # bosonic towers sum_s zeta^(s ib) (y^qj q^(k+theta))^s, k >= 0, and
+    # sum_s zeta^(-s ib) (y^-qj q^(k-theta))^s, k >= 1, expanded in the fixed
+    # annulus; the kept s are those whose term lies in the window
+    for sign, first in ((1, 0), (-1, 1)):
+        k = first
         while True:
-            kq, ky = s * step_q, s * step_y
-            if kq > qcap or ky < ylo:
+            step_q = _scaled_exponent(k + sign * theta, d)
+            if step_q > qcap:
                 break
-            if ky <= yhi:
-                geom[(kq, ky)] = list(root_vec(n, (-s * ib) % n))
-            s += 1
-        polys.append(geom)
-        k += 1
+            step_y = _scaled_exponent(sign * qj, d)
+            kept = []
+            s = 0
+            while s * step_q <= qcap and (s * step_y <= yhi if sign > 0 else s * step_y >= ylo):
+                if ylo <= s * step_y <= yhi:
+                    kept.append(s)
+                s += 1
+            series = _times_geometric(series, step_q, step_y, sign * ib, kept, ctx)
+            k += 1
 
-    for poly in polys:
-        series = series_mul(series, poly, ctx)
-    ctx.factor_cache[key] = series
-    return series
+    out = _reduced(series, ctx)
+    ctx.factor_cache[key] = out
+    return out
+
+
+def _reduced(series: Series, ctx: SeriesContext) -> Series:
+    """Vectors over x^0 .. x^(N-1), x^N = 1, reduced mod Phi_N; zeros dropped."""
+    power_rows = _power_rows(ctx.conductor)
+    out: Series = {}
+    for term, cyc in series.items():
+        vec = [0] * ctx.phi
+        for k, c in enumerate(cyc):
+            if c:
+                for i, r in enumerate(power_rows[k]):
+                    vec[i] += c * r
+        if any(vec):
+            out[term] = vec
+    return out
+
+
+def _rotate(vec: list[int], k: int) -> list[int]:
+    """vec * x^k for a coefficient vector over x^0 .. x^(N-1), x^N = 1."""
+    k %= len(vec)
+    return vec[-k:] + vec[:-k] if k else vec
+
+
+def _times_binomial(s: Series, kq: int, ky: int, k: int, ctx: SeriesContext) -> Series:
+    """s * (1 - x^k q^kq y^ky), x^N = 1 coefficients, truncated to the window."""
+    qcap, ylo, yhi = ctx.qcap, ctx.ylo, ctx.yhi
+    out: Series = dict(s)
+    for (q, y), v in s.items():
+        key = (q + kq, y + ky)
+        if key[0] <= qcap and ylo <= key[1] <= yhi:
+            moved = _rotate(v, k)
+            cur = out.get(key)
+            out[key] = [-c for c in moved] if cur is None else list(map(sub, cur, moved))
+    return {key: v for key, v in out.items() if any(v)}
+
+
+def _times_geometric(
+    s: Series, step_q: int, step_y: int, ratio: int, kept: list[int], ctx: SeriesContext
+) -> Series:
+    """s * sum_{t in kept} x^(t ratio) q^(t step_q) y^(t step_y) on the window,
+    x^N = 1 coefficients.
+
+    ``kept`` is a run t0..t1.  Along each chain p, p + step, ... the product
+    obeys P[p] = x^(t0 ratio) s[p - t0 step] + x^ratio P[p - step]
+    - x^((t1+1) ratio) s[p - (t1+1) step].  A chain is walked from its first
+    term through the window; P vanishes before it, and P[p - step] is zero
+    whenever p - step leaves the window, because s has no terms beyond the
+    window on that side.
+    """
+    if not kept:
+        return {}
+    t0, t1 = kept[0], kept[-1]
+    assert kept == list(range(t0, t1 + 1))
+    n = ctx.conductor
+    head, ratio, tail = (t0 * ratio) % n, ratio % n, ((t1 + 1) * ratio) % n
+    back_q, back_y = t0 * step_q, t0 * step_y
+    lag_q, lag_y = (t1 + 1) * step_q, (t1 + 1) * step_y
+    qcap, ylo, yhi = ctx.qcap, ctx.ylo, ctx.yhi
+    order = sorted(s) if step_q else sorted(s, key=lambda term: term[1] * step_y)
+    get = s.get
+    out: Series = {}
+    for kq, ky in order:
+        q, y = kq + back_q, ky + back_y
+        if (q, y) in out:
+            continue  # on the chain of an earlier term
+        val = None
+        while q <= qcap and ylo <= y <= yhi:
+            src = get((q - back_q, y - back_y))
+            if val is None:
+                val = src[-head:] + src[:-head] if head else src
+            else:
+                if ratio:
+                    val = val[-ratio:] + val[:-ratio]
+                if src is not None:
+                    val = list(map(add, val, src[-head:] + src[:-head] if head else src))
+            lagged = get((q - lag_q, y - lag_y))
+            if lagged is not None:
+                val = list(map(sub, val, lagged[-tail:] + lagged[:-tail] if tail else lagged))
+            out[(q, y)] = val
+            q += step_q
+            y += step_y
+    return {key: v for key, v in out.items() if any(v)}
 
 
 def _hat(ctx: SeriesContext, j: int, side: str, index: int, other: int) -> Series:
@@ -295,12 +487,11 @@ def _hat(ctx: SeriesContext, j: int, side: str, index: int, other: int) -> Serie
     if cached is not None:
         return cached
     n = ctx.conductor
-    acc: Series = {}
-    for t in range(m):
-        w = root_vec(n, (index * t * (n // m)) % n)
-        f = variable_factor(ctx, j, t, other) if side == "L" else variable_factor(ctx, j, other, t)
-        series_add_scaled(acc, f, w, ctx)
-    acc = {k: v for k, v in acc.items() if any(v)}
+    acc = _character_sum(ctx, (
+        ((index * t * (n // m)) % n,
+         variable_factor(ctx, j, t, other) if side == "L" else variable_factor(ctx, j, other, t))
+        for t in range(m)
+    ))
     ctx.hat_cache[key] = acc
     return acc
 
@@ -314,13 +505,23 @@ def _hat2(ctx: SeriesContext, j: int, s: int, s2: int) -> Series:
     if cached is not None:
         return cached
     n = ctx.conductor
-    acc: Series = {}
-    for t in range(m):
-        w = root_vec(n, (s2 * t * (n // m)) % n)
-        series_add_scaled(acc, _hat(ctx, j, "L", s, t), w, ctx)
-    acc = {k: v for k, v in acc.items() if any(v)}
+    acc = _character_sum(ctx, (
+        ((s2 * t * (n // m)) % n, _hat(ctx, j, "L", s, t)) for t in range(m)
+    ))
     ctx.hat_cache[key] = acc
     return acc
+
+
+def _character_sum(ctx: SeriesContext, parts) -> Series:
+    """sum of zeta^k s over the (k, s) in parts; zeta^k acts by rotation."""
+    n = ctx.conductor
+    acc: Series = {}
+    for k, series in parts:
+        for key, vec in series.items():
+            moved = _rotate(list(vec) + [0] * (n - len(vec)), k)
+            cur = acc.get(key)
+            acc[key] = moved if cur is None else list(map(add, cur, moved))
+    return _reduced(acc, ctx)
 
 
 # ---------------------------------------------------------------------------
@@ -391,15 +592,16 @@ def double_sum(
             partner = conj_partner(rl, rr)
             if partner < (rl, rr):
                 continue  # covered as the conjugate of an earlier product
-            product: Series | None = None
+            product: _Rows | None = None
             for j in range(d):
-                f = factor(j, rl[j], rr[j])
-                product = dict((k, list(v)) for k, v in f.items()) if product is None else series_mul(product, f, ctx)
-            if product is None:
-                product = {(0, 0): list(root_vec(ctx.conductor, 0))}
-            series_add_scaled(total, product, root_vec(ctx.conductor, 0), ctx)
-            if partner != (rl, rr):
-                series_add_conj(total, product, ctx)
+                f = _Rows.of(factor(j, rl[j], rr[j]))
+                product = f if product is None else _mul_rows(product, f, ctx)
+            terms = product.items() if product is not None else [((0, 0), root_vec(ctx.conductor, 0))]
+            mirrored = partner != (rl, rr)
+            for key, vec in terms:
+                _add_term(total, key, vec)
+                if mirrored:
+                    _add_term(total, key, vec_conj(vec, ctx))
     return {k: v for k, v in total.items() if any(v)}
 
 

@@ -43,10 +43,6 @@ def int_matrix(rows: Iterable[Iterable[int]]) -> IntMat:
     return mat
 
 
-def identity_matrix(n: int) -> IntMat:
-    return tuple(tuple(1 if i == j else 0 for j in range(n)) for i in range(n))
-
-
 def mat_transpose(a: IntMat) -> IntMat:
     return tuple(zip(*a)) if a else ()
 
@@ -137,9 +133,6 @@ class SnfResult:
     factors: tuple[int, ...]
     left: IntMat
     right: IntMat
-
-    def nontrivial_factors(self) -> tuple[int, ...]:
-        return tuple(f for f in self.factors if f not in (0, 1))
 
 
 def smith_normal_form(a: IntMat) -> SnfResult:

@@ -53,12 +53,6 @@ class NearPoleError(ArithmeticError):
         self.distance = distance
 
 
-@dataclass(frozen=True)
-class SectorKey:
-    n: PhaseVector
-    n1: PhaseVector
-
-
 @dataclass
 class EllValue:
     """Numeric genus value, with the evaluation point actually used."""

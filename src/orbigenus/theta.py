@@ -58,7 +58,14 @@ def theta_value(nu: complex, tau: complex, params: ThetaParams | None = None) ->
     u = cmath.exp(TWO_PI_I * nu)
     # q^(1/8) is the principal eighth root of q itself, so shifting tau by one
     # leaves the value literally unchanged
-    value = 1j * cmath.exp(cmath.log(q) / 8) * cmath.exp(-1j * math.pi * nu) * (1 - u)
+    if q:
+        q8 = cmath.exp(cmath.log(q) / 8)
+    else:
+        # q underflowed (large Im tau) but q^(1/8) need not: the principal log
+        # of q is 2 pi i (tau - n) with Re(tau - n) in (-1/2, 1/2], so a shift
+        # of tau by one changes the value only by the rounding of tau - n
+        q8 = cmath.exp(TWO_PI_I * (tau - math.ceil(tau.real - 0.5)) / 8)
+    value = 1j * q8 * cmath.exp(-1j * math.pi * nu) * (1 - u)
     qn = 1.0 + 0j
     for _ in range(terms):
         qn *= q

@@ -1,10 +1,11 @@
-"""Shared fixtures: test potentials and a slow reference builder for sector
-series, assembled from the public series operations only."""
+"""Shared fixtures: test potentials, a slow reference builder for sector
+series assembled from the public series operations only, and the term-pair
+reference arithmetic for the exact engine's integer-vector series."""
 
 from fractions import Fraction
 from functools import lru_cache
 
-from orbigenus.exactmath import lcm, root_of_unity
+from orbigenus.exactmath import _power_rows, euler_phi, lcm, root_of_unity
 from orbigenus.potential import compute_charges, parse_potential
 from orbigenus.qseries import BiSeries, Windows, geom_expand, series_mul
 
@@ -81,3 +82,107 @@ def reference_sector_pair_series(potential, thetas_n, thetas_n1, windows, conduc
             out = series_mul(out, geom_expand(-qj, k - tn, zeta_bar, work, denominator=d))
             k += 1
     return out.restricted(windows)
+
+
+# ---------------------------------------------------------------------------
+# Term-pair reference for the engine's series: dicts (kq, ky) -> coefficient
+# vector over the power basis of zeta_N, truncated to the context window.
+# ---------------------------------------------------------------------------
+
+
+def reference_vec_mul(u, v, conductor):
+    """Product in Z[zeta_N]: full convolution, then x^k replaced by its
+    reduction mod Phi_N."""
+    phi = euler_phi(conductor)
+    powers = _power_rows(conductor)
+    out = [0] * phi
+    for i, ui in enumerate(u):
+        for j, vj in enumerate(v):
+            for idx, r in enumerate(powers[i + j]):
+                out[idx] += ui * vj * r
+    return out
+
+
+def reference_series_mul(a, b, ctx):
+    """Every term pair multiplied and cut to the window, zero vectors dropped."""
+    out = {}
+    for (kq1, ky1), v1 in a.items():
+        for (kq2, ky2), v2 in b.items():
+            kq, ky = kq1 + kq2, ky1 + ky2
+            if kq > ctx.qcap or not ctx.ylo <= ky <= ctx.yhi:
+                continue
+            prod = reference_vec_mul(v1, v2, ctx.conductor)
+            cur = out.setdefault((kq, ky), [0] * len(prod))
+            for i, c in enumerate(prod):
+                cur[i] += c
+    return {k: v for k, v in out.items() if any(v)}
+
+
+def reference_variable_factor(ctx, j, a, b):
+    """The single-variable factor as a product of its binomials and truncated
+    geometric towers, each multiplied in with ``reference_series_mul``."""
+    qj, m = ctx.charges[j], ctx.moduli[j]
+    n, d = ctx.conductor, ctx.denominator
+    qcap, ylo, yhi = ctx.qcap, ctx.ylo, ctx.yhi
+    a %= m
+    b %= m
+    theta = F(a, m)
+    ib = (b * (n // m)) % n
+    powers = _power_rows(n)
+
+    def root(k):
+        return list(powers[k % n])
+
+    def neg(vec):
+        return [-c for c in vec]
+
+    def scaled(value):
+        out = value * d
+        assert out.denominator == 1
+        return int(out)
+
+    # (y^-1 q)^theta * (1 - zeta_bar y^(1-qj) q^(-theta))
+    series = {}
+    kq1, ky1 = scaled(theta), scaled(-theta)
+    if kq1 <= qcap and ylo <= ky1 <= yhi:
+        series[(kq1, ky1)] = root(0)
+    ky2 = scaled(1 - qj - theta)
+    if ylo <= ky2 <= yhi:
+        series[(0, ky2)] = neg(root(-ib))
+    polys = []
+    # fermionic binomials, the monomial kept only inside the y-window
+    for sign, y_exp, coeff in ((-1, 1 - qj, neg(root(-ib))), (1, qj - 1, neg(root(ib)))):
+        k = 1
+        while scaled(k + sign * theta) <= qcap:
+            poly = {(0, 0): root(0)}
+            if ylo <= scaled(y_exp) <= yhi:
+                poly[(scaled(k + sign * theta), scaled(y_exp))] = coeff
+            polys.append(poly)
+            k += 1
+    # bosonic towers: terms until q or the far y-edge is passed, those inside
+    # the y-window kept
+    k = 0
+    while scaled(k + theta) <= qcap:
+        step_q, step_y = scaled(k + theta), scaled(qj)
+        geom = {}
+        s = 0
+        while s * step_q <= qcap and s * step_y <= yhi:
+            if s * step_y >= ylo:
+                geom[(s * step_q, s * step_y)] = root(s * ib)
+            s += 1
+        polys.append(geom)
+        k += 1
+    k = 1
+    while scaled(k - theta) <= qcap:
+        step_q, step_y = scaled(k - theta), scaled(-qj)
+        geom = {}
+        s = 0
+        while s * step_q <= qcap and s * step_y >= ylo:
+            if s * step_y <= yhi:
+                geom[(s * step_q, s * step_y)] = root(-s * ib)
+            s += 1
+        polys.append(geom)
+        k += 1
+    for poly in polys:
+        series = reference_series_mul(series, poly, ctx)
+    return series

@@ -90,3 +90,18 @@ def test_lattice_distance():
     assert lattice_distance(2 + 3 * tau, tau) < 1e-12
     assert lattice_distance(0.5, tau) == pytest.approx(0.5)
     assert lattice_distance(tau / 2, tau) == pytest.approx(0.5)
+
+
+@pytest.mark.parametrize("tau", [0.001 + 250j, 0.7 + 250j, -0.3 + 250j, -3.2 + 300j])
+def test_underflowed_q_keeps_leading_term(tau):
+    # q = e^(2 pi i tau) underflows to 0 here, while q^(1/8) is about 1e-85;
+    # every product factor is then exactly 1 and the value is the leading term
+    # with q^(1/8) = exp(log(q) / 8), log the principal logarithm
+    nu = 0.1
+    assert cmath.exp(2j * math.pi * tau) == 0
+    log_q = -2 * math.pi * tau.imag + 1j * cmath.phase(cmath.exp(2j * math.pi * tau.real))
+    expected = (1j * cmath.exp(log_q / 8) * cmath.exp(-1j * math.pi * nu)
+                * (1 - cmath.exp(2j * math.pi * nu)))
+    value = theta_value(nu, tau)
+    assert abs(value - expected) <= 1e-12 * abs(expected)
+    assert abs(theta_value(nu, tau + 1) - value) <= 1e-12 * abs(value)
