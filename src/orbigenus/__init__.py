@@ -44,19 +44,17 @@ from .potential import (
     parse_potential,
     transpose_potential,
 )
-from .qseries import BiSeries, Windows, coefficient_at, geom_expand, series_mul
+from .qseries import BiSeries, Windows, geom_expand, series_mul
 from .symmetry import (
     AdmissibilityError,
     PhaseVector,
     SymmetryGroup,
     admissible_subgroups,
     aut_group,
-    box_representatives,
     dual_group,
     grading_element,
     grading_subgroup,
     sl_subgroup,
-    theta_coords,
 )
 from .theta import ThetaParams, check_theta_identities, theta_value
 from .verify import (

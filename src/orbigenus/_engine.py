@@ -35,12 +35,11 @@ Everything here is standard library only.
 
 from __future__ import annotations
 
-import itertools
 import sys
 from array import array
 from dataclasses import dataclass, field
 from fractions import Fraction
-from math import gcd, prod
+from math import gcd
 from operator import add, sub
 
 from .exactmath import (
@@ -49,10 +48,7 @@ from .exactmath import (
     _power_rows,
     cyc_to_rational,
     euler_phi,
-    lcm,
 )
-
-ANNIHILATOR_CAP = 4_000_000
 
 Vec = tuple[int, ...]
 Series = dict[tuple[int, int], list[int]]
@@ -525,28 +521,8 @@ def _character_sum(ctx: SeriesContext, parts) -> Series:
 
 
 # ---------------------------------------------------------------------------
-# Group data and the double sum
+# The double sum
 # ---------------------------------------------------------------------------
-
-
-def annihilator_elements(coords: list[Vec], moduli: tuple[int, ...], generators: list[Vec]):
-    """All s in prod_j Z/m_j with s.t integral for every t in the group.
-
-    coords/generators are coordinate-scaled tuples.  Returns None when the
-    ambient product group is too large to enumerate.
-    """
-    total = prod(moduli)
-    if total > ANNIHILATOR_CAP:
-        return None
-    m_all = lcm(*moduli)
-    weights = [m_all // m for m in moduli]
-    gen_rows = [tuple(g[j] * weights[j] for j in range(len(moduli))) for g in generators]
-    out = []
-    for s in itertools.product(*[range(m) for m in moduli]):
-        if all(sum(sj * rj for sj, rj in zip(s, row)) % m_all == 0 for row in gen_rows):
-            out.append(s)
-    assert len(out) * len(coords) == total, "annihilator size mismatch"
-    return out
 
 
 def _neg(vec: Vec, moduli: tuple[int, ...]) -> Vec:

@@ -24,12 +24,7 @@ from ._engine import RationalityError, SeriesContext
 from .exactmath import CycNum, lcm
 from .potential import Charges, Potential, compute_charges
 from .qseries import BiSeries, Windows, geom_expand, series_mul
-from .symmetry import (
-    PhaseVector,
-    SymmetryGroup,
-    require_admissible,
-    theta_coords,
-)
+from .symmetry import PhaseVector, SymmetryGroup, require_admissible
 from .theta import ThetaParams, lattice_distance, theta_value
 
 DEFAULT_QMAX = Fraction(2)
@@ -189,13 +184,16 @@ def _build_context(
 
 
 def _group_data(group: SymmetryGroup):
+    """Coordinate moduli, the representatives the double sum iterates, and its mode.
+
+    |ann(G)| = prod_j m_j / |G| is known before anything is listed, so only
+    the smaller side is listed: ann(G) ("T") when it is smaller than G,
+    otherwise G itself ("D").
+    """
     moduli = group.coordinate_moduli()
-    coords = group.scaled_elements(moduli)
-    gens = [tuple(int(e * m) for e, m in zip(g.entries, moduli)) for g in group.generators]
-    ann = _engine.annihilator_elements(coords, moduli, gens)
-    if ann is not None and len(ann) >= len(coords):
-        ann = None  # not profitable
-    return moduli, coords, ann
+    if prod(moduli) < group.order**2:
+        return moduli, group.annihilator_elements(), "T"
+    return moduli, group.scaled_elements(moduli), "D"
 
 
 def sector_supertrace_series(
@@ -210,18 +208,14 @@ def sector_supertrace_series(
     if n not in group:
         raise ValueError("twist must be an element of the group")
     charges = compute_charges(potential)
-    moduli, coords, ann = _group_data(group)
-    thetas = theta_coords(n)
+    moduli, reps, mode = _group_data(group)
+    thetas = n.entries
     ctx = _build_context(
         tuple(charges.q), moduli, windows.qmax, windows.ymin, windows.ymax, thetas
     )
     a_vec = tuple(int(t * m) for t, m in zip(thetas, moduli))
-    if ann is not None:
-        total = _engine.double_sum(ctx, [a_vec], ann, "D", "T")
-        scalar = Fraction(len(coords), prod(moduli)) * Fraction(1, len(coords))
-    else:
-        total = _engine.double_sum(ctx, [a_vec], coords, "D", "D")
-        scalar = Fraction(1, len(coords))
+    total = _engine.double_sum(ctx, [a_vec], reps, "D", mode)
+    scalar = Fraction(1, prod(moduli) if mode == "T" else group.order)
     assert all(kq >= 0 for (kq, _) in total), "negative q-exponent in sector series"
     n_cond = ctx.conductor
     terms = {}
@@ -242,17 +236,13 @@ def _genus_rational_terms(
     cbar = charges.central_charge
     assert cbar.denominator == 1
     shift = Fraction(cbar, 2)
-    moduli, coords, ann = _group_data(group)
+    moduli, reps, mode = _group_data(group)
     theta_max = tuple(Fraction(m - 1, m) for m in moduli)
     ctx = _build_context(
         tuple(charges.q), moduli, qmax, -ycap + shift, ycap + shift, theta_max
     )
-    if ann is not None:
-        total = _engine.double_sum(ctx, ann, ann, "T", "T")
-        weight = Fraction(len(coords), prod(moduli)) ** 2
-    else:
-        total = _engine.double_sum(ctx, coords, coords, "D", "D")
-        weight = Fraction(1)
+    total = _engine.double_sum(ctx, reps, reps, mode, mode)
+    weight = Fraction(group.order, prod(moduli)) ** 2 if mode == "T" else Fraction(1)
     assert all(kq >= 0 for (kq, _) in total), "negative q-exponent in genus series"
     d = ctx.denominator
     ky_shift = int(shift * d)
@@ -262,7 +252,7 @@ def _genus_rational_terms(
         if -ycap * d <= ky2 <= ycap * d and kq <= qmax * d:
             shifted[(kq, ky2)] = vec
     sign = -1 if int(cbar) % 2 else 1
-    scalar = Fraction(sign, len(coords)) * weight
+    scalar = Fraction(sign, group.order) * weight
     return _engine.rationalize(shifted, ctx, scalar), d
 
 
@@ -369,7 +359,7 @@ def sector_value_numeric(
         raise ValueError("twists must be elements of the group")
     charges = compute_charges(potential)
     return sector_value_from_coords(
-        charges, theta_coords(n), theta_coords(n1), z, tau, params, pole_eps
+        charges, n.entries, n1.entries, z, tau, params, pole_eps
     )
 
 
@@ -383,7 +373,7 @@ def _numeric_total(
 ) -> complex:
     charges = compute_charges(potential)
     qs = tuple(charges.q)
-    moduli, coords, ann = _group_data(group)
+    moduli, reps, mode = _group_data(group)
     cache: dict[tuple, complex] = {}
 
     def base_factor(j: int, a: int, b: int) -> complex:
@@ -395,8 +385,8 @@ def _numeric_total(
             nu_den = float(qs[j]) * z + float(tn) * tau + float(tn1)
             dist = lattice_distance(nu_den, tau)
             if dist < pole_eps:
-                n_repr = next(e for e, c in zip(group.elements, coords) if c[j] == a % m)
-                n1_repr = next(e for e, c in zip(group.elements, coords) if c[j] == b % m)
+                n_repr = group.element_with(j, tn)
+                n1_repr = group.element_with(j, tn1)
                 raise NearPoleError(j, n_repr.entries, n1_repr.entries, dist)
             nu_num = (1 - float(qs[j])) * z - float(tn) * tau - float(tn1)
             val = (
@@ -432,15 +422,13 @@ def _numeric_total(
             hat_cache[key] = val
         return val
 
-    if ann is not None:
-        reps = ann
-        weight = (len(coords) / prod(moduli)) ** 2
+    if mode == "T":
+        weight = (group.order / prod(moduli)) ** 2
 
         def factor(j, il, ir):
             return hat2(j, il, ir)
 
     else:
-        reps = coords
         weight = 1.0
 
         def factor(j, il, ir):
@@ -453,7 +441,7 @@ def _numeric_total(
             for j in range(len(qs)):
                 term *= factor(j, rl[j], rr[j])
             total += term
-    return total * weight / len(coords)
+    return total * weight / group.order
 
 
 def ell_genus_numeric(

@@ -10,11 +10,14 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from typing import TYPE_CHECKING
 
 from .exactmath import lcm
 from .potential import Charges, Potential, compute_charges
 from .qseries import BiSeries, Windows
-from .symmetry import SymmetryGroup, theta_coords
+
+if TYPE_CHECKING:
+    from .symmetry import SymmetryGroup
 
 STATE_CAP = 10**7
 
@@ -128,7 +131,7 @@ def zero_level_group_average(
     ymin, ymax = Fraction(ywindow[0]), Fraction(ywindow[1])
     windows = Windows.make(0, ymin, ymax)
     d = lcm(*(q.denominator for q in qs)) if qs else 1
-    gen_coords = [theta_coords(g) for g in group.generators]
+    gen_coords = [g.entries for g in group.generators]
     counts: dict[int, int] = {}
     work = 0
 

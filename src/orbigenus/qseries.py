@@ -307,7 +307,3 @@ def geom_expand(
         power = power * coefficient
     return BiSeries(d, n, windows, terms)
 
-
-def coefficient_at(series: BiSeries, e_q, e_y) -> CycNum:
-    """Module-level accessor mirroring BiSeries.coefficient."""
-    return series.coefficient(e_q, e_y)

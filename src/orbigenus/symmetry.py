@@ -1,32 +1,57 @@
 """Diagonal symmetry groups of invertible potentials and their duality.
 
-Group elements are d-tuples of rationals in [0, 1) under addition mod 1.
-Groups are always fully materialized (desk scale, capped at 10^6 elements);
-internally elements are handled as integer tuples scaled by the group
-exponent, which keeps closure and pairing arithmetic exact and fast.
+Group elements are d-tuples of rationals in [0, 1) under addition mod 1.  A
+group G of exponent m is held as a lattice: the vectors m*g for g in G,
+together with m Z^d, span a full-rank lattice L in Z^d, and G = L / m Z^d.
+L is stored as its Hermite normal form H, which is unique: rows are a basis,
+row i is zero left of column i, each diagonal entry divides m and the entries
+above a diagonal entry lie below it.  So order, membership, subgroup tests,
+equality and hashing read H without listing any element:
+
+    |G| = m^d / prod_i H_ii,    v in G  iff  m*v reduces to 0 down the rows of H.
+
+The invariant factors come from the Smith normal form of H.  Elements, their
+per-coordinate scaled forms and the canonical greedy generators are listed
+only on first use, by walking the lattice in lexicographic order, and the
+size cap applies only there.
+
+The groups attached to a potential with exponent matrix A follow Krawitz's
+lattice description (arXiv:0906.0796) of the Berglund-Huebsch duality:
+
+    Aut(W) = A^-1 Z^d / Z^d             g in Aut iff A g in Z^d;  |Aut| = |det A|
+    SL(W)  = ker(g -> sum_j g_j) on Aut(W)
+    G^T    = A^-T {w in Z^d : w.g in Z for all g in G} / Z^d
+    ann(G) = {s in prod_j Z/m_j : sum_j s_j g_j integral for all g in G}
+
+with m_j the coordinate moduli of G, so |ann(G)| = prod_j m_j / |G|.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
+from functools import cached_property
+from math import gcd, prod
 from typing import Iterable, Iterator, Sequence
 
 from .exactmath import (
+    _xgcd,
     int_matrix,
     invert_rational_matrix,
     lcm,
     mat_det,
+    mat_mul,
     smith_normal_form,
 )
-from .potential import Potential, compute_charges, transpose_potential
+from .potential import Potential, compute_charges
 
 GROUP_SIZE_CAP = 10**6
 
+Row = tuple[int, ...]
+
 
 class GroupSizeError(ValueError):
-    """Materialization would exceed the size cap."""
+    """Listing the elements would exceed the size cap."""
 
 
 class AdmissibilityError(ValueError):
@@ -65,9 +90,6 @@ class PhaseVector:
     def order(self) -> int:
         return lcm(*(e.denominator for e in self.entries)) if self.entries else 1
 
-    def sum_is_integral(self) -> bool:
-        return sum(self.entries, Fraction(0)).denominator == 1
-
     def as_string(self) -> str:
         return ",".join(str(e) for e in self.entries)
 
@@ -79,93 +101,176 @@ class PhaseVector:
         return f"({self.as_string()})"
 
 
-def _scale(vec: PhaseVector, m: int) -> tuple[int, ...]:
+def _scale(vec: PhaseVector, m: int) -> Row:
     return tuple(int(e * m) for e in vec.entries)
 
 
-def _closure_scaled(
-    generators: Sequence[tuple[int, ...]], m: int, dimension: int, cap: int = GROUP_SIZE_CAP
-) -> list[tuple[int, ...]]:
-    zero = (0,) * dimension
-    elements = {zero}
-    frontier = [zero]
-    gens = [g for g in generators if g != zero]
-    while frontier:
-        nxt = []
-        for e in frontier:
-            for g in gens:
-                s = tuple((a + b) % m for a, b in zip(e, g))
-                if s not in elements:
-                    elements.add(s)
-                    nxt.append(s)
-                    if len(elements) > cap:
-                        raise GroupSizeError(f"group exceeds the cap of {cap} elements")
-        frontier = nxt
-    return sorted(elements)
+def _unscale(row: Sequence[int], m: int) -> PhaseVector:
+    return PhaseVector(tuple(Fraction(a % m, m) for a in row))
 
 
-def _minimal_generators(
-    elements: Sequence[tuple[int, ...]], m: int, dimension: int
-) -> list[tuple[int, ...]]:
-    """Small generating set by greedy closure over the sorted element list."""
-    chosen: list[tuple[int, ...]] = []
-    span = {(0,) * dimension}
-    for e in elements:
-        if e not in span:
-            chosen.append(e)
-            span = set(_closure_scaled(chosen, m, dimension))
-            if len(span) == len(elements):
-                break
-    return chosen
+# ---------------------------------------------------------------------------
+# Lattices containing a box of moduli
+# ---------------------------------------------------------------------------
 
 
-def _invariant_factors(
-    generators: Sequence[tuple[int, ...]], m: int, dimension: int
-) -> tuple[int, ...]:
-    """Isomorphism type of the subgroup of (1/m Z / Z)^d spanned by generators.
+def _hnf(rows: Iterable[Sequence[int]], moduli: Sequence[int]) -> tuple[Row, ...]:
+    """Hermite normal form of the lattice spanned by rows and every moduli[j] e_j.
 
-    If the lattice spanned by the scaled generators together with m Z^d has
-    Smith factors d_1 | ... | d_d over Z^d, the quotient group is the direct
-    sum of Z/(m/d_i); reading the chain backwards restores divisibility order.
+    Column j is worked modulo moduli[j], which is exact because moduli[j] e_j
+    lies in the lattice; so every diagonal entry divides its modulus.
     """
-    rows = [list(g) for g in generators]
-    rows.extend([m if i == j else 0 for j in range(dimension)] for i in range(dimension))
-    snf = smith_normal_form(int_matrix(rows))
-    factors = [m // d for d in reversed(snf.factors)]
-    return tuple(f for f in factors if f > 1)
+    d = len(moduli)
+    pending = [[x % m for x, m in zip(r, moduli)] for r in rows]
+    basis = []
+    for c in range(d):
+        pivot = [0] * d
+        pivot[c] = moduli[c]
+        rest = []
+        for r in pending:
+            if r[c]:
+                g, x, y = _xgcd(pivot[c], r[c])
+                a, b = pivot[c] // g, r[c] // g
+                pivot, r = (
+                    [(x * p + y * q) % m for p, q, m in zip(pivot, r, moduli)],
+                    [(a * q - b * p) % m for p, q, m in zip(pivot, r, moduli)],
+                )
+            if any(r):
+                rest.append(r)
+        pending = rest
+        basis.append(pivot)
+    for c in range(d):
+        h = basis[c][c]
+        for i in range(c):
+            k = basis[i][c] // h
+            if k:
+                basis[i] = [u - k * v for u, v in zip(basis[i], basis[c])]
+    return tuple(tuple(r) for r in basis)
+
+
+def _in_lattice(hnf: Sequence[Row], vec: Sequence[int]) -> bool:
+    v = list(vec)
+    for c, row in enumerate(hnf):
+        k, rem = divmod(v[c], row[c])
+        if rem:
+            return False
+        if k:
+            v = [a - k * b for a, b in zip(v, row)]
+    return True
+
+
+def _box_order(hnf: Sequence[Row], moduli: Sequence[int]) -> int:
+    """Number of lattice points modulo the box of moduli."""
+    return prod(moduli) // prod(row[i] for i, row in enumerate(hnf))
+
+
+def _walk(hnf: Sequence[Row], moduli: Sequence[int], pin: tuple[int, int] | None = None) -> Iterator[Row]:
+    """Lattice points reduced into the box of moduli, in lexicographic order.
+
+    Coordinate i of x.H depends on x_0..x_i only, and x_i moves it through one
+    residue class mod H_ii; visiting that class upwards at every level yields
+    the points sorted.  pin = (j, a) keeps only the points with coordinate j
+    equal to a.
+    """
+    d = len(moduli)
+    point = [0] * d
+
+    def level(i: int, carry: list[int]) -> Iterator[Row]:
+        if i == d:
+            yield tuple(point)
+            return
+        row, m = hnf[i], moduli[i]
+        h = row[i]
+        base = carry[i] % m
+        if pin is not None and pin[0] == i:
+            values: Iterable[int] = (pin[1],) if (pin[1] - base) % h == 0 else ()
+        else:
+            values = range(base % h, m, h)
+        for v in values:
+            k = (v - base) // h
+            point[i] = v
+            yield from level(i + 1, [s + k * t for s, t in zip(carry, row)] if k else carry)
+
+    return level(0, [0] * d)
+
+
+def _check_cap(size: int) -> None:
+    if size > GROUP_SIZE_CAP:
+        raise GroupSizeError(f"listing {size} elements exceeds the cap of {GROUP_SIZE_CAP}")
+
+
+def _subgroup_lattices(factors: Sequence[int]) -> Iterator[list[list[int]]]:
+    """Every subgroup of Z/n_0 + ... + Z/n_(r-1), as the Hermite normal form of
+    its preimage in Z^r.
+
+    Rows are built from the last one up.  Row i is (0.., h, e_(i+1).., e_(r-1))
+    with h | n_i and 0 <= e_k < H_kk; the preimage must contain n_i e_i, that
+    is (n_i / h) row_i must reduce to n_i e_i down the rows below, and each
+    e_k is kept only if it lets that reduction clear column k.
+    """
+    r = len(factors)
+
+    def complete(i: int, tail: list[list[int]], row: list[int], carry: list[int]):
+        k = i + len(row)
+        if k == r:
+            yield [[0] * i + row] + tail
+            return
+        below = tail[k - i - 1]
+        hk = below[k]
+        c = factors[i] // row[0]
+        for e in range(hk):
+            v = c * e + carry[k]
+            if v % hk == 0:
+                q = v // hk
+                yield from complete(i, tail, row + [e],
+                                    [s - q * t for s, t in zip(carry, below)] if q else carry)
+
+    def rows_from(i: int):
+        if i == r:
+            yield []
+            return
+        for tail in rows_from(i + 1):
+            for h in range(1, factors[i] + 1):
+                if factors[i] % h == 0:
+                    yield from complete(i, tail, [h], [0] * r)
+
+    return rows_from(0)
+
+
+# ---------------------------------------------------------------------------
+# Groups
+# ---------------------------------------------------------------------------
 
 
 class SymmetryGroup:
-    """Finite abelian group of phase vectors, fully materialized."""
+    """Finite abelian group of phase vectors, held as a lattice (see module doc).
 
-    def __init__(
-        self,
-        generators: tuple[PhaseVector, ...],
-        elements: tuple[PhaseVector, ...],
-        structure: tuple[int, ...],
-    ):
-        self.generators = generators
-        self.elements = elements
-        self.structure = structure
-        self._element_set = frozenset(elements)
+    Two groups are equal exactly when their dimension, exponent and Hermite
+    normal form agree.
+    """
+
+    def __init__(self, dimension: int, exponent: int, hnf: tuple[Row, ...]):
+        self.dimension = dimension
+        self.exponent = exponent
+        self.hnf = hnf
+        self.order = _box_order(hnf, (exponent,) * dimension)
+
+    @classmethod
+    def _span(cls, rows: Iterable[Sequence[int]], modulus: int, dimension: int) -> "SymmetryGroup":
+        """Group generated by the integer rows divided by modulus, mod 1."""
+        rows = list(rows)
+        exponent = lcm(1, *(modulus // gcd(modulus, *r) for r in rows))
+        step = modulus // exponent
+        return cls(dimension, exponent,
+                   _hnf([[x // step for x in r] for r in rows], (exponent,) * dimension))
 
     @classmethod
     def generate(cls, generators: Iterable[PhaseVector], dimension: int) -> "SymmetryGroup":
-        gens = [g for g in generators]
+        gens = list(generators)
         if any(g.dimension != dimension for g in gens):
             raise ValueError("generator dimension mismatch")
         m = lcm(1, *(g.order() for g in gens))
-        scaled = [_scale(g, m) for g in gens]
-        closure = _closure_scaled(scaled, m, dimension)
-        minimal = _minimal_generators(closure, m, dimension)
-        elements = tuple(
-            PhaseVector(tuple(Fraction(a, m) for a in e)) for e in closure
-        )
-        gen_vecs = tuple(PhaseVector(tuple(Fraction(a, m) for a in g)) for g in minimal)
-        if not gen_vecs:
-            gen_vecs = (PhaseVector.canonical([0] * dimension),)
-        structure = _invariant_factors(minimal, m, dimension) if minimal else ()
-        return cls(gen_vecs, elements, structure)
+        return cls._span([_scale(g, m) for g in gens], m, dimension)
 
     @classmethod
     def trivial(cls, dimension: int) -> "SymmetryGroup":
@@ -175,51 +280,115 @@ class SymmetryGroup:
     def from_generator_strings(cls, texts: Iterable[str], dimension: int) -> "SymmetryGroup":
         return cls.generate([PhaseVector.from_string(t) for t in texts], dimension)
 
+    @cached_property
+    def generators(self) -> tuple[PhaseVector, ...]:
+        """Canonical generators: each element, in sorted order, that the ones
+        chosen before it do not span."""
+        box = (self.exponent,) * self.dimension
+        chosen: list[Row] = []
+        span = _hnf(chosen, box)
+        for e in _walk(self.hnf, box):
+            if not _in_lattice(span, e):
+                chosen.append(e)
+                span = _hnf(chosen, box)
+                if _box_order(span, box) == self.order:
+                    break
+        vecs = tuple(_unscale(g, self.exponent) for g in chosen)
+        return vecs or (PhaseVector.canonical([0] * self.dimension),)
+
     def generator_strings(self) -> list[str]:
         return [g.as_string() for g in self.generators]
 
-    @property
-    def order(self) -> int:
-        return len(self.elements)
+    @cached_property
+    def structure(self) -> tuple[int, ...]:
+        """Invariant factors, in divisibility order.
 
-    @property
-    def dimension(self) -> int:
-        return self.elements[0].dimension
-
-    @property
-    def exponent(self) -> int:
-        return lcm(1, *(g.order() for g in self.generators))
+        With Smith factors d_1 | ... | d_d of the lattice, the group is the
+        direct sum of Z/(m/d_i); reading the chain backwards keeps the order.
+        """
+        m = self.exponent
+        factors = (m // f for f in reversed(smith_normal_form(self.hnf).factors))
+        return tuple(f for f in factors if f > 1)
 
     def coordinate_moduli(self) -> tuple[int, ...]:
         """Per-coordinate denominator bound over the whole group."""
-        mods = [1] * self.dimension
-        for g in self.generators:
-            for j, e in enumerate(g.entries):
-                mods[j] = lcm(mods[j], e.denominator)
-        return tuple(mods)
+        m = self.exponent
+        return tuple(m // gcd(m, *column) for column in zip(*self.hnf))
 
-    def scaled_elements(self, moduli: Sequence[int] | None = None) -> list[tuple[int, ...]]:
-        """Elements as integer tuples, coordinate j scaled by moduli[j]."""
+    def _box_basis(self, moduli: Sequence[int]) -> tuple[Row, ...]:
+        """The basis with coordinate j counted in steps of 1/moduli[j]."""
+        m = self.exponent
+        return tuple(tuple(x * mj // m for x, mj in zip(row, moduli)) for row in self.hnf)
+
+    def scaled_elements(self, moduli: Sequence[int] | None = None) -> list[Row]:
+        """Sorted elements as integer tuples, coordinate j scaled by moduli[j]."""
         mods = tuple(moduli) if moduli is not None else self.coordinate_moduli()
-        return [tuple(int(e * m) for e, m in zip(el.entries, mods)) for el in self.elements]
+        _check_cap(self.order)
+        return list(_walk(self._box_basis(mods), mods))
+
+    @cached_property
+    def elements(self) -> tuple[PhaseVector, ...]:
+        m = self.exponent
+        return tuple(_unscale(e, m) for e in self.scaled_elements((m,) * self.dimension))
+
+    def _dual_rows(self) -> list[Row]:
+        """Basis of {w in Z^d : w.g integral for every g in the group}.
+
+        The lattice L/m has basis rows H/m, so its dual has the columns of
+        m H^-1 as a basis; they are integral because L/m contains Z^d.
+        """
+        m = self.exponent
+        inverse = invert_rational_matrix(self.hnf)
+        return [tuple(int(m * x) for x in column) for column in zip(*inverse)]
+
+    def annihilator_elements(self) -> list[Row]:
+        """Sorted ann(G) inside prod_j Z/m_j, m_j the coordinate moduli:
+        every s with sum_j s_j t_j / m_j integral for all t in the group.
+        It has prod_j m_j / |G| elements."""
+        mods = self.coordinate_moduli()
+        _check_cap(prod(mods) // self.order)
+        return list(_walk(_hnf(self._dual_rows(), mods), mods))
+
+    def element_with(self, j: int, value: Fraction) -> PhaseVector:
+        """The first element, in sorted order, whose coordinate j is value."""
+        m = self.exponent
+        scaled = Fraction(value) * m
+        if scaled.denominator == 1:
+            for e in _walk(self.hnf, (m,) * self.dimension, pin=(j, int(scaled) % m)):
+                return _unscale(e, m)
+        raise ValueError(f"no group element has coordinate {j} equal to {value}")
+
+    def projection(self, indices: Sequence[int]) -> "SymmetryGroup":
+        """Image of the group under g -> (g_i for i in indices)."""
+        rows = [[row[i] for i in indices] for row in self.hnf]
+        return SymmetryGroup._span(rows, self.exponent, len(indices))
 
     def __contains__(self, vec: PhaseVector) -> bool:
-        return vec in self._element_set
+        m = self.exponent
+        if vec.dimension != self.dimension or m % vec.order():
+            return False
+        return _in_lattice(self.hnf, _scale(vec, m))
 
     def __iter__(self) -> Iterator[PhaseVector]:
         return iter(self.elements)
 
     def __len__(self) -> int:
-        return len(self.elements)
+        return self.order
+
+    def _key(self) -> tuple:
+        return (self.dimension, self.exponent, self.hnf)
 
     def __eq__(self, other) -> bool:
-        return isinstance(other, SymmetryGroup) and self._element_set == other._element_set
+        return isinstance(other, SymmetryGroup) and self._key() == other._key()
 
     def __hash__(self) -> int:
-        return hash(self._element_set)
+        return hash(self._key())
 
     def is_subgroup_of(self, other: "SymmetryGroup") -> bool:
-        return self._element_set <= other._element_set
+        if other.dimension != self.dimension or other.exponent % self.exponent:
+            return False
+        k = other.exponent // self.exponent
+        return all(_in_lattice(other.hnf, [x * k for x in row]) for row in self.hnf)
 
     def __repr__(self) -> str:
         shape = "x".join(f"Z/{f}" for f in self.structure) or "trivial"
@@ -231,17 +400,18 @@ class SymmetryGroup:
 # ---------------------------------------------------------------------------
 
 
-@lru_cache(maxsize=128)
+def _integral_image(matrix, row: Sequence[int], m: int) -> bool:
+    """Whether matrix . (row / m) lies in Z^d."""
+    return all(sum(a * x for a, x in zip(arow, row)) % m == 0 for arow in matrix)
+
+
 def aut_group(potential: Potential) -> SymmetryGroup:
     """All diagonal phase symmetries; generated by the columns of A^-1."""
-    det = abs(mat_det(potential.matrix))
-    if det > GROUP_SIZE_CAP:
-        raise GroupSizeError(f"|det A| = {det} exceeds the cap of {GROUP_SIZE_CAP}")
     inv = invert_rational_matrix(potential.matrix)
-    columns = zip(*inv)
-    gens = [PhaseVector.canonical(col) for col in columns]
-    group = SymmetryGroup.generate(gens, potential.dimension)
-    assert group.order == det, "automorphism group order must equal |det A|"
+    group = SymmetryGroup.generate(
+        [PhaseVector.canonical(col) for col in zip(*inv)], potential.dimension
+    )
+    assert group.order == abs(mat_det(potential.matrix)), "|Aut| must equal |det A|"
     return group
 
 
@@ -249,22 +419,23 @@ def grading_element(potential: Potential) -> PhaseVector:
     """Phase vector of the exponential grading operator (the charges mod 1)."""
     charges = compute_charges(potential)
     vec = PhaseVector.canonical(charges.q)
-    assert vec in aut_group(potential)
+    m = vec.order()
+    assert _integral_image(potential.matrix, _scale(vec, m), m), "J must preserve W"
     return vec
 
 
-@lru_cache(maxsize=128)
 def sl_subgroup(potential: Potential) -> SymmetryGroup:
-    """Subgroup of aut_group whose coordinates sum to an integer."""
+    """Subgroup of aut_group whose coordinates sum to an integer.
+
+    The kernel of g -> sum_j g_j mod 1: carry the sum as an extra leading
+    coordinate; the Hermite rows below the first have sum 0 mod m and span
+    the kernel.
+    """
     aut = aut_group(potential)
-    members = [e for e in aut.elements if e.sum_is_integral()]
-    m = aut.exponent
-    scaled = [_scale(e, m) for e in members]
-    gens = _minimal_generators(sorted(scaled), m, potential.dimension)
-    gen_vecs = [PhaseVector(tuple(Fraction(a, m) for a in g)) for g in gens]
-    if not gen_vecs:
-        gen_vecs = [PhaseVector.canonical([0] * potential.dimension)]
-    return SymmetryGroup.generate(gen_vecs, potential.dimension)
+    m, d = aut.exponent, potential.dimension
+    rows = [(sum(row),) + row for row in aut.hnf]
+    kernel = _hnf(rows, (m,) * (d + 1))[1:]
+    return SymmetryGroup._span([row[1:] for row in kernel], m, d)
 
 
 def grading_subgroup(potential: Potential) -> SymmetryGroup:
@@ -272,127 +443,66 @@ def grading_subgroup(potential: Potential) -> SymmetryGroup:
     return SymmetryGroup.generate([grading_element(potential)], potential.dimension)
 
 
-def require_admissible(potential: Potential, group: SymmetryGroup) -> None:
-    """Check <J> <= group <= SL; raise AdmissibilityError otherwise."""
+def _require_cy(potential: Potential) -> None:
     charges = compute_charges(potential)
     if charges.cy_degree is None:
         raise AdmissibilityError(
             f"J_W not in SL_W: charge sum {sum(charges.q)} is not a positive integer"
         )
-    j = grading_element(potential)
-    if j not in group:
+
+
+def require_admissible(potential: Potential, group: SymmetryGroup) -> None:
+    """Check <J> <= group <= SL; raise AdmissibilityError otherwise."""
+    _require_cy(potential)
+    if grading_element(potential) not in group:
         raise AdmissibilityError("group does not contain the grading element")
-    if not group.is_subgroup_of(sl_subgroup(potential)):
-        raise AdmissibilityError("group is not contained in the determinant-one subgroup")
+    m = group.exponent
+    for row in group.hnf:
+        if sum(row) % m or not _integral_image(potential.matrix, row, m):
+            raise AdmissibilityError("group is not contained in the determinant-one subgroup")
 
 
 def admissible_subgroups(potential: Potential) -> list[SymmetryGroup]:
-    """All groups between <J> and SL, enumerated through the quotient SL/<J>."""
-    charges = compute_charges(potential)
-    if charges.cy_degree is None:
-        raise AdmissibilityError(
-            f"J_W not in SL_W: charge sum {sum(charges.q)} is not a positive integer"
-        )
+    """All groups between <J> and SL, one per subgroup of SL/<J>.
+
+    With B the Hermite basis of SL, the lattice of <J> is R.B; the Smith form
+    U R V = D puts SL/<J> in the coordinates x.V, where it is the direct sum of
+    the Z/D_ii, and Smith coordinate i lifts to row i of V^-1 B.  Each subgroup
+    of that direct sum, in Hermite form, lifts to the group its rows and J span.
+    """
+    _require_cy(potential)
+    d = potential.dimension
     sl = sl_subgroup(potential)
     m = sl.exponent
-    d = potential.dimension
-    j_scaled = _scale(grading_element(potential), m)
-    j_multiples = []
-    cur = (0,) * d
-    while True:
-        j_multiples.append(cur)
-        cur = tuple((a + b) % m for a, b in zip(cur, j_scaled))
-        if cur == (0,) * d:
-            break
-
-    def label(e: tuple[int, ...]) -> tuple[int, ...]:
-        return min(tuple((a + b) % m for a, b in zip(e, k)) for k in j_multiples)
-
-    sl_scaled = [_scale(e, m) for e in sl.elements]
-    labels = sorted({label(e) for e in sl_scaled})
-    zero_label = label((0,) * d)
-    label_add = {
-        (a, b): label(tuple((x + y) % m for x, y in zip(a, b)))
-        for a in labels
-        for b in labels
-    }
-
-    def close(subset: frozenset) -> frozenset:
-        out = set(subset) | {zero_label}
-        frontier = list(out)
-        while frontier:
-            nxt = []
-            for a in frontier:
-                for b in list(out):
-                    s = label_add[(a, b)]
-                    if s not in out:
-                        out.add(s)
-                        nxt.append(s)
-            frontier = nxt
-        return frozenset(out)
-
-    found = {frozenset({zero_label})}
-    queue = [frozenset({zero_label})]
-    while queue:
-        current = queue.pop()
-        for x in labels:
-            if x in current:
-                continue
-            bigger = close(current | {x})
-            if bigger not in found:
-                found.add(bigger)
-                queue.append(bigger)
-
+    box = (m,) * d
+    j = _scale(grading_element(potential), m)
+    relation = mat_mul(_hnf([j], box), invert_rational_matrix(sl.hnf))
+    snf = smith_normal_form(int_matrix(relation))
+    lifts = int_matrix(mat_mul(invert_rational_matrix(snf.right), sl.hnf))
+    smith = [(f, row) for f, row in zip(snf.factors, lifts) if f > 1]
+    factors = [f for f, _ in smith]
     groups = []
-    for subset in found:
-        members = [e for e in sl_scaled if label(e) in subset]
-        gens = _minimal_generators(sorted(members), m, d)
-        gens.append(j_scaled)
-        vecs = [PhaseVector(tuple(Fraction(a, m) for a in g)) for g in gens]
-        groups.append(SymmetryGroup.generate(vecs, d))
-    groups.sort(key=lambda g: (g.order, tuple(e.entries for e in g.elements)))
+    for lattice in _subgroup_lattices(factors):
+        rows = [
+            [sum(c * lift[t] for c, (_, lift) in zip(coeffs, smith)) for t in range(d)]
+            for coeffs in lattice
+        ]
+        groups.append(SymmetryGroup._span(rows + [j], m, d))
+    groups.sort(key=lambda g: (g.order, g.scaled_elements(box)))
     return groups
 
 
 def dual_group(potential: Potential, group: SymmetryGroup) -> SymmetryGroup:
     """Symmetries of the transposed potential pairing integrally with group.
 
-    The pairing is p_bar . A . p; membership is checked against the group's
-    generators in exact scaled-integer arithmetic.
+    u is in Aut(W^T) iff u = A^-T w with w in Z^d, and the pairing u.A.g is
+    w.g; so the dual group is A^-T applied to the lattice dual of the group.
     """
-    aut = aut_group(potential)
-    if not group.is_subgroup_of(aut):
+    if not group.is_subgroup_of(aut_group(potential)):
         raise ValueError("group is not a subgroup of the automorphism group")
-    ambient = aut_group(transpose_potential(potential))
-    mbar = ambient.exponent
-    mg = group.exponent
-    a = potential.matrix
-    d = potential.dimension
-    modulus = mbar * mg
-    # For each generator v of the group, precompute A.v (scaled by mg).
-    paired = []
-    for gen in group.generators:
-        v = _scale(gen, mg)
-        paired.append(tuple(sum(a[i][j] * v[j] for j in range(d)) for i in range(d)))
-    members = []
-    for el in ambient.elements:
-        u = _scale(el, mbar)
-        if all(sum(ui * wi for ui, wi in zip(u, w)) % modulus == 0 for w in paired):
-            members.append(el)
-    m2 = ambient.exponent
-    scaled = sorted(_scale(e, m2) for e in members)
-    gens = _minimal_generators(scaled, m2, d)
-    vecs = [PhaseVector(tuple(Fraction(x, m2) for x in g)) for g in gens]
-    if not vecs:
-        vecs = [PhaseVector.canonical([0] * d)]
-    return SymmetryGroup.generate(vecs, d)
-
-
-def theta_coords(vec: PhaseVector) -> tuple[Fraction, ...]:
-    """Canonical coordinates of a group element, each in [0, 1)."""
-    return vec.entries
-
-
-def box_representatives(group: SymmetryGroup) -> list[PhaseVector]:
-    """One canonical representative per group element (coordinates in [0,1))."""
-    return list(group.elements)
+    inv_t = tuple(zip(*invert_rational_matrix(potential.matrix)))
+    gens = [
+        PhaseVector.canonical(sum(x * wk for x, wk in zip(row, w)) for row in inv_t)
+        for w in group._dual_rows()
+    ]
+    return SymmetryGroup.generate(gens, potential.dimension)

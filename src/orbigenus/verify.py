@@ -26,12 +26,7 @@ from .genus import (
     ell_genus_series,
 )
 from .potential import Atom, Potential, compute_charges, decompose_atoms, transpose_potential
-from .symmetry import (
-    SymmetryGroup,
-    dual_group,
-    require_admissible,
-    theta_coords,
-)
+from .symmetry import SymmetryGroup, dual_group, require_admissible
 from .theta import ThetaParams
 
 
@@ -276,7 +271,7 @@ def holomorphy_certificate(
     combos = 0
     for atom in atoms:
         qs = tuple(charges.q[v] for v in atom.variables)
-        projected = sorted({tuple(theta_coords(e)[v] for v in atom.variables) for e in group})
+        projected = [e.entries for e in group.projection(atom.variables).elements]
         checker = {
             "fermat": _fermat_certificate,
             "loop": _loop_certificate,

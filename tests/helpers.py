@@ -1,12 +1,20 @@
 """Shared fixtures: test potentials, a slow reference builder for sector
-series assembled from the public series operations only, and the term-pair
-reference arithmetic for the exact engine's integer-vector series."""
+series assembled from the public series operations only, the term-pair
+reference arithmetic for the exact engine's integer-vector series, and
+list-based reference group algebra kept off the lattice code."""
 
+import itertools
 from fractions import Fraction
 from functools import lru_cache
 
-from orbigenus.exactmath import _power_rows, euler_phi, lcm, root_of_unity
-from orbigenus.potential import compute_charges, parse_potential
+from orbigenus.exactmath import (
+    _power_rows,
+    euler_phi,
+    invert_rational_matrix,
+    lcm,
+    root_of_unity,
+)
+from orbigenus.potential import compute_charges, parse_potential, transpose_potential
 from orbigenus.qseries import BiSeries, Windows, geom_expand, series_mul
 
 F = Fraction
@@ -186,3 +194,171 @@ def reference_variable_factor(ctx, j, a, b):
     for poly in polys:
         series = reference_series_mul(series, poly, ctx)
     return series
+
+
+# ---------------------------------------------------------------------------
+# List-based reference group algebra.  A group is its sorted list of elements,
+# each a tuple of Fractions in [0, 1); nothing here uses symmetry.py.
+# ---------------------------------------------------------------------------
+
+
+def _exponent(vectors):
+    return lcm(1, *(e.denominator for v in vectors for e in v))
+
+
+def _scaled(vectors, m):
+    return [tuple(x.numerator * (m // x.denominator) for x in v) for v in vectors]
+
+
+def _closure_scaled(generators, m, dimension):
+    zero = (0,) * dimension
+    elements = {zero}
+    frontier = [zero]
+    gens = [g for g in generators if g != zero]
+    while frontier:
+        nxt = []
+        for e in frontier:
+            for g in gens:
+                s = tuple((a + b) % m for a, b in zip(e, g))
+                if s not in elements:
+                    elements.add(s)
+                    nxt.append(s)
+        frontier = nxt
+    return sorted(elements)
+
+
+def reference_closure(generators, dimension):
+    """Sorted elements of the group the phase vectors generate, by closure."""
+    gens = [tuple(F(x) % 1 for x in g) for g in generators]
+    m = _exponent(gens)
+    return [tuple(F(a, m) for a in e) for e in _closure_scaled(_scaled(gens, m), m, dimension)]
+
+
+@lru_cache(maxsize=None)
+def _aut_elements(potential):
+    inv = invert_rational_matrix(potential.matrix)
+    return tuple(reference_closure(list(zip(*inv)), potential.dimension))
+
+
+def reference_aut(potential):
+    """Closure over the columns of A^-1."""
+    return list(_aut_elements(potential))
+
+
+def reference_sl(potential):
+    """The elements of Aut whose coordinates sum to an integer."""
+    return [e for e in _aut_elements(potential) if sum(e).denominator == 1]
+
+
+def reference_grading(potential):
+    return reference_closure([compute_charges(potential).q], potential.dimension)
+
+
+def reference_generators(elements):
+    """Greedy generators: each element, in sorted order, not yet spanned."""
+    m = _exponent(elements)
+    dimension = len(elements[0])
+    scaled = _scaled(elements, m)
+    chosen = []
+    span = {(0,) * dimension}
+    for e in scaled:
+        if e not in span:
+            chosen.append(e)
+            span = set(_closure_scaled(chosen, m, dimension))
+            if len(span) == len(scaled):
+                break
+    return [tuple(F(a, m) for a in g) for g in chosen] or [(F(0),) * dimension]
+
+
+def reference_generator_strings(elements):
+    return [",".join(str(x) for x in g) for g in reference_generators(elements)]
+
+
+def reference_moduli(elements):
+    return tuple(lcm(1, *(e[j].denominator for e in elements)) for j in range(len(elements[0])))
+
+
+def reference_structure(elements):
+    """Invariant factors from sympy's Smith form of the generators (scaled by
+    the exponent m) stacked on m times the identity."""
+    from sympy import ZZ, Matrix
+    from sympy.matrices.normalforms import smith_normal_form
+
+    m = _exponent(elements)
+    dimension = len(elements[0])
+    rows = [list(g) for g in _scaled(reference_generators(elements), m)]
+    rows += [[m * (i == j) for j in range(dimension)] for i in range(dimension)]
+    snf = smith_normal_form(Matrix(rows), domain=ZZ)
+    factors = (m // abs(snf[i, i]) for i in range(dimension))
+    return tuple(sorted(f for f in factors if f > 1))
+
+
+def reference_dual(potential, elements):
+    """Scan of Aut(W^T) for the u with u.A.g integral for every generator g."""
+    a = potential.matrix
+    d = potential.dimension
+    images = [
+        tuple(sum(a[i][j] * g[j] for j in range(d)) for i in range(d))
+        for g in reference_generators(elements)
+    ]
+    return [
+        u for u in _aut_elements(transpose_potential(potential))
+        if all(sum(x * w for x, w in zip(u, image)).denominator == 1 for image in images)
+    ]
+
+
+def reference_annihilator(elements, moduli):
+    """Scan of prod_j Z/m_j for the s with sum_j s_j g_j integral for every generator g."""
+    m_all = lcm(*moduli)
+    rows = _scaled(reference_generators(elements), m_all)
+    return [
+        s for s in itertools.product(*(range(m) for m in moduli))
+        if all(sum(sj * rj for sj, rj in zip(s, row)) % m_all == 0 for row in rows)
+    ]
+
+
+def reference_admissible_subgroups(potential):
+    """Groups between <J> and SL by label closure over SL/<J>, each a sorted
+    element list, in order of (size, elements)."""
+    sl = reference_sl(potential)
+    d = potential.dimension
+    m = _exponent(sl)
+    sl_scaled = _scaled(sl, m)
+    j_scaled = tuple(int((q % 1) * m) for q in compute_charges(potential).q)
+    j_multiples = _closure_scaled([j_scaled], m, d)
+
+    def label(e):
+        return min(tuple((a + b) % m for a, b in zip(e, k)) for k in j_multiples)
+
+    labels = sorted({label(e) for e in sl_scaled})
+    zero_label = label((0,) * d)
+
+    def close(subset):
+        out = set(subset) | {zero_label}
+        frontier = list(out)
+        while frontier:
+            nxt = []
+            for a in frontier:
+                for b in list(out):
+                    s = label(tuple((x + y) % m for x, y in zip(a, b)))
+                    if s not in out:
+                        out.add(s)
+                        nxt.append(s)
+            frontier = nxt
+        return frozenset(out)
+
+    found = {frozenset({zero_label})}
+    queue = list(found)
+    while queue:
+        current = queue.pop()
+        for x in labels:
+            if x not in current:
+                bigger = close(current | {x})
+                if bigger not in found:
+                    found.add(bigger)
+                    queue.append(bigger)
+    groups = [
+        [e for e, scaled in zip(sl, sl_scaled) if label(scaled) in subset]
+        for subset in found
+    ]
+    return sorted(groups, key=lambda g: (len(g), g))

@@ -1,8 +1,13 @@
 import json
+from fractions import Fraction
+from pathlib import Path
 
 from orbigenus.cli import main
 
 QUINTIC = "x1^5+x2^5+x3^5+x4^5+x5^5"
+SEPTIC = "+".join(f"x{i}^7" for i in range(1, 8))
+OCTIC = "+".join(f"x{i}^8" for i in range(1, 9))
+DATA = Path(__file__).parent / "data"
 
 
 def run_cli(capsys, *argv):
@@ -137,3 +142,29 @@ def test_custom_group_generators(capsys):
     assert code == 0
     data = json.loads(out)
     assert data["metadata"]["group"] == ["1/2,1/2"]
+
+
+def test_info_octic_fermat(capsys):
+    # |Aut| = 8^8 is far above the listing cap; no element is listed
+    code, out, _ = run_cli(capsys, "info", "--potential", OCTIC)
+    assert code == 0
+    data = json.loads(out)
+    assert data["aut_order"] == 8**8
+    assert data["sl_order"] == 8**7
+    assert data["aut_structure"] == [8] * 8
+
+
+def test_genus_octic_fermat_j(capsys):
+    code, out, _ = run_cli(capsys, "genus", "--potential", OCTIC, "--qmax", "1")
+    assert code == 0
+    terms = {(t["q"], Fraction(t["y"])): Fraction(t["re"]) for t in json.loads(out)["terms"]}
+    assert terms
+    assert all(c.denominator == 1 for c in terms.values())
+    assert all(terms.get((q, -y)) == c for (q, y), c in terms.items())
+
+
+def test_genus_septic_fermat_j_output(capsys):
+    # stdout of the list-based group code (|Aut| = 7^7 listed), byte for byte
+    code, out, _ = run_cli(capsys, "genus", "--potential", SEPTIC, "--qmax", "1")
+    assert code == 0
+    assert out == (DATA / "septic_J_q1.json").read_text()

@@ -19,7 +19,6 @@ from orbigenus.symmetry import (
     grading_element,
     grading_subgroup,
     sl_subgroup,
-    theta_coords,
 )
 
 from helpers import CUBIC, K3_CHAIN, QUINTIC, TWO_SQUARES, reference_sector_pair_series
@@ -64,7 +63,7 @@ def test_sector_series_matches_reference_pairs():
     acc = None
     for n1 in group.elements:
         ref = reference_sector_pair_series(
-            QUINTIC, theta_coords(j), theta_coords(n1), windows, conductor
+            QUINTIC, j.entries, n1.entries, windows, conductor
         )
         acc = ref if acc is None else acc + ref
     acc = acc.scale(F(1, group.order))
@@ -88,7 +87,7 @@ def test_sector_series_untwisted_equals_cone_for_trivial_group():
 def test_sector_prefactor_two_squares():
     group = grading_subgroup(TWO_SQUARES)
     j = grading_element(TWO_SQUARES)
-    assert sum(theta_coords(j)) == 1  # prefactor exponent deg.n = 1
+    assert sum(j.entries) == 1  # prefactor exponent deg.n = 1
     s = sector_supertrace_series(TWO_SQUARES, group, j, Windows.make(1, -2, 2))
     assert all(eq >= 0 for (eq, _) in s.rational_terms())
 
@@ -174,7 +173,7 @@ def test_sector_cross_path_quintic():
     numeric = sector_value_numeric(QUINTIC, group, j, zero, z, tau)
     windows = Windows.make(2, -8, 8)
     series = reference_sector_pair_series(
-        QUINTIC, theta_coords(j), theta_coords(zero), windows, 5
+        QUINTIC, j.entries, zero.entries, windows, 5
     )
     cbar = compute_charges(QUINTIC).central_charge
     total = 0j

@@ -1,0 +1,158 @@
+"""The lattice group algebra of symmetry.py against the list-based reference
+in helpers.py, on generated invertible potentials with |det A| <= 4000."""
+
+from fractions import Fraction
+from math import ceil, prod
+
+import pytest
+from hypothesis import HealthCheck, assume, given, settings
+from hypothesis import strategies as st
+from sympy import ZZ, Matrix
+from sympy.matrices.normalforms import smith_normal_form
+
+from helpers import (
+    reference_admissible_subgroups,
+    reference_annihilator,
+    reference_aut,
+    reference_closure,
+    reference_dual,
+    reference_generator_strings,
+    reference_grading,
+    reference_moduli,
+    reference_sl,
+    reference_structure,
+)
+from orbigenus.exactmath import mat_det
+from orbigenus.potential import compute_charges, make_potential
+from orbigenus.symmetry import (
+    PhaseVector,
+    SymmetryGroup,
+    admissible_subgroups,
+    aut_group,
+    dual_group,
+    grading_subgroup,
+    sl_subgroup,
+)
+
+MAX_DET = 4000
+SETTINGS = settings(max_examples=15, deadline=None,
+                    suppress_health_check=[HealthCheck.filter_too_much, HealthCheck.too_slow])
+
+ATOMS = st.one_of(
+    st.tuples(st.just("fermat"), st.tuples(st.integers(2, 9))),
+    st.tuples(st.just("chain"), st.lists(st.integers(2, 5), min_size=2, max_size=3).map(tuple)),
+    st.tuples(st.just("loop"), st.lists(st.integers(2, 4), min_size=2, max_size=3).map(tuple)),
+)
+
+
+def potential_from_atoms(atoms):
+    """Block-diagonal exponent matrix: x^a, x1^a1 x2 + ... + xk^ak (chain),
+    x1^a1 x2 + ... + xk^ak x1 (loop)."""
+    d = sum(len(exps) for _, exps in atoms)
+    rows = []
+    offset = 0
+    for kind, exps in atoms:
+        k = len(exps)
+        for i, a in enumerate(exps):
+            row = [0] * d
+            row[offset + i] = a
+            if kind == "chain" and i < k - 1:
+                row[offset + i + 1] = 1
+            if kind == "loop":
+                row[offset + (i + 1) % k] = 1
+            rows.append(row)
+        offset += k
+    return make_potential(rows)
+
+
+@st.composite
+def potentials(draw):
+    p = potential_from_atoms(draw(st.lists(ATOMS, min_size=1, max_size=3)))
+    assume(abs(mat_det(p.matrix)) <= MAX_DET)
+    return p
+
+
+@st.composite
+def cy_potentials(draw):
+    """Atoms completed by Fermat atoms x^b until the charges sum to an integer."""
+    atoms = draw(st.lists(ATOMS, min_size=1, max_size=2))
+    total = sum(compute_charges(potential_from_atoms(atoms)).q)
+    gap = ceil(total) - total
+    assume(gap.numerator <= 2)
+    if gap:
+        atoms = atoms + [("fermat", (gap.denominator,))] * gap.numerator
+    p = potential_from_atoms(atoms)
+    assume(abs(mat_det(p.matrix)) <= MAX_DET)
+    return p
+
+
+def entries(group):
+    return [e.entries for e in group.elements]
+
+
+def assert_matches(group, reference):
+    assert entries(group) == reference
+    assert group.order == len(reference)
+    assert group.structure == reference_structure(reference)
+    assert group.generator_strings() == reference_generator_strings(reference)
+    assert group.coordinate_moduli() == reference_moduli(reference)
+
+
+@SETTINGS
+@given(potentials())
+def test_aut_sl_and_grading_match_reference(p):
+    for group, reference in ((aut_group(p), reference_aut(p)),
+                             (sl_subgroup(p), reference_sl(p)),
+                             (grading_subgroup(p), reference_grading(p))):
+        assert_matches(group, reference)
+
+
+@SETTINGS
+@given(potentials(), st.data())
+def test_subgroups_dual_and_annihilator_match_reference(p, data):
+    aut = reference_aut(p)
+    picks = data.draw(st.lists(st.sampled_from(aut), min_size=1, max_size=3))
+    reference = reference_closure(picks, p.dimension)
+    group = SymmetryGroup.generate([PhaseVector(e) for e in picks], p.dimension)
+    assert_matches(group, reference)
+    assert group.is_subgroup_of(aut_group(p))
+    assert_matches(dual_group(p, group), reference_dual(p, reference))
+    moduli = group.coordinate_moduli()
+    if prod(moduli) <= 20000:
+        assert group.annihilator_elements() == reference_annihilator(reference, moduli)
+    # the first element, in sorted order, with a given coordinate
+    j = data.draw(st.integers(0, p.dimension - 1))
+    value = data.draw(st.sampled_from(reference))[j]
+    assert group.element_with(j, value).entries == next(e for e in reference if e[j] == value)
+    # projection onto a set of coordinates
+    keep = sorted(data.draw(st.sets(st.integers(0, p.dimension - 1), min_size=1)))
+    projected = sorted({tuple(e[i] for i in keep) for e in reference})
+    assert entries(group.projection(keep)) == projected
+
+
+@SETTINGS
+@given(cy_potentials())
+def test_admissible_subgroups_match_reference(p):
+    assume(sl_subgroup(p).order <= 16 * grading_subgroup(p).order)
+    groups = admissible_subgroups(p)
+    reference = reference_admissible_subgroups(p)
+    assert [entries(g) for g in groups] == reference
+    assert [g.structure for g in groups] == [reference_structure(r) for r in reference]
+    assert [g.generator_strings() for g in groups] == [
+        reference_generator_strings(r) for r in reference
+    ]
+
+
+@SETTINGS
+@given(potentials())
+def test_aut_structure_is_smith_form_of_exponent_matrix(p):
+    snf = smith_normal_form(Matrix(p.matrix), domain=ZZ)
+    factors = [abs(snf[i, i]) for i in range(p.dimension)]
+    assert aut_group(p).structure == tuple(f for f in factors if f > 1)
+
+
+def test_element_with_rejects_absent_coordinate():
+    group = SymmetryGroup.from_generator_strings(["1/2,1/2"], 2)
+    assert group.element_with(1, Fraction(1, 2)).entries == (Fraction(1, 2), Fraction(1, 2))
+    with pytest.raises(ValueError):
+        group.element_with(0, Fraction(1, 3))

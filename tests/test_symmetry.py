@@ -6,17 +6,16 @@ from orbigenus.exactmath import mat_det
 from orbigenus.potential import parse_potential, transpose_potential
 from orbigenus.symmetry import (
     AdmissibilityError,
+    GroupSizeError,
     PhaseVector,
     SymmetryGroup,
     admissible_subgroups,
     aut_group,
-    box_representatives,
     dual_group,
     grading_element,
     grading_subgroup,
     require_admissible,
     sl_subgroup,
-    theta_coords,
 )
 
 F = Fraction
@@ -28,6 +27,7 @@ LOOP22 = parse_potential("x1^2*x2+x2^2*x1")
 CHAIN34 = parse_potential("x1^3*x2+x2^4")
 K3_CHAIN = parse_potential("x1^3*x2+x2^4+x3^4+x4^4")
 LOOP_K3 = parse_potential("x1^3*x2+x2^3*x1+x3^4+x4^4")
+OCTIC = parse_potential("+".join(f"x{i}^8" for i in range(1, 9)))
 
 CY_POTENTIALS = [QUINTIC, CUBIC, TWO_SQUARES, K3_CHAIN, LOOP_K3]
 
@@ -168,19 +168,10 @@ def test_dual_group_is_admissible_for_dual():
         assert gd.is_subgroup_of(sl_subgroup(pd))
 
 
-def test_theta_coords():
-    j = grading_element(QUINTIC)
-    for k in range(5):
-        coords = theta_coords(k * j)
-        assert coords == (F(k, 5),) * 5
-        assert sum(coords) == k
-    assert theta_coords(PhaseVector.canonical([0] * 5)) == (F(0),) * 5
-
-
 def test_theta_sums_integral_on_sl():
     for p in CY_POTENTIALS:
         for el in sl_subgroup(p).elements:
-            assert sum(theta_coords(el)).denominator == 1
+            assert sum(el.entries).denominator == 1
 
 
 def test_chain_aut_coordinates_canonical():
@@ -189,19 +180,6 @@ def test_chain_aut_coordinates_canonical():
         assert all(0 <= e < 1 for e in el.entries)
     orders = {el.order() for el in g.elements}
     assert max(orders) == 12  # cyclic generator present
-
-
-def test_box_representatives():
-    box = box_representatives(grading_subgroup(QUINTIC))
-    assert sorted(b.entries for b in box) == [tuple([F(k, 5)] * 5) for k in range(5)]
-    box2 = box_representatives(grading_subgroup(TWO_SQUARES))
-    assert sorted(b.entries for b in box2) == [(F(0), F(0)), (F(1, 2), F(1, 2))]
-    sl_cubic = sl_subgroup(CUBIC)
-    box3 = box_representatives(sl_cubic)
-    assert len(box3) == 9
-    for b in box3:
-        assert all(e in (F(0), F(1, 3), F(2, 3)) for e in b.entries)
-        assert sum(b.entries).denominator == 1
 
 
 def test_group_serialization_round_trip():
@@ -214,3 +192,13 @@ def test_coordinate_moduli():
     assert aut_group(CHAIN34).coordinate_moduli() == (12, 4)
     assert aut_group(transpose_potential(CHAIN34)).coordinate_moduli() == (3, 12)
     assert grading_subgroup(QUINTIC).coordinate_moduli() == (5, 5, 5, 5, 5)
+
+
+def test_size_cap_applies_only_to_listing():
+    sl = sl_subgroup(OCTIC)
+    assert sl.order == 8**7
+    assert grading_element(OCTIC) in sl
+    require_admissible(OCTIC, sl)
+    assert sl.is_subgroup_of(aut_group(OCTIC))
+    with pytest.raises(GroupSizeError):
+        sl.elements
