@@ -1,15 +1,21 @@
 """Independent counting checks for the supertrace formulas.
 
-Nothing here touches the series engine: states are enumerated directly from
-the mode table (four families per variable, with their charge and level
-weights), accumulating (-1)^fermions y^(total charge) q^(total level).  These
-enumerations are the ground truth the product formulas are tested against.
+Nothing here touches the series engine.  Both counts build the supertrace
+from the mode table (four families per variable, with their charge and level
+weights), accumulating (-1)^fermions y^(total charge) q^(total level), and
+both aggregate states instead of listing them: ``free_state_series`` adds one
+mode at a time to a table of signed counts keyed by (scaled charge, level);
+``zero_level_group_average`` adds one variable at a time to a table keyed by
+(scaled charge, residues of the pairing with the group's Hermite rows).  Of a
+group only its exponent and Hermite basis are read.  These counts are the
+ground truth the product formulas are tested against.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import floor, gcd
 from typing import TYPE_CHECKING
 
 from .exactmath import lcm
@@ -114,6 +120,22 @@ def free_state_series(charges, qmax: int, ywindow, cap: int = STATE_CAP) -> BiSe
     return BiSeries.from_terms(d, 1, windows, entries)
 
 
+def _pairing_rows(group: SymmetryGroup) -> list[tuple[tuple[int, ...], int]]:
+    """The group's nontrivial Hermite rows as (coefficients, modulus) pairs.
+
+    With m the exponent and h a Hermite row, v pairs integrally with h / m iff
+    v.(h / g) = 0 mod m / g, g = gcd(m, h).  Rows that are 0 mod m (g = m)
+    pair integrally with every v and are dropped.
+    """
+    m = group.exponent
+    out = []
+    for row in group.hnf:
+        g = gcd(m, *row)
+        if g != m:
+            out.append((tuple(x // g for x in row), m // g))
+    return out
+
+
 def zero_level_group_average(
     potential: Potential, group: SymmetryGroup, ywindow, cap: int = STATE_CAP
 ) -> BiSeries:
@@ -121,49 +143,51 @@ def zero_level_group_average(
 
     Zero modes are the bosonic raising modes at level 0 (one per variable,
     any occupancy c_i) and the fermionic raising modes at level 0 (a subset
-    S); a state survives averaging iff its lattice vector c - 1_S pairs
-    integrally with every group generator.  The result is the q^0 slice of
-    the untwisted group-averaged formula, exactly.
+    S); a state survives averaging iff its lattice vector v = c - 1_S pairs
+    integrally with every group element.  The result is the q^0 slice of the
+    untwisted group-averaged formula, exactly.
+
+    The states are aggregated variable by variable: a partial state is its
+    scaled y-charge ky and the residues of v.h modulo each nontrivial Hermite
+    row h of the group (see ``_pairing_rows``), carrying the signed number of
+    partial occupancy vectors that reach it.  Every mode has positive charge,
+    so a state past floor(ymax * d) is dropped at once; at the end only the
+    states with every residue 0 and ky >= ymin * d count.  ``cap`` bounds the
+    number of transitions, one per (state, occupancy of the next variable).
     """
     charges = compute_charges(potential)
     qs = tuple(charges.q)
-    dim = len(qs)
     ymin, ymax = Fraction(ywindow[0]), Fraction(ywindow[1])
     windows = Windows.make(0, ymin, ymax)
     d = lcm(*(q.denominator for q in qs)) if qs else 1
-    gen_coords = [g.entries for g in group.generators]
-    counts: dict[int, int] = {}
+    top = floor(ymax * d)
+    rows = _pairing_rows(group)
+    moduli = tuple(mod for _, mod in rows)
+    states: dict[tuple[int, tuple[int, ...]], int] = {(0, (0,) * len(rows)): 1}
     work = 0
-
-    def recurse(i: int, ky: int, pairing: tuple[Fraction, ...], fermions: int):
-        nonlocal work
-        work += 1
-        if work > cap:
-            raise StateCapError(cap)
-        if i == dim:
-            if ky < ymin * d or ky > ymax * d:
-                return
-            if any(p.denominator != 1 for p in pairing):
-                return
-            counts[ky] = counts.get(ky, 0) + (-1) ** fermions
-            return
-        step = int(qs[i] * d)
-        psi_step = int((1 - qs[i]) * d)
-        c = 0
-        while True:
-            base = ky + c * step
-            if base > ymax * d:
-                break
-            pair_c = tuple(p + c * g[i] for p, g in zip(pairing, gen_coords))
-            recurse(i + 1, base, pair_c, fermions)
-            recurse(
-                i + 1,
-                base + psi_step,
-                tuple(p - g[i] for p, g in zip(pair_c, gen_coords)),
-                fermions + 1,
-            )
-            c += 1
-
-    recurse(0, 0, tuple(Fraction(0) for _ in gen_coords), 0)
-    entries = {(Fraction(0), Fraction(ky, d)): v for ky, v in counts.items() if v}
+    for i, q in enumerate(qs):
+        step = int(q * d)
+        psi_step = int((1 - q) * d)
+        column = tuple(coeffs[i] for coeffs, _ in rows)
+        out: dict[tuple[int, tuple[int, ...]], int] = {}
+        for (ky, residues), count in states.items():
+            for c, base in enumerate(range(ky, top + 1, step)):
+                boson = tuple((r + c * x) % mod for r, x, mod in zip(residues, column, moduli))
+                key = (base, boson)
+                out[key] = out.get(key, 0) + count
+                work += 1
+                if base + psi_step <= top:
+                    key = (base + psi_step,
+                           tuple((r - x) % mod for r, x, mod in zip(boson, column, moduli)))
+                    out[key] = out.get(key, 0) - count
+                    work += 1
+                if work > cap:
+                    raise StateCapError(cap)
+        states = {key: v for key, v in out.items() if v}
+    zero = (0,) * len(rows)
+    entries = {
+        (Fraction(0), Fraction(ky, d)): v
+        for (ky, residues), v in states.items()
+        if residues == zero and ky >= ymin * d
+    }
     return BiSeries.from_terms(d, 1, windows, entries)

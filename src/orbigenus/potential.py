@@ -17,6 +17,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from typing import Iterable
 
 from .exactmath import IntMat, int_matrix, mat_det, mat_transpose, solve_rational
@@ -116,8 +117,7 @@ def make_potential(matrix: Iterable[Iterable[int]], names: tuple[str, ...] | Non
         raise InvalidPotentialError("negative exponents are not allowed")
     if mat_det(mat) == 0:
         raise InvalidPotentialError("exponent matrix is singular")
-    if names is None:
-        names = tuple(f"x{j + 1}" for j in range(d))
+    names = tuple(names) if names is not None else tuple(f"x{j + 1}" for j in range(d))
     return Potential(mat, names)
 
 
@@ -319,10 +319,12 @@ def transpose_potential(potential: Potential) -> Potential:
     return Potential(mat_transpose(potential.matrix), potential.names)
 
 
+@lru_cache(maxsize=256)
 def compute_charges(potential: Potential) -> Charges:
     """Rational weights solving A.q = (1,...,1), with CY degree and c-hat.
 
     Raises DegenerateChargesError unless every q_j lies strictly in (0, 1).
+    Memoized per potential (both frozen dataclasses); a raise is not cached.
     """
     d = potential.dimension
     q = solve_rational(potential.matrix, [1] * d)

@@ -1,11 +1,14 @@
-"""Shared fixtures: test potentials, a slow reference builder for sector
-series assembled from the public series operations only, the term-pair
-reference arithmetic for the exact engine's integer-vector series, and
-list-based reference group algebra kept off the lattice code."""
+"""Shared fixtures: test potentials and a hypothesis strategy for invertible
+ones, a slow reference builder for sector series assembled from the public
+series operations only, the term-pair reference arithmetic for the exact
+engine's integer-vector series, list-based reference group algebra kept off
+the lattice code, and the one-vector-at-a-time zero-level lattice count."""
 
 import itertools
 from fractions import Fraction
 from functools import lru_cache
+
+from hypothesis import strategies as st
 
 from orbigenus.exactmath import (
     _power_rows,
@@ -14,7 +17,12 @@ from orbigenus.exactmath import (
     lcm,
     root_of_unity,
 )
-from orbigenus.potential import compute_charges, parse_potential, transpose_potential
+from orbigenus.potential import (
+    compute_charges,
+    make_potential,
+    parse_potential,
+    transpose_potential,
+)
 from orbigenus.qseries import BiSeries, Windows, geom_expand, series_mul
 
 F = Fraction
@@ -24,6 +32,32 @@ CUBIC = parse_potential("x1^3+x2^3+x3^3")
 TWO_SQUARES = parse_potential("x1^2+x2^2")
 K3_CHAIN = parse_potential("x1^3*x2+x2^4+x3^4+x4^4")
 LOOP_K3 = parse_potential("x1^3*x2+x2^3*x1+x3^4+x4^4")
+
+ATOMS = st.one_of(
+    st.tuples(st.just("fermat"), st.tuples(st.integers(2, 9))),
+    st.tuples(st.just("chain"), st.lists(st.integers(2, 5), min_size=2, max_size=3).map(tuple)),
+    st.tuples(st.just("loop"), st.lists(st.integers(2, 4), min_size=2, max_size=3).map(tuple)),
+)
+
+
+def potential_from_atoms(atoms):
+    """Block-diagonal exponent matrix: x^a, x1^a1 x2 + ... + xk^ak (chain),
+    x1^a1 x2 + ... + xk^ak x1 (loop)."""
+    d = sum(len(exps) for _, exps in atoms)
+    rows = []
+    offset = 0
+    for kind, exps in atoms:
+        k = len(exps)
+        for i, a in enumerate(exps):
+            row = [0] * d
+            row[offset + i] = a
+            if kind == "chain" and i < k - 1:
+                row[offset + i + 1] = 1
+            if kind == "loop":
+                row[offset + (i + 1) % k] = 1
+            rows.append(row)
+        offset += k
+    return make_potential(rows)
 
 
 @lru_cache(maxsize=None)
@@ -362,3 +396,52 @@ def reference_admissible_subgroups(potential):
         for subset in found
     ]
     return sorted(groups, key=lambda g: (len(g), g))
+
+
+# ---------------------------------------------------------------------------
+# Zero-level lattice count, one occupancy vector at a time.
+# ---------------------------------------------------------------------------
+
+
+def reference_zero_level(potential, group, ywindow):
+    """Level-zero slice of the group-averaged supertrace: every occupancy
+    vector c of the level-0 bosons and subset S of the level-0 fermions with
+    charge inside the window, kept iff c - 1_S pairs integrally with every
+    generator, its pairings carried as Fractions.  No work cap."""
+    charges = compute_charges(potential)
+    qs = tuple(charges.q)
+    dim = len(qs)
+    ymin, ymax = F(ywindow[0]), F(ywindow[1])
+    windows = Windows.make(0, ymin, ymax)
+    d = lcm(*(q.denominator for q in qs)) if qs else 1
+    gen_coords = [g.entries for g in group.generators]
+    counts = {}
+
+    def recurse(i, ky, pairing, fermions):
+        if i == dim:
+            if ky < ymin * d or ky > ymax * d:
+                return
+            if any(p.denominator != 1 for p in pairing):
+                return
+            counts[ky] = counts.get(ky, 0) + (-1) ** fermions
+            return
+        step = int(qs[i] * d)
+        psi_step = int((1 - qs[i]) * d)
+        c = 0
+        while True:
+            base = ky + c * step
+            if base > ymax * d:
+                break
+            pair_c = tuple(p + c * g[i] for p, g in zip(pairing, gen_coords))
+            recurse(i + 1, base, pair_c, fermions)
+            recurse(
+                i + 1,
+                base + psi_step,
+                tuple(p - g[i] for p, g in zip(pair_c, gen_coords)),
+                fermions + 1,
+            )
+            c += 1
+
+    recurse(0, 0, tuple(F(0) for _ in gen_coords), 0)
+    entries = {(F(0), F(ky, d)): v for ky, v in counts.items() if v}
+    return BiSeries.from_terms(d, 1, windows, entries)

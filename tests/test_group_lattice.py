@@ -11,6 +11,8 @@ from sympy import ZZ, Matrix
 from sympy.matrices.normalforms import smith_normal_form
 
 from helpers import (
+    ATOMS,
+    potential_from_atoms,
     reference_admissible_subgroups,
     reference_annihilator,
     reference_aut,
@@ -23,7 +25,7 @@ from helpers import (
     reference_structure,
 )
 from orbigenus.exactmath import mat_det
-from orbigenus.potential import compute_charges, make_potential
+from orbigenus.potential import compute_charges
 from orbigenus.symmetry import (
     PhaseVector,
     SymmetryGroup,
@@ -37,32 +39,6 @@ from orbigenus.symmetry import (
 MAX_DET = 4000
 SETTINGS = settings(max_examples=15, deadline=None,
                     suppress_health_check=[HealthCheck.filter_too_much, HealthCheck.too_slow])
-
-ATOMS = st.one_of(
-    st.tuples(st.just("fermat"), st.tuples(st.integers(2, 9))),
-    st.tuples(st.just("chain"), st.lists(st.integers(2, 5), min_size=2, max_size=3).map(tuple)),
-    st.tuples(st.just("loop"), st.lists(st.integers(2, 4), min_size=2, max_size=3).map(tuple)),
-)
-
-
-def potential_from_atoms(atoms):
-    """Block-diagonal exponent matrix: x^a, x1^a1 x2 + ... + xk^ak (chain),
-    x1^a1 x2 + ... + xk^ak x1 (loop)."""
-    d = sum(len(exps) for _, exps in atoms)
-    rows = []
-    offset = 0
-    for kind, exps in atoms:
-        k = len(exps)
-        for i, a in enumerate(exps):
-            row = [0] * d
-            row[offset + i] = a
-            if kind == "chain" and i < k - 1:
-                row[offset + i + 1] = 1
-            if kind == "loop":
-                row[offset + (i + 1) % k] = 1
-            rows.append(row)
-        offset += k
-    return make_potential(rows)
 
 
 @st.composite

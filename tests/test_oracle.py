@@ -1,18 +1,37 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import HealthCheck, assume, given, settings
+from hypothesis import strategies as st
 
+from orbigenus.exactmath import lcm, mat_det
 from orbigenus.genus import cone_supertrace_series, sector_supertrace_series
 from orbigenus.oracle import (
     StateCapError,
+    _pairing_rows,
     free_state_series,
     modes_for_charges,
     zero_level_group_average,
 )
+from orbigenus.potential import compute_charges, parse_potential
 from orbigenus.qseries import Windows
-from orbigenus.symmetry import PhaseVector, grading_subgroup
+from orbigenus.symmetry import (
+    PhaseVector,
+    SymmetryGroup,
+    aut_group,
+    grading_subgroup,
+    sl_subgroup,
+)
 
-from helpers import CUBIC, QUINTIC, TWO_SQUARES
+from helpers import (
+    ATOMS,
+    CUBIC,
+    LOOP_K3,
+    QUINTIC,
+    TWO_SQUARES,
+    potential_from_atoms,
+    reference_zero_level,
+)
 
 F = Fraction
 
@@ -107,3 +126,92 @@ def test_zero_level_matches_untwisted_sector(potential, name):
         key: val for key, val in sector.rational_terms().items() if key[0] == 0
     }
     assert sector_q0 == oracle.rational_terms()
+
+
+def _occupancy_vectors(potential, ymax):
+    """How many occupancy vectors the one-at-a-time reference visits."""
+    qs = compute_charges(potential).q
+    d = lcm(*(q.denominator for q in qs))
+    top = ymax * d
+    counts = {0: 1}
+    for q in qs:
+        step, psi_step = int(q * d), int((1 - q) * d)
+        out = {}
+        for ky, n in counts.items():
+            while ky <= top:
+                out[ky] = out.get(ky, 0) + n
+                if ky + psi_step <= top:
+                    out[ky + psi_step] = out.get(ky + psi_step, 0) + n
+                ky += step
+        counts = out
+    return sum(counts.values())
+
+
+@st.composite
+def oracle_cases(draw):
+    """A generated invertible potential, one of its groups (J, SL, trivial or
+    spanned by random Aut elements) and a y-window with ymax <= 2."""
+    p = potential_from_atoms(draw(st.lists(ATOMS, min_size=1, max_size=2)))
+    assume(abs(mat_det(p.matrix)) <= 2000)
+    ymax = draw(st.sampled_from([F(1), F(3, 2), F(2)]))
+    ymin = draw(st.sampled_from([F(0), F(1, 2), F(1)]).filter(lambda y: y <= ymax))
+    assume(_occupancy_vectors(p, ymax) <= 4000)
+    kind = draw(st.sampled_from(["J", "SL", "trivial", "aut"]))
+    if kind == "J":
+        group = grading_subgroup(p)
+    elif kind == "SL":
+        group = sl_subgroup(p)
+    elif kind == "trivial":
+        group = SymmetryGroup.trivial(p.dimension)
+    else:
+        aut = aut_group(p).elements
+        picks = draw(st.lists(st.sampled_from(aut), min_size=1, max_size=3))
+        group = SymmetryGroup.generate(picks, p.dimension)
+    return p, group, (ymin, ymax)
+
+
+@settings(max_examples=40, deadline=None,
+          suppress_health_check=[HealthCheck.filter_too_much, HealthCheck.too_slow])
+@given(oracle_cases())
+def test_zero_level_matches_one_vector_reference(case):
+    p, group, window = case
+    expected = reference_zero_level(p, group, window)
+    assert zero_level_group_average(p, group, window).rational_terms() == expected.rational_terms()
+
+
+@pytest.mark.parametrize(
+    "potential,group",
+    [(QUINTIC, "SL"), (TWO_SQUARES, "J"), (LOOP_K3, "SL")],
+)
+def test_zero_level_matches_reference_on_models(potential, group):
+    g = sl_subgroup(potential) if group == "SL" else grading_subgroup(potential)
+    for window in ((0, 2), (F(1, 2), 2)):
+        expected = reference_zero_level(potential, g, window).rational_terms()
+        assert zero_level_group_average(potential, g, window).rational_terms() == expected
+
+
+def test_zero_level_state_cap():
+    group = sl_subgroup(QUINTIC)
+    with pytest.raises(StateCapError):
+        zero_level_group_average(QUINTIC, group, (0, 3), cap=1000)
+
+
+def test_pairing_rows_drop_trivial_rows():
+    # J of the quintic: one Hermite row (1,1,1,1,1) and four rows 5 e_j
+    assert _pairing_rows(grading_subgroup(QUINTIC)) == [((1, 1, 1, 1, 1), 5)]
+    assert _pairing_rows(SymmetryGroup.trivial(3)) == []
+    for group in (sl_subgroup(QUINTIC), aut_group(CUBIC)):
+        rows = _pairing_rows(group)
+        assert rows and all(mod > 1 for _, mod in rows)
+        assert len(rows) == sum(row[i] != group.exponent for i, row in enumerate(group.hnf))
+
+
+def test_zero_level_octic_matches_untwisted_sector():
+    # |Aut| = 8^8; each state carries one residue mod 8, so the count stays small
+    octic = parse_potential("+".join(f"x{i}^8" for i in range(1, 9)))
+    group = grading_subgroup(octic)
+    zero = PhaseVector.canonical([0] * 8)
+    sector = sector_supertrace_series(octic, group, zero, Windows.make(0, 0, 2))
+    oracle = zero_level_group_average(octic, group, (0, 2))
+    assert oracle.rational_terms() == sector.rational_terms()
+    assert oracle.rational_terms()

@@ -168,6 +168,15 @@ def test_charges_k3_chain():
 def test_charges_degenerate():
     with pytest.raises(DegenerateChargesError):
         compute_charges(make_potential([[1, 0], [0, 2]]))
+    # the memo caches results only: the raise repeats
+    with pytest.raises(DegenerateChargesError):
+        compute_charges(make_potential([[1, 0], [0, 2]]))
+
+
+def test_charges_of_potential_with_listed_names():
+    p = make_potential([[2, 0], [0, 3]], names=["u", "v"])
+    assert p.names == ("u", "v")
+    assert compute_charges(p).q == (F(1, 2), F(1, 3))
 
 
 def test_dual_charges_solve_transposed_system():
