@@ -20,6 +20,7 @@ from .exactmath import (
 from .genus import (
     EllValue,
     GenusSeries,
+    JacobiBoundError,
     NearPoleError,
     RationalityError,
     cone_supertrace_series,

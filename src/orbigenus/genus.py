@@ -34,6 +34,19 @@ class WindowCertificationError(ArithmeticError):
     """The y-window kept widening without the boundary band vanishing."""
 
 
+class JacobiBoundError(ArithmeticError):
+    """A genus coefficient lies outside the weak-Jacobi support r^2 <= m^2 + 4nm."""
+
+    def __init__(self, e_q: Fraction, e_y: Fraction, index: Fraction):
+        super().__init__(
+            f"genus coefficient at q^{e_q} y^{e_y} breaks the weak-Jacobi bound "
+            f"y^2 <= m^2 + 4qm of index m = {index}"
+        )
+        self.e_q = e_q
+        self.e_y = e_y
+        self.index = index
+
+
 class NearPoleError(ArithmeticError):
     """A denominator theta argument fell on (or too close to) its zero lattice."""
 
@@ -154,6 +167,18 @@ def _conductor(charges: tuple[Fraction, ...], moduli: tuple[int, ...]) -> int:
     return lcm(*(q.denominator for q in charges), *moduli)
 
 
+def _work_denominator(
+    charges: tuple[Fraction, ...],
+    moduli: tuple[int, ...],
+    qmax: Fraction,
+    st_lo: Fraction,
+    st_hi: Fraction,
+) -> int:
+    """Exponent denominator of the context for the window [st_lo, st_hi]."""
+    return lcm(2, _conductor(charges, moduli), qmax.denominator, st_lo.denominator,
+               st_hi.denominator, *(q.denominator for q in charges))
+
+
 def _build_context(
     charges: tuple[Fraction, ...],
     moduli: tuple[int, ...],
@@ -164,8 +189,7 @@ def _build_context(
 ) -> SeriesContext:
     """Context with a work window wide enough to be exact on [st_lo, st_hi]."""
     n = _conductor(charges, moduli)
-    d = lcm(2, n, qmax.denominator, st_lo.denominator, st_hi.denominator,
-            *(q.denominator for q in charges))
+    d = _work_denominator(charges, moduli, qmax, st_lo, st_hi)
     cap = _engine.negative_capacity(charges, theta_max, qmax)
     ylo = floor((-cap) * d)
     yhi = ceil((st_hi + cap) * d)
@@ -261,6 +285,16 @@ def default_y_cap(potential: Potential, qmax: Fraction) -> Fraction:
     return abs(charges.central_charge) / 2 + qmax * max(1 / q for q in charges.q)
 
 
+def jacobi_reach(central_charge: Fraction, qmax: Fraction) -> Fraction:
+    """Smallest multiple of 1/2 whose square is at least m^2 + 4 qmax m, m = cbar/2.
+
+    Exact: with k = 2R the condition reads k^2 >= cbar^2 + 8 qmax cbar.
+    """
+    bound = max(ceil(central_charge**2 + 8 * qmax * central_charge), 0)
+    k = math.isqrt(bound)
+    return Fraction(k if k * k == bound else k + 1, 2)
+
+
 def ell_genus_series(
     potential: Potential,
     group: SymmetryGroup,
@@ -273,19 +307,33 @@ def ell_genus_series(
 ) -> GenusSeries:
     """Exact genus expansion through q^qmax, with a certified y-window.
 
-    The y-window starts at ``ycap`` (or a charge-based default) and widens
-    until a band of width ``certify_margin`` at both window edges carries no
-    nonzero coefficient at any computed q-level; the achieved margin is
-    reported on the result.
+    The genus is a weak Jacobi form of weight 0 and index m = cbar/2, so its
+    coefficient of q^n y^r vanishes unless r^2 <= m^2 + 4nm (Eichler-Zagier).
+    The double sum therefore runs once, on |y| <= R + ``certify_margin``
+    with R from ``jacobi_reach``; every computed term is checked against the
+    bound, and one outside it raises ``JacobiBoundError``.
+
+    The reported window follows the widening schedule: the first of
+    ``ycap`` (or a charge-based default) + k ``widen_step``, k <= ``max_widen``,
+    whose terms leave a band of width ``certify_margin`` at both edges,
+    read off the single pass.  The result holds the terms with |y| <= ycap
+    and the achieved margin.  Where ycap exceeds the computed window, the
+    coefficients between the two are zero by the theorem, not by computation.
     """
     require_admissible(potential, group)
     charges = compute_charges(potential)
+    cbar = charges.central_charge
     qmax = Fraction(qmax) if qmax is not None else DEFAULT_QMAX
     ycap = Fraction(ycap) if ycap is not None else default_y_cap(potential, qmax)
     certify_margin = Fraction(certify_margin)
+    work = jacobi_reach(cbar, qmax) + certify_margin
+    computed, _ = _genus_rational_terms(potential, group, qmax, work)
+    index = cbar / 2
+    for e_q, e_y in computed:
+        if e_y * e_y > index * index + 4 * e_q * index:
+            raise JacobiBoundError(e_q, e_y, index)
     for _ in range(max_widen + 1):
-        terms, d = _genus_rational_terms(potential, group, qmax, ycap)
-        reach = max((abs(ey) for (_, ey) in terms), default=Fraction(0))
+        reach = max((abs(ey) for (_, ey) in computed if abs(ey) <= ycap), default=Fraction(0))
         margin = ycap - reach
         if margin >= certify_margin:
             break
@@ -294,13 +342,17 @@ def ell_genus_series(
         raise WindowCertificationError(
             f"no vanishing boundary band of width {certify_margin} up to ycap={ycap}"
         )
+    terms = {key: c for key, c in computed.items() if abs(key[1]) <= ycap}
     assert all(eq >= 0 for (eq, _) in terms)
+    # the denominator a pass on this window would have used (y shifted by m)
+    d = _work_denominator(tuple(charges.q), group.coordinate_moduli(), qmax,
+                          index - ycap, index + ycap)
     return GenusSeries(
         terms=terms,
         qmax=qmax,
         ycap=ycap,
         denominator=d,
-        central_charge=charges.central_charge,
+        central_charge=cbar,
         cy_degree=charges.cy_degree,
         group_generators=tuple(group.generator_strings()),
         potential_text=potential.text,

@@ -5,9 +5,11 @@ engine's integer-vector series, list-based reference group algebra kept off
 the lattice code, and the one-vector-at-a-time zero-level lattice count."""
 
 import itertools
+import math
 from fractions import Fraction
 from functools import lru_cache
 
+from hypothesis import assume
 from hypothesis import strategies as st
 
 from orbigenus.exactmath import (
@@ -15,6 +17,7 @@ from orbigenus.exactmath import (
     euler_phi,
     invert_rational_matrix,
     lcm,
+    mat_det,
     root_of_unity,
 )
 from orbigenus.potential import (
@@ -58,6 +61,20 @@ def potential_from_atoms(atoms):
             rows.append(row)
         offset += k
     return make_potential(rows)
+
+
+@st.composite
+def cy_potentials(draw, max_det):
+    """Atoms completed by Fermat atoms x^b until the charges sum to an integer."""
+    atoms = draw(st.lists(ATOMS, min_size=1, max_size=2))
+    total = sum(compute_charges(potential_from_atoms(atoms)).q)
+    gap = math.ceil(total) - total
+    assume(gap.numerator <= 2)
+    if gap:
+        atoms = atoms + [("fermat", (gap.denominator,))] * gap.numerator
+    p = potential_from_atoms(atoms)
+    assume(abs(mat_det(p.matrix)) <= max_det)
+    return p
 
 
 @lru_cache(maxsize=None)

@@ -1,6 +1,9 @@
+import hashlib
 import json
 from fractions import Fraction
 from pathlib import Path
+
+import pytest
 
 from orbigenus.cli import main
 
@@ -8,6 +11,10 @@ QUINTIC = "x1^5+x2^5+x3^5+x4^5+x5^5"
 SEPTIC = "+".join(f"x{i}^7" for i in range(1, 8))
 OCTIC = "+".join(f"x{i}^8" for i in range(1, 9))
 DATA = Path(__file__).parent / "data"
+# the eight benchmark series commands, a narrow --ywin, two windows whose
+# denominators enter D, and a widening that runs out; recorded from the
+# code that reran the double sum on every widening step
+GENUS_STDOUT = json.loads((DATA / "genus_stdout.json").read_text())
 
 
 def run_cli(capsys, *argv):
@@ -168,3 +175,11 @@ def test_genus_septic_fermat_j_output(capsys):
     code, out, _ = run_cli(capsys, "genus", "--potential", SEPTIC, "--qmax", "1")
     assert code == 0
     assert out == (DATA / "septic_J_q1.json").read_text()
+
+
+@pytest.mark.parametrize("case", GENUS_STDOUT, ids=lambda c: " ".join(c["argv"][2:]))
+def test_genus_stdout_pinned(capsys, case):
+    code, out, err = run_cli(capsys, *case["argv"])
+    assert code == case["exit"]
+    assert hashlib.sha256(out.encode()).hexdigest() == case["stdout_sha256"]
+    assert err == case["stderr"]

@@ -1,0 +1,157 @@
+"""The one-pass genus window.
+
+The genus is a weak Jacobi form of index m = cbar/2, so its q^n y^r
+coefficient vanishes unless r^2 <= m^2 + 4nm.  ``ell_genus_series`` sizes a
+single double sum from that bound and reads the reported window off it; these
+tests compare it with a pass at the window the widening schedule ends on.
+"""
+
+from fractions import Fraction
+
+import pytest
+from hypothesis import HealthCheck, assume, given, settings
+from hypothesis import strategies as st
+
+from helpers import CUBIC, K3_CHAIN, LOOP_K3, QUINTIC, TWO_SQUARES, cy_potentials
+from orbigenus import JacobiBoundError, genus
+from orbigenus.cli import main
+from orbigenus.exactmath import lcm
+from orbigenus.genus import (
+    _genus_rational_terms,
+    default_y_cap,
+    ell_genus_series,
+    jacobi_reach,
+)
+from orbigenus.potential import compute_charges
+from orbigenus.symmetry import grading_subgroup, sl_subgroup
+
+F = Fraction
+
+MODELS = {"quintic": QUINTIC, "cubic": CUBIC, "two-squares": TWO_SQUARES,
+          "k3-chain": K3_CHAIN, "loop-k3": LOOP_K3}
+
+
+def group_of(potential, name):
+    return grading_subgroup(potential) if name == "J" else sl_subgroup(potential)
+
+
+def in_jacobi_bound(terms, central_charge):
+    m = central_charge / 2
+    return all(ey * ey <= m * m + 4 * eq * m for (eq, ey) in terms)
+
+
+def counted_passes(monkeypatch):
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+        return _genus_rational_terms(*args)
+
+    monkeypatch.setattr(genus, "_genus_rational_terms", counted)
+    return calls
+
+
+def assert_one_pass_matches_wide(potential, group, qmax):
+    """One pass, and the same terms, window, margin and D as a pass at the
+    window the widening schedule ends on."""
+    with pytest.MonkeyPatch.context() as mp:
+        calls = counted_passes(mp)
+        series = ell_genus_series(potential, group, qmax)
+    assert len(calls) == 1
+    cbar = compute_charges(potential).central_charge
+    wide, d = _genus_rational_terms(potential, group, F(qmax), series.ycap)
+    assert in_jacobi_bound(wide, cbar)
+    assert series.terms == wide
+    assert series.denominator == d
+    reach = max((abs(ey) for (_, ey) in wide), default=F(0))
+    assert series.boundary_margin == series.ycap - reach >= 1
+    return series
+
+
+# q^1..q^4 for every model and group, except the loop K3 with SL beyond q^2:
+# its pair of passes takes 6-11 s at q^3-q^4
+MODEL_CASES = [(model, group, qmax) for model in sorted(MODELS) for group in ("J", "SL")
+               for qmax in (1, 2, 3, 4) if not (model == "loop-k3" and group == "SL" and qmax > 2)]
+
+
+@pytest.mark.parametrize("model,group_name,qmax", MODEL_CASES)
+def test_one_pass_matches_wide_window_on_models(model, group_name, qmax):
+    potential = MODELS[model]
+    series = assert_one_pass_matches_wide(potential, group_of(potential, group_name), qmax)
+    assert series.ycap == default_y_cap(potential, F(qmax))
+
+
+@st.composite
+def genus_cases(draw):
+    """A generated Calabi-Yau potential, J or SL, and qmax <= 2.  The charge
+    denominators bound the default window and the phase conductor, and the
+    representative count the double sum, so the reference pass stays cheap."""
+    p = draw(cy_potentials(600))
+    assume(lcm(*(q.denominator for q in compute_charges(p).q)) <= 12)
+    group = group_of(p, draw(st.sampled_from(["J", "SL"])))
+    assume(len(genus._group_data(group)[1]) <= 16)
+    return p, group, draw(st.sampled_from([1, 2]))
+
+
+@settings(max_examples=40, deadline=None,
+          suppress_health_check=[HealthCheck.filter_too_much, HealthCheck.too_slow])
+@given(genus_cases())
+def test_one_pass_matches_wide_window_on_generated_models(case):
+    assert_one_pass_matches_wide(*case)
+
+
+def test_narrow_start_widens_without_rerunning(monkeypatch):
+    calls = counted_passes(monkeypatch)
+    series = ell_genus_series(QUINTIC, grading_subgroup(QUINTIC), qmax=6, ycap=4)
+    assert len(calls) == 1
+    assert series.ycap == 8
+    assert series.boundary_margin == F(5, 2)
+    assert in_jacobi_bound(series.terms, series.central_charge)
+    # the bound is tight: the reach 11/2 at q^6 is the largest r with r^2 <= 9/4 + 36
+    assert max(abs(ey) for (_, ey) in series.terms) == F(11, 2)
+
+
+def test_margin_equal_to_certify_margin_is_accepted():
+    # q^1 reaches 5/2, so a start at 7/2 leaves exactly the certify margin 1
+    series = ell_genus_series(QUINTIC, grading_subgroup(QUINTIC), qmax=1, ycap=F(7, 2))
+    assert (series.ycap, series.boundary_margin) == (F(7, 2), 1)
+    wide, d = _genus_rational_terms(QUINTIC, grading_subgroup(QUINTIC), F(1), F(7, 2))
+    assert (series.terms, series.denominator) == (wide, d)
+
+
+@pytest.mark.parametrize("cbar,qmax,reach", [
+    (3, 6, F(13, 2)),   # 9/4 + 36 = 38.25 lies between 6^2 and (13/2)^2
+    (2, 8, F(6)),       # 33 lies between (11/2)^2 and 6^2
+    (2, 2, F(3)),       # 9 is a square: R = 3 exactly
+    (3, 0, F(3, 2)),    # q^0: R = m
+    (0, 5, F(0)),       # index 0: only y^0
+])
+def test_jacobi_reach_exact(cbar, qmax, reach):
+    assert jacobi_reach(F(cbar), F(qmax)) == reach
+
+
+def inject_term_beyond_bound(monkeypatch):
+    def with_extra_term(*args):
+        terms, d = _genus_rational_terms(*args)
+        # quintic, m = 3/2: at q^0 the bound is y^2 <= 9/4
+        return {**terms, (F(0), F(2)): F(1)}, d
+
+    monkeypatch.setattr(genus, "_genus_rational_terms", with_extra_term)
+
+
+def test_term_beyond_bound_raises(monkeypatch):
+    inject_term_beyond_bound(monkeypatch)
+    with pytest.raises(JacobiBoundError) as err:
+        ell_genus_series(QUINTIC, grading_subgroup(QUINTIC), qmax=1)
+    assert (err.value.e_q, err.value.e_y, err.value.index) == (0, 2, F(3, 2))
+    assert isinstance(err.value, ArithmeticError)
+
+
+def test_term_beyond_bound_exits_one(monkeypatch, capsys):
+    inject_term_beyond_bound(monkeypatch)
+    code = main(["genus", "--potential", QUINTIC.text, "--qmax", "1"])
+    captured = capsys.readouterr()
+    assert code == 1
+    assert captured.out == ""
+    assert captured.err.startswith("computation failed:")
+    assert "weak-Jacobi" in captured.err

@@ -2,7 +2,7 @@
 in helpers.py, on generated invertible potentials with |det A| <= 4000."""
 
 from fractions import Fraction
-from math import ceil, prod
+from math import prod
 
 import pytest
 from hypothesis import HealthCheck, assume, given, settings
@@ -12,6 +12,7 @@ from sympy.matrices.normalforms import smith_normal_form
 
 from helpers import (
     ATOMS,
+    cy_potentials,
     potential_from_atoms,
     reference_admissible_subgroups,
     reference_annihilator,
@@ -25,7 +26,6 @@ from helpers import (
     reference_structure,
 )
 from orbigenus.exactmath import mat_det
-from orbigenus.potential import compute_charges
 from orbigenus.symmetry import (
     PhaseVector,
     SymmetryGroup,
@@ -44,20 +44,6 @@ SETTINGS = settings(max_examples=15, deadline=None,
 @st.composite
 def potentials(draw):
     p = potential_from_atoms(draw(st.lists(ATOMS, min_size=1, max_size=3)))
-    assume(abs(mat_det(p.matrix)) <= MAX_DET)
-    return p
-
-
-@st.composite
-def cy_potentials(draw):
-    """Atoms completed by Fermat atoms x^b until the charges sum to an integer."""
-    atoms = draw(st.lists(ATOMS, min_size=1, max_size=2))
-    total = sum(compute_charges(potential_from_atoms(atoms)).q)
-    gap = ceil(total) - total
-    assume(gap.numerator <= 2)
-    if gap:
-        atoms = atoms + [("fermat", (gap.denominator,))] * gap.numerator
-    p = potential_from_atoms(atoms)
     assume(abs(mat_det(p.matrix)) <= MAX_DET)
     return p
 
@@ -107,7 +93,7 @@ def test_subgroups_dual_and_annihilator_match_reference(p, data):
 
 
 @SETTINGS
-@given(cy_potentials())
+@given(cy_potentials(MAX_DET))
 def test_admissible_subgroups_match_reference(p):
     assume(sl_subgroup(p).order <= 16 * grading_subgroup(p).order)
     groups = admissible_subgroups(p)
