@@ -30,6 +30,10 @@ smaller, through the character-sum identity
 which factorizes over coordinates and collapses |G|^2 sector products to
 |ann(G)|^2 of them.
 
+``double_sum`` is the one driver of that sum for both evaluation paths: it
+runs over a coefficient ring, the exact series ring here (``_ExactRing``) or
+the theta-value ring of the numeric path in ``genus``.
+
 Everything here is standard library only.
 """
 
@@ -37,7 +41,7 @@ from __future__ import annotations
 
 import sys
 from array import array
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd
 from operator import add, sub
@@ -80,8 +84,6 @@ class SeriesContext:
     yhi: int
     charges: tuple[Fraction, ...]
     moduli: tuple[int, ...]
-    factor_cache: dict = field(default_factory=dict)
-    hat_cache: dict = field(default_factory=dict)
 
 
 def _sparse_rows(n: int) -> tuple:
@@ -100,10 +102,6 @@ def _conj_rows(n: int) -> tuple:
     rows = _power_rows(n)
     phi = euler_phi(n)
     return tuple(rows[(n - k) % n] for k in range(phi))
-
-
-def root_vec(n: int, k: int) -> Vec:
-    return _power_rows(n)[k % n]
 
 
 def vec_conj(u, ctx: SeriesContext) -> list[int]:
@@ -327,14 +325,11 @@ def variable_factor(ctx: SeriesContext, j: int, a: int, b: int) -> Series:
     The factor is built one binomial or geometric tower at a time, each
     product cut to the window as it is formed.  While building, coefficients
     are vectors over x^0 .. x^(N-1) with x^N = 1, so a root of unity acts by
-    rotation; they are reduced mod Phi_N once at the end.
+    rotation; they are reduced mod Phi_N once at the end.  Not cached here:
+    ``double_sum`` caches factors per (q_j, m_j) class.
     """
     qj = ctx.charges[j]
     m = ctx.moduli[j]
-    key = (qj, m, a % m, b % m)
-    cached = ctx.factor_cache.get(key)
-    if cached is not None:
-        return cached
     n = ctx.conductor
     d = ctx.denominator
     a %= m
@@ -383,9 +378,7 @@ def variable_factor(ctx: SeriesContext, j: int, a: int, b: int) -> Series:
             series = _times_geometric(series, step_q, step_y, sign * ib, kept, ctx)
             k += 1
 
-    out = _reduced(series, ctx)
-    ctx.factor_cache[key] = out
-    return out
+    return _reduced(series, ctx)
 
 
 def _reduced(series: Series, ctx: SeriesContext) -> Series:
@@ -470,115 +463,117 @@ def _times_geometric(
     return {key: v for key, v in out.items() if any(v)}
 
 
-def _hat(ctx: SeriesContext, j: int, side: str, index: int, other: int) -> Series:
-    """Character transform of the factor over one twist slot.
-
-    side "L": sum over a of e(index*a/m) f(a, other);
-    side "R": sum over b of e(index*b/m) f(other, b).
-    """
-    qj = ctx.charges[j]
-    m = ctx.moduli[j]
-    key = (qj, m, side, index % m, other % m)
-    cached = ctx.hat_cache.get(key)
-    if cached is not None:
-        return cached
-    n = ctx.conductor
-    acc = _character_sum(ctx, (
-        ((index * t * (n // m)) % n,
-         variable_factor(ctx, j, t, other) if side == "L" else variable_factor(ctx, j, other, t))
-        for t in range(m)
-    ))
-    ctx.hat_cache[key] = acc
-    return acc
-
-
-def _hat2(ctx: SeriesContext, j: int, s: int, s2: int) -> Series:
-    """Double character transform over both twist slots."""
-    qj = ctx.charges[j]
-    m = ctx.moduli[j]
-    key = (qj, m, "LR", s % m, s2 % m)
-    cached = ctx.hat_cache.get(key)
-    if cached is not None:
-        return cached
-    n = ctx.conductor
-    acc = _character_sum(ctx, (
-        ((s2 * t * (n // m)) % n, _hat(ctx, j, "L", s, t)) for t in range(m)
-    ))
-    ctx.hat_cache[key] = acc
-    return acc
-
-
-def _character_sum(ctx: SeriesContext, parts) -> Series:
-    """sum of zeta^k s over the (k, s) in parts; zeta^k acts by rotation."""
-    n = ctx.conductor
-    acc: Series = {}
-    for k, series in parts:
-        for key, vec in series.items():
-            moved = _rotate(list(vec) + [0] * (n - len(vec)), k)
-            cur = acc.get(key)
-            acc[key] = moved if cur is None else list(map(add, cur, moved))
-    return _reduced(acc, ctx)
-
-
 # ---------------------------------------------------------------------------
 # The double sum
 # ---------------------------------------------------------------------------
+
+
+class _ExactRing:
+    """Exact series coefficients for ``double_sum``: integer vectors over the
+    power basis of zeta_N on the context window.
+
+    The factors are ``variable_factor``; e(k/N) acts by rotation, reduced mod
+    Phi_N once per character sum; a sector product is a chain of packed row
+    products; a mirrored product also adds its complex conjugate.
+    """
+
+    mirrors = True
+
+    def __init__(self, ctx: SeriesContext):
+        self.ctx = ctx
+        self.charges = ctx.charges
+        self.moduli = ctx.moduli
+
+    def factor(self, j: int, a: int, b: int) -> Series:
+        return variable_factor(self.ctx, j, a, b)
+
+    def character_sum(self, index: int, values: list[Series]) -> Series:
+        """sum_t e(index t / m) values[t], m = len(values)."""
+        n = self.ctx.conductor
+        step = index * (n // len(values))
+        acc: Series = {}
+        for t, series in enumerate(values):
+            k = (step * t) % n
+            for key, vec in series.items():
+                moved = _rotate(list(vec) + [0] * (n - len(vec)), k)
+                cur = acc.get(key)
+                acc[key] = moved if cur is None else list(map(add, cur, moved))
+        return _reduced(acc, self.ctx)
+
+    def total(self, products) -> Series:
+        """Sum of the products of each factor list, with the conjugate of each
+        mirrored one; zero coefficients dropped."""
+        ctx = self.ctx
+        out: Series = {}
+        for factors, mirrored in products:
+            product = _Rows.of(factors[0])
+            for f in factors[1:]:
+                product = _mul_rows(product, _Rows.of(f), ctx)
+            for key, vec in product.items():
+                _add_term(out, key, vec)
+                if mirrored:
+                    _add_term(out, key, vec_conj(vec, ctx))
+        return {k: v for k, v in out.items() if any(v)}
 
 
 def _neg(vec: Vec, moduli: tuple[int, ...]) -> Vec:
     return tuple((m - x) % m for x, m in zip(vec, moduli))
 
 
-def double_sum(
-    ctx: SeriesContext,
-    reps_l: list[Vec],
-    reps_r: list[Vec],
-    mode_l: str,
-    mode_r: str,
-) -> Series:
+def double_sum(ring, reps_l: list[Vec], reps_r: list[Vec], mode_l: str, mode_r: str):
     """Sum over (left, right) representatives of the product over variables.
 
-    mode "D" iterates group-element coordinates, mode "T" annihilator
-    characters.  Complex conjugation pairs representatives, so roughly half
-    the products are computed and mirrored.
+    Mode "D" iterates group-element coordinates, mode "T" annihilator
+    characters.  Variable j of a pair (il, ir) contributes the ring's factor
+    f_j(il, ir) with each "T" side replaced by the character sum over its
+    twist slot: sum_a e(il a / m_j) f_j(a, ir) on the left, and on the right
+    sum_b e(ir b / m_j) of the left-hand form at (il, b).  These depend on j
+    only through (q_j, m_j) and are cached per such class.
+
+    The ring supplies ``charges``, ``moduli``, ``factor(j, a, b)``,
+    ``character_sum(index, values)``, ``total`` of an iterable of (factor
+    list, mirrored) pairs, and ``mirrors``.  A ring that mirrors pairs
+    conjugate products, so roughly half are computed: conj f_j(a, b) =
+    f_j(a, -b), as b enters only through the phase zeta^b, and conjugation
+    negates a character index, so the conjugate pair negates a "T" left
+    index and a "D" right twist.
     """
-    d = len(ctx.moduli)
+    moduli = ring.moduli
+    modes = (mode_l, mode_r)
+    classes: dict = {}
+    cache = [classes.setdefault(key, {}) for key in zip(ring.charges, moduli)]
 
-    def factor(j: int, il: int, ir: int) -> Series:
-        if mode_l == "D" and mode_r == "D":
-            return variable_factor(ctx, j, il, ir)
-        if mode_l == "D" and mode_r == "T":
-            return _hat(ctx, j, "R", ir, il)
-        if mode_l == "T" and mode_r == "D":
-            return _hat(ctx, j, "L", il, ir)
-        return _hat2(ctx, j, il, ir)
+    def transform(j: int, sides: tuple[str, str], il: int, ir: int):
+        memo = cache[j]
+        key = (sides, il, ir)
+        val = memo.get(key)
+        if val is None:
+            m = moduli[j]
+            if sides[1] == "T":
+                inner = (sides[0], "D")
+                val = ring.character_sum(ir, [transform(j, inner, il, b) for b in range(m)])
+            elif sides[0] == "T":
+                inner = ("D", "D")
+                val = ring.character_sum(il, [transform(j, inner, a, ir) for a in range(m)])
+            else:
+                val = ring.factor(j, il, ir)
+            memo[key] = val
+        return val
 
-    def conj_partner(rl: Vec, rr: Vec) -> tuple[Vec, Vec]:
-        if mode_l == "D" and mode_r == "D":
-            return (rl, _neg(rr, ctx.moduli))
-        if mode_l == "D" and mode_r == "T":
-            return (rl, rr)
-        if mode_l == "T" and mode_r == "D":
-            return (_neg(rl, ctx.moduli), _neg(rr, ctx.moduli))
-        return (_neg(rl, ctx.moduli), rr)
+    def products():
+        d = len(moduli)
+        for rl in reps_l:
+            for rr in reps_r:
+                mirrored = False
+                if ring.mirrors:
+                    partner = (_neg(rl, moduli) if mode_l == "T" else rl,
+                               rr if mode_r == "T" else _neg(rr, moduli))
+                    if partner < (rl, rr):
+                        continue  # covered as the conjugate of an earlier product
+                    mirrored = partner != (rl, rr)
+                yield [transform(j, modes, rl[j], rr[j]) for j in range(d)], mirrored
 
-    total: Series = {}
-    for rl in reps_l:
-        for rr in reps_r:
-            partner = conj_partner(rl, rr)
-            if partner < (rl, rr):
-                continue  # covered as the conjugate of an earlier product
-            product: _Rows | None = None
-            for j in range(d):
-                f = _Rows.of(factor(j, rl[j], rr[j]))
-                product = f if product is None else _mul_rows(product, f, ctx)
-            terms = product.items() if product is not None else [((0, 0), root_vec(ctx.conductor, 0))]
-            mirrored = partner != (rl, rr)
-            for key, vec in terms:
-                _add_term(total, key, vec)
-                if mirrored:
-                    _add_term(total, key, vec_conj(vec, ctx))
-    return {k: v for k, v in total.items() if any(v)}
+    return ring.total(products())
 
 
 # ---------------------------------------------------------------------------

@@ -45,6 +45,11 @@ from .verify import (
 )
 
 CHECK_NAMES = ("holo", "jacobi", "mirror", "star", "flow", "oracle")
+_SAMPLED_CHECKS = {
+    "jacobi": check_jacobi_transformations,
+    "star": check_star_substitution,
+    "flow": check_spectral_flow,
+}
 
 
 class InputError(ValueError):
@@ -125,6 +130,17 @@ def _fraction(text: str) -> Fraction:
         raise InputError(f"bad rational {text!r}: {err}") from err
 
 
+def _windows(args, default_qmax: Fraction | None) -> tuple[Fraction | None, Fraction | None]:
+    """--qmax (at least 0) and --ywin (positive); None where unset."""
+    qmax = _fraction(args.qmax) if args.qmax else default_qmax
+    if qmax is not None and qmax < 0:
+        raise InputError(f"--qmax must be at least 0, got {args.qmax}")
+    ycap = _fraction(args.ywin) if args.ywin else None
+    if ycap is not None and ycap <= 0:
+        raise InputError(f"--ywin must be positive, got {args.ywin}")
+    return qmax, ycap
+
+
 def _cmd_info(args) -> int:
     potential = _load_potential(args.potential)
     _emit(_info_payload(potential), args.out)
@@ -158,8 +174,7 @@ def _cmd_dual(args) -> int:
 def _cmd_genus(args) -> int:
     potential = _load_potential(args.potential)
     group = _load_group(args.group, potential)
-    qmax = _fraction(args.qmax) if args.qmax else None
-    ycap = _fraction(args.ywin) if args.ywin else None
+    qmax, ycap = _windows(args, None)
     series = ell_genus_series(potential, group, qmax=qmax, ycap=ycap)
     _emit(series.to_json_dict(), args.out)
     return 0
@@ -195,37 +210,21 @@ def _cmd_check(args) -> int:
     unknown = [name for name in selected if name not in CHECK_NAMES]
     if unknown:
         raise InputError(f"unknown check(s): {', '.join(unknown)}; valid: {', '.join(CHECK_NAMES)}")
-    qmax = _fraction(args.qmax) if args.qmax else Fraction(1)
-    ycap = _fraction(args.ywin) if args.ywin else None
+    qmax, ycap = _windows(args, Fraction(1))
     tol = args.tol
     verdicts: list[dict] = []
     for name in selected:
         if name == "holo":
             verdicts.append(check_holomorphy(potential, group).to_json_dict())
-        elif name == "jacobi":
-            verdicts.append(
-                check_jacobi_transformations(
-                    potential, group, samples=args.samples, tol=tol, seed=args.seed
-                ).to_json_dict()
-            )
         elif name == "mirror":
-            verdicts.append(
-                check_mirror(potential, group, qmax=qmax, ycap=ycap).to_json_dict()
-            )
-        elif name == "star":
-            verdicts.append(
-                check_star_substitution(
-                    potential, group, samples=args.samples, tol=tol, seed=args.seed
-                ).to_json_dict()
-            )
-        elif name == "flow":
-            verdicts.append(
-                check_spectral_flow(
-                    potential, group, samples=args.samples, tol=tol, seed=args.seed
-                ).to_json_dict()
-            )
+            verdicts.append(check_mirror(potential, group, qmax=qmax, ycap=ycap).to_json_dict())
         elif name == "oracle":
             verdicts.extend(_oracle_verdicts(potential, group, qmax))
+        else:
+            verdict = _SAMPLED_CHECKS[name](
+                potential, group, samples=args.samples, tol=tol, seed=args.seed
+            )
+            verdicts.append(verdict.to_json_dict())
     all_pass = all(v["status"] == "pass" for v in verdicts)
     _emit({"checks": verdicts, "all_pass": all_pass}, args.out)
     return 0 if all_pass else 1

@@ -21,13 +21,22 @@ from math import ceil, floor, prod
 
 from . import _engine
 from ._engine import RationalityError, SeriesContext
-from .exactmath import CycNum, lcm
+from .exactmath import CycNum, euler_phi, lcm
 from .potential import Charges, Potential, compute_charges
 from .qseries import BiSeries, Windows, geom_expand, series_mul
 from .symmetry import PhaseVector, SymmetryGroup, require_admissible
 from .theta import ThetaParams, lattice_distance, theta_value
 
 DEFAULT_QMAX = Fraction(2)
+# The reported y-window: a band of CERTIFY_MARGIN beyond the outermost term,
+# reached from the requested window in at most MAX_WIDEN steps of WIDEN_STEP.
+CERTIFY_MARGIN = Fraction(1)
+MAX_WIDEN = 4
+WIDEN_STEP = Fraction(2)
+# Numeric evaluation: a denominator theta argument closer than POLE_EPS to its
+# zero lattice is a pole hit, retried at z + PERTURBATION.
+POLE_EPS = 1e-6
+PERTURBATION = 1e-3
 
 
 class WindowCertificationError(ArithmeticError):
@@ -195,7 +204,7 @@ def _build_context(
     yhi = ceil((st_hi + cap) * d)
     return SeriesContext(
         conductor=n,
-        phi=len(_engine.root_vec(n, 0)),
+        phi=euler_phi(n),
         rows=_engine._sparse_rows(n),
         conj_rows=_engine._conj_rows(n),
         denominator=d,
@@ -220,6 +229,36 @@ def _group_data(group: SymmetryGroup):
     return moduli, group.scaled_elements(moduli), "D"
 
 
+def _exact_double_sum(
+    potential: Potential,
+    group: SymmetryGroup,
+    qmax: Fraction,
+    st_lo: Fraction,
+    st_hi: Fraction,
+    twist: PhaseVector | None = None,
+) -> tuple[_engine.Series, SeriesContext, Fraction]:
+    """The exact double sum on a context exact on [st_lo, st_hi].
+
+    With a twist n the left side is n alone (one sector, averaged over the
+    second twist); otherwise both sides run over the group.  Returns the
+    total, its context, and the scalar that turns it into the 1/|G|-averaged
+    sum: each "T" side carries |G| / prod_j m_j from the character identity.
+    """
+    charges = compute_charges(potential)
+    moduli, reps, mode = _group_data(group)
+    side = Fraction(group.order, prod(moduli)) if mode == "T" else Fraction(1)
+    if twist is None:
+        theta_max = tuple(Fraction(m - 1, m) for m in moduli)
+        left, mode_l, weight = reps, mode, side * side
+    else:
+        theta_max = twist.entries
+        left, mode_l, weight = [tuple(int(t * m) for t, m in zip(theta_max, moduli))], "D", side
+    ctx = _build_context(tuple(charges.q), moduli, qmax, st_lo, st_hi, theta_max)
+    total = _engine.double_sum(_engine._ExactRing(ctx), left, reps, mode_l, mode)
+    assert all(kq >= 0 for (kq, _) in total), "negative q-exponent in the double sum"
+    return total, ctx, weight / group.order
+
+
 def sector_supertrace_series(
     potential: Potential, group: SymmetryGroup, n: PhaseVector, windows: Windows
 ) -> BiSeries:
@@ -231,22 +270,16 @@ def sector_supertrace_series(
     require_admissible(potential, group)
     if n not in group:
         raise ValueError("twist must be an element of the group")
-    charges = compute_charges(potential)
-    moduli, reps, mode = _group_data(group)
-    thetas = n.entries
-    ctx = _build_context(
-        tuple(charges.q), moduli, windows.qmax, windows.ymin, windows.ymax, thetas
+    total, ctx, scalar = _exact_double_sum(
+        potential, group, windows.qmax, windows.ymin, windows.ymax, twist=n
     )
-    a_vec = tuple(int(t * m) for t, m in zip(thetas, moduli))
-    total = _engine.double_sum(ctx, [a_vec], reps, "D", mode)
-    scalar = Fraction(1, prod(moduli) if mode == "T" else group.order)
-    assert all(kq >= 0 for (kq, _) in total), "negative q-exponent in sector series"
-    n_cond = ctx.conductor
-    terms = {}
-    for (kq, ky), vec in total.items():
-        if windows.ymin * ctx.denominator <= ky <= windows.ymax * ctx.denominator:
-            terms[(kq, ky)] = CycNum(n_cond, tuple(Fraction(c) * scalar for c in vec))
-    return BiSeries(ctx.denominator, n_cond, windows, terms)
+    d, n_cond = ctx.denominator, ctx.conductor
+    terms = {
+        (kq, ky): CycNum(n_cond, tuple(Fraction(c) * scalar for c in vec))
+        for (kq, ky), vec in total.items()
+        if windows.ymin * d <= ky <= windows.ymax * d
+    }
+    return BiSeries(d, n_cond, windows, terms)
 
 
 def _genus_rational_terms(
@@ -256,18 +289,10 @@ def _genus_rational_terms(
     ycap: Fraction,
 ) -> tuple[dict[tuple[Fraction, Fraction], Fraction], int]:
     """Signed, shifted, rationalized genus terms on the final window."""
-    charges = compute_charges(potential)
-    cbar = charges.central_charge
+    cbar = compute_charges(potential).central_charge
     assert cbar.denominator == 1
-    shift = Fraction(cbar, 2)
-    moduli, reps, mode = _group_data(group)
-    theta_max = tuple(Fraction(m - 1, m) for m in moduli)
-    ctx = _build_context(
-        tuple(charges.q), moduli, qmax, -ycap + shift, ycap + shift, theta_max
-    )
-    total = _engine.double_sum(ctx, reps, reps, mode, mode)
-    weight = Fraction(group.order, prod(moduli)) ** 2 if mode == "T" else Fraction(1)
-    assert all(kq >= 0 for (kq, _) in total), "negative q-exponent in genus series"
+    shift = cbar / 2
+    total, ctx, scalar = _exact_double_sum(potential, group, qmax, -ycap + shift, ycap + shift)
     d = ctx.denominator
     ky_shift = int(shift * d)
     shifted = {}
@@ -276,8 +301,7 @@ def _genus_rational_terms(
         if -ycap * d <= ky2 <= ycap * d and kq <= qmax * d:
             shifted[(kq, ky2)] = vec
     sign = -1 if int(cbar) % 2 else 1
-    scalar = Fraction(sign, group.order) * weight
-    return _engine.rationalize(shifted, ctx, scalar), d
+    return _engine.rationalize(shifted, ctx, sign * scalar), d
 
 
 def default_y_cap(potential: Potential, qmax: Fraction) -> Fraction:
@@ -300,47 +324,45 @@ def ell_genus_series(
     group: SymmetryGroup,
     qmax=None,
     ycap=None,
-    *,
-    certify_margin: Fraction | int = 1,
-    max_widen: int = 4,
-    widen_step: Fraction | int = 2,
 ) -> GenusSeries:
     """Exact genus expansion through q^qmax, with a certified y-window.
 
     The genus is a weak Jacobi form of weight 0 and index m = cbar/2, so its
     coefficient of q^n y^r vanishes unless r^2 <= m^2 + 4nm (Eichler-Zagier).
-    The double sum therefore runs once, on |y| <= R + ``certify_margin``
+    The double sum therefore runs once, on |y| <= R + ``CERTIFY_MARGIN``
     with R from ``jacobi_reach``; every computed term is checked against the
     bound, and one outside it raises ``JacobiBoundError``.
 
     The reported window follows the widening schedule: the first of
-    ``ycap`` (or a charge-based default) + k ``widen_step``, k <= ``max_widen``,
-    whose terms leave a band of width ``certify_margin`` at both edges,
-    read off the single pass.  The result holds the terms with |y| <= ycap
-    and the achieved margin.  Where ycap exceeds the computed window, the
-    coefficients between the two are zero by the theorem, not by computation.
+    ``ycap`` (or a charge-based default) + k ``WIDEN_STEP``, k <= ``MAX_WIDEN``,
+    that reaches ``CERTIFY_MARGIN`` beyond the outermost computed term.  The
+    reach is taken over every computed term, not only those inside ycap, so
+    a gap in the y-support (the quintic has no q^n y^(3/2) term through q^6)
+    cannot pass for its edge.  The result holds the terms with |y| <= ycap
+    and the achieved margin.
+    Where ycap exceeds the computed window, the coefficients between the two
+    are zero by the theorem, not by computation.
     """
     require_admissible(potential, group)
     charges = compute_charges(potential)
     cbar = charges.central_charge
     qmax = Fraction(qmax) if qmax is not None else DEFAULT_QMAX
     ycap = Fraction(ycap) if ycap is not None else default_y_cap(potential, qmax)
-    certify_margin = Fraction(certify_margin)
-    work = jacobi_reach(cbar, qmax) + certify_margin
+    work = jacobi_reach(cbar, qmax) + CERTIFY_MARGIN
     computed, _ = _genus_rational_terms(potential, group, qmax, work)
     index = cbar / 2
     for e_q, e_y in computed:
         if e_y * e_y > index * index + 4 * e_q * index:
             raise JacobiBoundError(e_q, e_y, index)
-    for _ in range(max_widen + 1):
-        reach = max((abs(ey) for (_, ey) in computed if abs(ey) <= ycap), default=Fraction(0))
+    reach = max((abs(ey) for (_, ey) in computed), default=Fraction(0))
+    for _ in range(MAX_WIDEN + 1):
         margin = ycap - reach
-        if margin >= certify_margin:
+        if margin >= CERTIFY_MARGIN:
             break
-        ycap = ycap + Fraction(widen_step)
+        ycap = ycap + WIDEN_STEP
     else:
         raise WindowCertificationError(
-            f"no vanishing boundary band of width {certify_margin} up to ycap={ycap}"
+            f"no vanishing boundary band of width {CERTIFY_MARGIN} up to ycap={ycap}"
         )
     terms = {key: c for key, c in computed.items() if abs(key[1]) <= ycap}
     assert all(eq >= 0 for (eq, _) in terms)
@@ -366,6 +388,22 @@ def ell_genus_series(
 # ---------------------------------------------------------------------------
 
 
+def _theta_ratio(qj, tn, tn1, z: complex, tau: complex, params, pole_eps: float, pole) -> complex:
+    """e(-z tn) T((1 - qj) z - tn tau - tn1) / T(qj z + tn tau + tn1), the factor
+    of one variable of charge qj at twists (tn, tn1); ``pole(distance)`` is
+    raised when the denominator argument lies within pole_eps of its zeros."""
+    nu_den = float(qj) * z + float(tn) * tau + float(tn1)
+    dist = lattice_distance(nu_den, tau)
+    if dist < pole_eps:
+        raise pole(dist)
+    nu_num = (1 - float(qj)) * z - float(tn) * tau - float(tn1)
+    return (
+        cmath.exp(-2j * math.pi * z * float(tn))
+        * theta_value(nu_num, tau, params)
+        / theta_value(nu_den, tau, params)
+    )
+
+
 def sector_value_from_coords(
     charges,
     thetas_n,
@@ -373,7 +411,7 @@ def sector_value_from_coords(
     z: complex,
     tau: complex,
     params: ThetaParams | None = None,
-    pole_eps: float = 1e-6,
+    pole_eps: float = POLE_EPS,
 ) -> complex:
     """Theta-ratio product for one sector pair, from raw rational twists.
 
@@ -383,15 +421,9 @@ def sector_value_from_coords(
     qs = tuple(charges.q) if isinstance(charges, Charges) else tuple(Fraction(q) for q in charges)
     out = 1.0 + 0j
     for j, (qj, tn, tn1) in enumerate(zip(qs, thetas_n, thetas_n1)):
-        nu_den = float(qj) * z + float(tn) * tau + float(tn1)
-        dist = lattice_distance(nu_den, tau)
-        if dist < pole_eps:
-            raise NearPoleError(j, tuple(thetas_n), tuple(thetas_n1), dist)
-        nu_num = (1 - float(qj)) * z - float(tn) * tau - float(tn1)
-        out *= (
-            cmath.exp(-2j * math.pi * z * float(tn))
-            * theta_value(nu_num, tau, params)
-            / theta_value(nu_den, tau, params)
+        out *= _theta_ratio(
+            qj, tn, tn1, z, tau, params, pole_eps,
+            lambda dist: NearPoleError(j, tuple(thetas_n), tuple(thetas_n1), dist),
         )
     return out
 
@@ -404,7 +436,7 @@ def sector_value_numeric(
     z: complex,
     tau: complex,
     params: ThetaParams | None = None,
-    pole_eps: float = 1e-6,
+    pole_eps: float = POLE_EPS,
 ) -> complex:
     """Numeric value of one (n, n1) sector term (no group averaging)."""
     if n not in group or n1 not in group:
@@ -415,85 +447,45 @@ def sector_value_numeric(
     )
 
 
-def _numeric_total(
-    potential: Potential,
-    group: SymmetryGroup,
-    z: complex,
-    tau: complex,
-    params: ThetaParams | None,
-    pole_eps: float,
-) -> complex:
-    charges = compute_charges(potential)
-    qs = tuple(charges.q)
-    moduli, reps, mode = _group_data(group)
-    cache: dict[tuple, complex] = {}
+@dataclass
+class _ThetaRing:
+    """Sector-factor values at one (z, tau), the numeric ring of
+    ``_engine.double_sum``.  It never mirrors: conjugate pairing holds for
+    series coefficients, not for values at complex (z, tau)."""
 
-    def base_factor(j: int, a: int, b: int) -> complex:
-        m = moduli[j]
-        key = (qs[j], m, a % m, b % m)
-        val = cache.get(key)
-        if val is None:
-            tn, tn1 = Fraction(a % m, m), Fraction(b % m, m)
-            nu_den = float(qs[j]) * z + float(tn) * tau + float(tn1)
-            dist = lattice_distance(nu_den, tau)
-            if dist < pole_eps:
-                n_repr = group.element_with(j, tn)
-                n1_repr = group.element_with(j, tn1)
-                raise NearPoleError(j, n_repr.entries, n1_repr.entries, dist)
-            nu_num = (1 - float(qs[j])) * z - float(tn) * tau - float(tn1)
-            val = (
-                cmath.exp(-2j * math.pi * z * float(tn))
-                * theta_value(nu_num, tau, params)
-                / theta_value(nu_den, tau, params)
-            )
-            cache[key] = val
-        return val
+    charges: tuple[Fraction, ...]
+    moduli: tuple[int, ...]
+    group: SymmetryGroup
+    z: complex
+    tau: complex
+    params: ThetaParams | None
+    mirrors = False
 
-    hat_cache: dict[tuple, complex] = {}
+    def factor(self, j: int, a: int, b: int) -> complex:
+        m = self.moduli[j]
+        tn, tn1 = Fraction(a % m, m), Fraction(b % m, m)
+        return _theta_ratio(
+            self.charges[j], tn, tn1, self.z, self.tau, self.params, POLE_EPS,
+            lambda dist: NearPoleError(j, self.group.element_with(j, tn).entries,
+                                       self.group.element_with(j, tn1).entries, dist),
+        )
 
-    def hat(j: int, side: str, index: int, other: int) -> complex:
-        m = moduli[j]
-        key = (qs[j], m, side, index % m, other % m)
-        val = hat_cache.get(key)
-        if val is None:
-            val = 0j
-            for t in range(m):
-                w = cmath.exp(2j * math.pi * index * t / m)
-                val += w * (base_factor(j, t, other) if side == "L" else base_factor(j, other, t))
-            hat_cache[key] = val
-        return val
+    def character_sum(self, index: int, values: list[complex]) -> complex:
+        """sum_t e(index t / m) values[t], m = len(values)."""
+        m = len(values)
+        out = 0j
+        for t, value in enumerate(values):
+            out += cmath.exp(2j * math.pi * index * t / m) * value
+        return out
 
-    def hat2(j: int, s: int, s2: int) -> complex:
-        m = moduli[j]
-        key = (qs[j], m, "LR", s % m, s2 % m)
-        val = hat_cache.get(key)
-        if val is None:
-            val = 0j
-            for t in range(m):
-                val += cmath.exp(2j * math.pi * s2 * t / m) * hat(j, "L", s, t)
-            hat_cache[key] = val
-        return val
-
-    if mode == "T":
-        weight = (group.order / prod(moduli)) ** 2
-
-        def factor(j, il, ir):
-            return hat2(j, il, ir)
-
-    else:
-        weight = 1.0
-
-        def factor(j, il, ir):
-            return base_factor(j, il, ir)
-
-    total = 0j
-    for rl in reps:
-        for rr in reps:
+    def total(self, products) -> complex:
+        out = 0j
+        for factors, _ in products:
             term = 1.0 + 0j
-            for j in range(len(qs)):
-                term *= factor(j, rl[j], rr[j])
-            total += term
-    return total * weight / group.order
+            for f in factors:
+                term *= f
+            out += term
+        return out
 
 
 def ell_genus_numeric(
@@ -503,28 +495,29 @@ def ell_genus_numeric(
     tau: complex,
     params: ThetaParams | None = None,
     retries: int = 3,
-    perturbation: float = 1e-3,
-    pole_eps: float = 1e-6,
 ) -> EllValue:
     """Numeric genus value at (z, tau).
 
     Individual sector terms have poles on a measure-zero set even though the
     total is finite; on a near-pole hit the evaluation deterministically
-    retries at z + perturbation (up to ``retries`` times, count reported).
+    retries at z + ``PERTURBATION`` (up to ``retries`` times, count reported).
     """
     require_admissible(potential, group)
     if tau.imag <= 0:
         raise ValueError("tau must lie in the upper half-plane")
-    cbar = compute_charges(potential).central_charge
-    sign = -1 if int(cbar) % 2 else 1
+    charges = compute_charges(potential)
+    sign = -1 if int(charges.central_charge) % 2 else 1
+    moduli, reps, mode = _group_data(group)
+    weight = (group.order / prod(moduli)) ** 2 if mode == "T" else 1.0
     z_cur = complex(z)
     attempts = 0
     while True:
+        ring = _ThetaRing(tuple(charges.q), moduli, group, z_cur, tau, params)
         try:
-            value = _numeric_total(potential, group, z_cur, tau, params, pole_eps)
-            return EllValue(sign * value, z_cur, tau, attempts)
+            total = _engine.double_sum(ring, reps, reps, mode, mode)
+            return EllValue(sign * (total * weight / group.order), z_cur, tau, attempts)
         except NearPoleError:
             if attempts >= retries:
                 raise
             attempts += 1
-            z_cur = z_cur + perturbation
+            z_cur = z_cur + PERTURBATION

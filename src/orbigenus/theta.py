@@ -93,6 +93,10 @@ def default_samples(count: int, seed: int = 0) -> list[tuple[complex, complex]]:
     return samples
 
 
+# An identity with both sides below this sits at a zero and is skipped.
+SKIP_THRESHOLD = 1e-10
+
+
 def _residual(lhs: complex, rhs: complex) -> float:
     return abs(lhs - rhs) / max(1.0, abs(lhs), abs(rhs))
 
@@ -100,7 +104,6 @@ def _residual(lhs: complex, rhs: complex) -> float:
 def check_theta_identities(
     samples: list[tuple[complex, complex]],
     params: ThetaParams | None = None,
-    skip_threshold: float = 1e-10,
 ) -> dict:
     """Max residual of the four classical identities over the samples.
 
@@ -130,7 +133,7 @@ def check_theta_identities(
             ),
         }
         for name, (lhs, rhs) in pairs.items():
-            if max(abs(lhs), abs(rhs)) < skip_threshold:
+            if max(abs(lhs), abs(rhs)) < SKIP_THRESHOLD:
                 skipped.append((name, nu, tau))
                 continue
             residuals[name] = max(residuals[name], _residual(lhs, rhs))

@@ -27,7 +27,11 @@ from .genus import (
 )
 from .potential import Atom, Potential, compute_charges, decompose_atoms, transpose_potential
 from .symmetry import SymmetryGroup, dual_group, require_admissible
-from .theta import ThetaParams
+from .theta import ThetaParams, _residual
+
+
+# Traces kept in a holomorphy report besides the failing ones.
+RECORD_LIMIT = 4096
 
 
 def default_tolerance(group_order: int) -> float:
@@ -254,14 +258,13 @@ def _chain_certificate(atom, qs, tn, tn1) -> CertificateTrace:
     return CertificateTrace(atom, tn, tn1, tuple(steps), True)
 
 
-def holomorphy_certificate(
-    potential: Potential, group: SymmetryGroup, record_limit: int = 4096
-) -> HolomorphyReport:
+def holomorphy_certificate(potential: Potential, group: SymmetryGroup) -> HolomorphyReport:
     """Run the cancellation certificate for every atom and twist combination.
 
     Twist pairs (n, n1) enter an atom's certificate only through the atom's
     coordinates, so distinct projected combinations are certified once; the
-    coverage still spans all |G|^2 sector pairs.
+    coverage still spans all |G|^2 sector pairs.  The report keeps every
+    failing trace and the first ``RECORD_LIMIT`` traces in all.
     """
     require_admissible(potential, group)
     charges = compute_charges(potential)
@@ -282,7 +285,7 @@ def holomorphy_certificate(
                 trace = checker(atom, qs, tn, tn1)
                 combos += 1
                 passed = passed and trace.passed
-                if not trace.passed or len(traces) < record_limit:
+                if not trace.passed or len(traces) < RECORD_LIMIT:
                     traces.append(trace)
     return HolomorphyReport(
         passed=passed,
@@ -326,8 +329,36 @@ def _sample_points(count: int, seed: int) -> list[tuple[complex, complex]]:
     return out
 
 
-def _residual(lhs: complex, rhs: complex) -> float:
-    return abs(lhs - rhs) / max(1.0, abs(lhs), abs(rhs))
+def _sampled_check(check: str, identity, samples: int, seed: int, tol: float,
+                   laws: tuple[str, ...] | None = None) -> Verdict:
+    """Worst residual of each law over seeded samples.
+
+    ``identity(z, tau)`` returns {law: (lhs, rhs)} for the given laws, or
+    {check: (lhs, rhs)} by default; a sample where it hits a sector pole is
+    skipped and reported.  A check of several laws also reports each law's
+    worst residual.
+    """
+    laws = laws or (check,)
+    worst = dict.fromkeys(laws, 0.0)
+    skipped = []
+    for z, tau in _sample_points(samples, seed):
+        try:
+            pairs = identity(z, tau)
+        except NearPoleError as err:
+            skipped.append({"z": str(z), "tau": str(tau), "reason": str(err)})
+            continue
+        for law, (lhs, rhs) in pairs.items():
+            worst[law] = max(worst[law], _residual(lhs, rhs))
+    residual = max(worst.values())
+    detail = {"tolerance": tol, "skipped": skipped}
+    if len(laws) > 1:
+        detail["residuals"] = worst
+    return Verdict(check, "pass" if residual < tol else "fail", residual, [detail])
+
+
+def _genus(potential: Potential, group: SymmetryGroup, params: ThetaParams | None = None):
+    """(z, tau) -> numeric genus value, with no retry at a pole."""
+    return lambda z, tau: ell_genus_numeric(potential, group, z, tau, params, retries=0).value
 
 
 def check_jacobi_transformations(
@@ -343,32 +374,21 @@ def check_jacobi_transformations(
     tol = tol if tol is not None else default_tolerance(group.order)
     cbar = int(compute_charges(potential).central_charge)
     sign = (-1) ** cbar
-    worst: dict[str, float] = {"tau_shift": 0.0, "z_shift": 0.0, "z_tau_shift": 0.0, "inversion": 0.0}
-    details = []
-    skipped = []
-    for z, tau in _sample_points(samples, seed):
-        try:
-            base = ell_genus_numeric(potential, group, z, tau, params, retries=0).value
-            comparisons = {
-                "tau_shift": (ell_genus_numeric(potential, group, z, tau + 1, params, retries=0).value, base),
-                "z_shift": (ell_genus_numeric(potential, group, z + 1, tau, params, retries=0).value, sign * base),
-                "z_tau_shift": (
-                    ell_genus_numeric(potential, group, z + tau, tau, params, retries=0).value,
-                    sign * cmath.exp(-1j * math.pi * cbar * (tau + 2 * z)) * base,
-                ),
-                "inversion": (
-                    ell_genus_numeric(potential, group, z / tau, -1 / tau, params, retries=0).value,
-                    cmath.exp(1j * math.pi * cbar * z * z / tau) * base,
-                ),
-            }
-        except NearPoleError as err:
-            skipped.append({"z": str(z), "tau": str(tau), "reason": str(err)})
-            continue
-        for name, (lhs, rhs) in comparisons.items():
-            worst[name] = max(worst[name], _residual(lhs, rhs))
-    status = "pass" if worst and max(worst.values()) < tol else "fail"
-    details.append({"residuals": worst, "tolerance": tol, "skipped": skipped})
-    return Verdict("jacobi", status, max(worst.values()), details)
+    phi = _genus(potential, group, params)
+
+    def laws(z, tau):
+        base = phi(z, tau)
+        return {
+            "tau_shift": (phi(z, tau + 1), base),
+            "z_shift": (phi(z + 1, tau), sign * base),
+            "z_tau_shift": (phi(z + tau, tau),
+                            sign * cmath.exp(-1j * math.pi * cbar * (tau + 2 * z)) * base),
+            "inversion": (phi(z / tau, -1 / tau),
+                          cmath.exp(1j * math.pi * cbar * z * z / tau) * base),
+        }
+
+    names = ("tau_shift", "z_shift", "z_tau_shift", "inversion")
+    return _sampled_check("jacobi", laws, samples, seed, tol, names)
 
 
 def check_mirror(
@@ -405,18 +425,11 @@ def check_mirror(
         return Verdict("mirror", status, "exact", mismatches[:10] or
                        [{"compared_terms": len(set(a.terms) | set(b.terms)), "sign": sign}])
     tol = tol if tol is not None else default_tolerance(max(group.order, dual.order))
-    worst = 0.0
-    skipped = []
-    for z, tau in _sample_points(samples, seed):
-        try:
-            lhs = ell_genus_numeric(potential, group, z, tau, retries=0).value
-            rhs = sign * ell_genus_numeric(dual_potential, dual, z, tau, retries=0).value
-        except NearPoleError as err:
-            skipped.append({"z": str(z), "tau": str(tau), "reason": str(err)})
-            continue
-        worst = max(worst, _residual(lhs, rhs))
-    status = "pass" if worst < tol else "fail"
-    return Verdict("mirror", status, worst, [{"tolerance": tol, "skipped": skipped}])
+    phi, phi_dual = _genus(potential, group), _genus(dual_potential, dual)
+    return _sampled_check(
+        "mirror", lambda z, tau: {"mirror": (phi(z, tau), sign * phi_dual(z, tau))},
+        samples, seed, tol,
+    )
 
 
 def check_star_substitution(
@@ -432,19 +445,13 @@ def check_star_substitution(
     dual = dual_group(potential, group)
     tol = tol if tol is not None else default_tolerance(max(group.order, dual.order))
     cbar = int(compute_charges(potential).central_charge)
-    worst = 0.0
-    skipped = []
-    for z, tau in _sample_points(samples, seed):
-        try:
-            lhs = ell_genus_numeric(dual_potential, dual, z, tau, retries=0).value
-            factor = cmath.exp(1j * math.pi * cbar * (tau - 2 * z))
-            rhs = factor * ell_genus_numeric(potential, group, tau - z, tau, retries=0).value
-        except NearPoleError as err:
-            skipped.append({"z": str(z), "tau": str(tau), "reason": str(err)})
-            continue
-        worst = max(worst, _residual(lhs, rhs))
-    status = "pass" if worst < tol else "fail"
-    return Verdict("star", status, worst, [{"tolerance": tol, "skipped": skipped}])
+    phi, phi_dual = _genus(potential, group), _genus(dual_potential, dual)
+
+    def law(z, tau):
+        factor = cmath.exp(1j * math.pi * cbar * (tau - 2 * z))
+        return {"star": (phi_dual(z, tau), factor * phi(tau - z, tau))}
+
+    return _sampled_check("star", law, samples, seed, tol)
 
 
 def check_spectral_flow(
@@ -459,20 +466,13 @@ def check_spectral_flow(
     tol = tol if tol is not None else default_tolerance(group.order)
     cbar = int(compute_charges(potential).central_charge)
     sign = (-1) ** cbar
-    worst = 0.0
-    skipped = []
-    for z, tau in _sample_points(samples, seed):
-        try:
-            lhs = ell_genus_numeric(potential, group, -z + tau, tau, retries=0).value
-            rhs = sign * cmath.exp(-1j * math.pi * cbar * (tau - 2 * z)) * ell_genus_numeric(
-                potential, group, z, tau, retries=0
-            ).value
-        except NearPoleError as err:
-            skipped.append({"z": str(z), "tau": str(tau), "reason": str(err)})
-            continue
-        worst = max(worst, _residual(lhs, rhs))
-    status = "pass" if worst < tol else "fail"
-    return Verdict("flow", status, worst, [{"tolerance": tol, "skipped": skipped}])
+    phi = _genus(potential, group)
+
+    def law(z, tau):
+        factor = sign * cmath.exp(-1j * math.pi * cbar * (tau - 2 * z))
+        return {"flow": (phi(-z + tau, tau), factor * phi(z, tau))}
+
+    return _sampled_check("flow", law, samples, seed, tol)
 
 
 def check_weight_zero_limit(

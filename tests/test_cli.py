@@ -12,9 +12,14 @@ SEPTIC = "+".join(f"x{i}^7" for i in range(1, 8))
 OCTIC = "+".join(f"x{i}^8" for i in range(1, 9))
 DATA = Path(__file__).parent / "data"
 # the eight benchmark series commands, a narrow --ywin, two windows whose
-# denominators enter D, and a widening that runs out; recorded from the
-# code that reran the double sum on every widening step
+# denominators enter D, and a negative --ywin; recorded from the code that
+# reran the double sum on every widening step, except the narrow --ywin 2
+# (that code cut it at the gap in the y-support at |y| = 3/2; it now matches
+# --ywin 4) and the negative window (rejected as bad input, exit 2)
 GENUS_STDOUT = json.loads((DATA / "genus_stdout.json").read_text())
+# the benchmark's five check cases at seed 1, recorded before the exact and
+# numeric paths shared one double-sum driver
+CHECK_STDOUT = json.loads((DATA / "check_stdout.json").read_text())
 
 
 def run_cli(capsys, *argv):
@@ -183,3 +188,40 @@ def test_genus_stdout_pinned(capsys, case):
     assert code == case["exit"]
     assert hashlib.sha256(out.encode()).hexdigest() == case["stdout_sha256"]
     assert err == case["stderr"]
+
+
+@pytest.mark.parametrize("argv", [
+    ("genus", "--qmax", "1", "--ywin", "0"),
+    ("genus", "--qmax", "-1"),
+    ("check", "--ywin=-1/2", "--set", "mirror"),
+    ("check", "--qmax", "-1", "--set", "mirror"),
+], ids=" ".join)
+def test_bad_window_exit_code(capsys, argv):
+    code, out, err = run_cli(capsys, *argv, "--potential", QUINTIC)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: --")
+
+
+def assert_matches(got, want, where="stdout"):
+    """Equal JSON, floats within 1e-12 relative to magnitudes of at least 1:
+    residuals are rounding noise that differs between math libraries."""
+    if isinstance(want, float):
+        assert isinstance(got, float) and abs(got - want) <= 1e-12 * max(1.0, abs(want)), where
+    elif isinstance(want, dict):
+        assert sorted(got) == sorted(want), where
+        for key in want:
+            assert_matches(got[key], want[key], f"{where}.{key}")
+    elif isinstance(want, list):
+        assert len(got) == len(want), where
+        for i, (g, w) in enumerate(zip(got, want)):
+            assert_matches(g, w, f"{where}[{i}]")
+    else:
+        assert got == want, where
+
+
+@pytest.mark.parametrize("case", CHECK_STDOUT, ids=lambda c: " ".join(c["argv"][2:]))
+def test_check_stdout_pinned(capsys, case):
+    code, out, _ = run_cli(capsys, *case["argv"])
+    assert code == case["exit"]
+    assert_matches(json.loads(out), case["stdout"])

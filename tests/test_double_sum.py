@@ -1,0 +1,141 @@
+"""The double-sum driver ``_engine.double_sum``, tested from outside it.
+
+The driver runs the exact path over ``_engine._ExactRing`` and the numeric
+path over ``genus._ThetaRing``.  These tests swap the exact ring for a
+subclass that counts or unpairs products, and compare the numeric ring with
+explicit character sums and sector-by-sector totals.
+"""
+
+import cmath
+import math
+from fractions import Fraction
+
+import pytest
+from hypothesis import HealthCheck, assume, example, given, settings
+from hypothesis import strategies as st
+
+from helpers import CUBIC, K3_CHAIN, QUINTIC, cy_potentials
+from orbigenus import _engine, genus
+from orbigenus.genus import (
+    NearPoleError,
+    ell_genus_numeric,
+    sector_value_from_coords,
+    sector_value_numeric,
+)
+from orbigenus.potential import compute_charges
+from orbigenus.symmetry import grading_subgroup, sl_subgroup
+
+F = Fraction
+Z, TAU = 0.23 + 0.04j, 0.11 + 1.31j
+
+
+class CountingRing(_engine._ExactRing):
+    products = 0
+
+    def total(self, products):
+        products = list(products)
+        CountingRing.products += len(products)
+        return super().total(products)
+
+
+class UnpairedRing(_engine._ExactRing):
+    mirrors = False
+
+
+def neg(vec, moduli):
+    return tuple(-x % m for x, m in zip(vec, moduli))
+
+
+def self_conjugate(rl, rr, mode, moduli):
+    """A product equals its own complex conjugate: conj f(a, b) = f(a, -b),
+    and conjugating a character sum over the left slot negates its index."""
+    return (neg(rl, moduli) == rl) if mode == "T" else (neg(rr, moduli) == rr)
+
+
+@pytest.mark.parametrize("potential, group, mode", [
+    (K3_CHAIN, grading_subgroup(K3_CHAIN), "D"),
+    (QUINTIC, sl_subgroup(QUINTIC), "T"),
+])
+def test_sector_products_halved_by_conjugation(monkeypatch, potential, group, mode):
+    moduli, reps, chosen = genus._group_data(group)
+    assert chosen == mode
+    monkeypatch.setattr(_engine, "_ExactRing", CountingRing)
+    CountingRing.products = 0
+    genus._genus_rational_terms(potential, group, F(1), F(3))
+    selfconj = sum(self_conjugate(rl, rr, mode, moduli) for rl in reps for rr in reps)
+    assert selfconj < len(reps) ** 2
+    assert CountingRing.products == (len(reps) ** 2 + selfconj) // 2
+
+
+@pytest.mark.parametrize("potential, group", [
+    (K3_CHAIN, grading_subgroup(K3_CHAIN)),
+    (QUINTIC, sl_subgroup(QUINTIC)),
+    (CUBIC, sl_subgroup(CUBIC)),
+])
+def test_paired_sum_equals_unpaired_sum(monkeypatch, potential, group):
+    """Mirrored conjugates stand in for exactly the products they skip, in
+    the genus sum and in one twisted sector."""
+    twist = group.elements[-1]
+
+    def sums():
+        return (genus._exact_double_sum(potential, group, F(1), F(-2), F(4))[0],
+                genus._exact_double_sum(potential, group, F(1), F(-2), F(4), twist=twist)[0])
+
+    paired = sums()
+    monkeypatch.setattr(_engine, "_ExactRing", UnpairedRing)
+    assert sums() == paired
+
+
+@pytest.mark.parametrize("modes", [("T", "T"), ("T", "D"), ("D", "T"), ("D", "D")])
+def test_theta_transforms_match_explicit_character_sums(modes):
+    """One pair of coordinates, not a whole annihilator: over a set closed
+    under negation a character sum with the wrong sign sums to the same."""
+    group = sl_subgroup(CUBIC)
+    moduli = group.coordinate_moduli()
+    qs = tuple(compute_charges(CUBIC).q)
+    il, ir = (1, 2, 0), (2, 0, 1)
+    ring = genus._ThetaRing(qs, moduli, group, Z, TAU, None)
+    value = _engine.double_sum(ring, [il], [ir], *modes)
+
+    expected = 1.0
+    for q, m, s, s2 in zip(qs, moduli, il, ir):
+        def f(a, b):
+            return sector_value_from_coords((q,), (F(a, m),), (F(b, m),), Z, TAU)
+
+        def e(k):
+            return cmath.exp(2j * math.pi * k / m)
+
+        lefts = range(m) if modes[0] == "T" else [s]
+        rights = range(m) if modes[1] == "T" else [s2]
+        expected *= sum(
+            (e(s * a) if modes[0] == "T" else 1) * (e(s2 * b) if modes[1] == "T" else 1) * f(a, b)
+            for a in lefts for b in rights
+        )
+    assert abs(value - expected) <= 1e-12 * max(1.0, abs(expected))
+
+
+@st.composite
+def small_orbifolds(draw):
+    p = draw(cy_potentials(200))
+    group = (grading_subgroup if draw(st.booleans()) else sl_subgroup)(p)
+    assume(group.order <= 27)
+    return p, group
+
+
+@settings(max_examples=30, deadline=None,
+          suppress_health_check=[HealthCheck.filter_too_much, HealthCheck.too_slow])
+@given(small_orbifolds())
+@example((K3_CHAIN, grading_subgroup(K3_CHAIN)))  # mode D
+@example((CUBIC, sl_subgroup(CUBIC)))  # mode T
+def test_numeric_genus_equals_sector_sum(case):
+    potential, group = case
+    try:
+        fused = ell_genus_numeric(potential, group, Z, TAU, retries=0).value
+        terms = [sector_value_numeric(potential, group, n, n1, Z, TAU)
+                 for n in group.elements for n1 in group.elements]
+    except NearPoleError:
+        assume(False)
+    sign = (-1) ** int(compute_charges(potential).central_charge)
+    brute = sign * sum(terms) / group.order
+    scale = sum(abs(t) for t in terms) / group.order
+    assert abs(fused - brute) <= 1e-11 * max(1.0, scale)

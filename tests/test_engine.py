@@ -119,7 +119,7 @@ def test_variable_factor_cut_windows(potential, ylo, yhi):
     moduli = grading_subgroup(potential).coordinate_moduli()
     theta_max = tuple(Fraction(m - 1, m) for m in moduli)
     ctx = _build_context(charges, moduli, Fraction(2), Fraction(-1), Fraction(1), theta_max)
-    ctx = replace(ctx, ylo=ylo, yhi=yhi, factor_cache={})
+    ctx = replace(ctx, ylo=ylo, yhi=yhi)
     for j, m in enumerate(moduli):
         for a in range(m):
             for b in range(m):

@@ -9,7 +9,7 @@ tests compare it with a pass at the window the widening schedule ends on.
 from fractions import Fraction
 
 import pytest
-from hypothesis import HealthCheck, assume, given, settings
+from hypothesis import HealthCheck, assume, example, given, settings
 from hypothesis import strategies as st
 
 from helpers import CUBIC, K3_CHAIN, LOOP_K3, QUINTIC, TWO_SQUARES, cy_potentials
@@ -109,6 +109,25 @@ def test_narrow_start_widens_without_rerunning(monkeypatch):
     assert in_jacobi_bound(series.terms, series.central_charge)
     # the bound is tight: the reach 11/2 at q^6 is the largest r with r^2 <= 9/4 + 36
     assert max(abs(ey) for (_, ey) in series.terms) == F(11, 2)
+
+
+@settings(max_examples=25, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(model=st.sampled_from(sorted(MODELS)), group_name=st.sampled_from(["J", "SL"]),
+       qmax=st.sampled_from([1, 2]),
+       ycap=st.fractions(min_value=F(1, 4), max_value=F(10), max_denominator=6))
+@example(model="quintic", group_name="J", qmax=6, ycap=F(2))  # no q^n y^(3/2) term
+def test_explicit_window_reports_default_terms(model, group_name, qmax, ycap):
+    """An explicit window, however narrow, reports the default window's
+    terms restricted to it, with the margin measured from every term."""
+    potential = MODELS[model]
+    group = group_of(potential, group_name)
+    default = ell_genus_series(potential, group, qmax)
+    series = ell_genus_series(potential, group, qmax, ycap)
+    assert (series.ycap - ycap) % 2 == 0
+    restricted = {key: c for key, c in default.terms.items() if abs(key[1]) <= series.ycap}
+    assert series.terms == restricted
+    reach = max((abs(ey) for (_, ey) in default.terms), default=F(0))
+    assert series.boundary_margin == series.ycap - reach >= 1
 
 
 def test_margin_equal_to_certify_margin_is_accepted():
