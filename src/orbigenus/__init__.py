@@ -59,9 +59,8 @@ from .symmetry import (
 )
 from .theta import ThetaParams, check_theta_identities, theta_value
 from .verify import (
-    CertificateTrace,
     HolomorphyReport,
-    LineFamily,
+    SectorPole,
     Verdict,
     check_holomorphy,
     check_jacobi_transformations,

@@ -16,8 +16,6 @@ from functools import lru_cache
 from math import gcd
 from typing import Iterable, Sequence
 
-Rat = Fraction
-
 IntMat = tuple[tuple[int, ...], ...]
 RatMat = tuple[tuple[Fraction, ...], ...]
 

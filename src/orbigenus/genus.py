@@ -102,9 +102,6 @@ class GenusSeries:
         eq = Fraction(e_q)
         return {ey: c for (q, ey), c in self.terms.items() if q == eq}
 
-    def q_exponents(self) -> list[Fraction]:
-        return sorted({q for (q, _) in self.terms})
-
     def evaluate(self, z: complex, tau: complex) -> complex:
         """Value at (y, q) = (e^(2 pi i z), e^(2 pi i tau)), fractional powers
         read off the (z, tau) branch."""

@@ -104,7 +104,11 @@ class Charges:
 
 
 def make_potential(matrix: Iterable[Iterable[int]], names: tuple[str, ...] | None = None) -> Potential:
-    """Build and validate a Potential from an exponent matrix."""
+    """Build and validate a Potential from an exponent matrix.
+
+    Raises NotInvertibleError unless the matrix decomposes into atoms, so
+    every Potential built here is invertible.
+    """
     mat = int_matrix(matrix)
     d = len(mat)
     if d == 0:
@@ -118,7 +122,9 @@ def make_potential(matrix: Iterable[Iterable[int]], names: tuple[str, ...] | Non
     if mat_det(mat) == 0:
         raise InvalidPotentialError("exponent matrix is singular")
     names = tuple(names) if names is not None else tuple(f"x{j + 1}" for j in range(d))
-    return Potential(mat, names)
+    potential = Potential(mat, names)
+    decompose_atoms(potential)
+    return potential
 
 
 # ---------------------------------------------------------------------------

@@ -43,9 +43,6 @@ class Windows:
             raise ValueError("empty y-window")
         return cls(qmax, ymin, ymax)
 
-    def symmetric(self) -> bool:
-        return self.ymin == -self.ymax
-
 
 class BiSeries:
     """Sparse truncated series; immutable by convention (treat as a value)."""

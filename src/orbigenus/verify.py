@@ -1,14 +1,13 @@
-"""Mechanical verification: holomorphy certificates, transformation laws,
-duality comparisons.
+"""Mechanical verification: holomorphy, transformation laws, duality
+comparisons.
 
-The holomorphy certificate re-runs, per atom and per pair of twists, the
-zero-cancellation bookkeeping between numerator and denominator theta
-factors: containment of zero-line families for self-power atoms, the cyclic
-pairing for loops, and for chains a right-to-left reduction that repeatedly
-merges the residual line family into the next factor, tracking the exact
-divisibility data at every step.  Transformation laws and duality statements
-are checked numerically at seeded samples; the mirror statement is also
-checked exactly, coefficient by coefficient, on the series side.
+Holomorphy is checked per atom and per pair of twists by zero containment:
+a sector's theta ratio has a pole exactly where more denominator than
+numerator theta factors vanish, and every zero of every factor shows up on
+one period of the lattice L(Z tau + Z), one coordinate at a time.
+Transformation laws and duality statements are checked numerically at
+seeded samples; the mirror statement is also checked exactly, coefficient by
+coefficient, on the series side.
 """
 
 from __future__ import annotations
@@ -18,8 +17,8 @@ import math
 import random
 from dataclasses import dataclass, field
 from fractions import Fraction
-from math import gcd
 
+from .exactmath import lcm
 from .genus import (
     NearPoleError,
     ell_genus_numeric,
@@ -28,10 +27,6 @@ from .genus import (
 from .potential import Atom, Potential, compute_charges, decompose_atoms, transpose_potential
 from .symmetry import SymmetryGroup, dual_group, require_admissible
 from .theta import ThetaParams, _residual
-
-
-# Traces kept in a holomorphy report besides the failing ones.
-RECORD_LIMIT = 4096
 
 
 def default_tolerance(group_order: int) -> float:
@@ -55,256 +50,113 @@ class Verdict:
 
 
 # ---------------------------------------------------------------------------
-# Holomorphy certificates
+# Holomorphy
 # ---------------------------------------------------------------------------
 
 
 @dataclass(frozen=True)
-class LineFamily:
-    """Zero lines {slope*z + tau_coeff*tau + const = p*tau + q, (p,q) integer}."""
+class SectorPole:
+    """A pole of one atom's sector theta ratio at z = a*tau + b."""
 
-    slope: Fraction
-    tau_coeff: Fraction
-    const: Fraction
-
-
-@dataclass(frozen=True)
-class ReductionStep:
-    kind: str  # "reduce" | "cleared" | "pairwise" | "containment"
-    m: int | None = None
-    k: int | None = None
-    l: int | None = None
-    alpha2: Fraction | None = None
-    beta2: Fraction | None = None
-    alpha3: Fraction | None = None
-    beta3: Fraction | None = None
-    p_prime: int | None = None
-    q_prime: int | None = None
-    m_new: int | None = None
-    k_new: int | None = None
-    alpha2_new: Fraction | None = None
-    beta2_new: Fraction | None = None
-
-
-@dataclass
-class CertificateTrace:
     atom: Atom
     theta_n: tuple[Fraction, ...]
     theta_n1: tuple[Fraction, ...]
-    steps: tuple[ReductionStep, ...]
-    passed: bool
-    failure: str | None = None
-    uncancelled: LineFamily | None = None
+    a: Fraction
+    b: Fraction
+    order: int
 
 
 @dataclass
 class HolomorphyReport:
-    passed: bool
     pairs_total: int
     combos_checked: int
-    traces: list[CertificateTrace]
+    poles: list[SectorPole]
 
-    def failures(self) -> list[CertificateTrace]:
-        return [t for t in self.traces if not t.passed]
-
-
-def _is_integral(x: Fraction) -> bool:
-    return x.denominator == 1
+    @property
+    def passed(self) -> bool:
+        return not self.poles
 
 
-def _fermat_certificate(atom, qs, tn, tn1) -> CertificateTrace:
-    a = atom.exponents[0]
-    (q,) = qs
-    ok = a * q == 1 and _is_integral(a * tn[0]) and _is_integral(a * tn1[0])
-    step = ReductionStep(kind="containment", m=a, k=a - 1, alpha2=tn[0], beta2=tn1[0])
-    return CertificateTrace(
-        atom,
-        tn,
-        tn1,
-        (step,),
-        ok,
-        None if ok else "self-power integrality a*theta failed",
-        None if ok else LineFamily(q, tn[0], tn1[0]),
-    )
+def _zero_types(qs, t) -> dict[tuple[int, int], Fraction]:
+    """Zero masks along one coordinate of z = a*tau + b.
+
+    For each x in [0, L) where some denominator factor q_j x + t_j is
+    integral, the mask of denominator factors vanishing there and the mask of
+    numerator factors (1 - q_j) x - t_j vanishing there; one x is kept per
+    distinct pair of masks.
+    """
+    period = lcm(*(q.denominator for q in qs))
+    types: dict[tuple[int, int], Fraction] = {}
+    for qj, tj in zip(qs, t):
+        first = math.ceil(tj)
+        for k in range(first, first + int(qj * period)):
+            x = (k - tj) / qj
+            den = num = 0
+            for i, (qi, ti) in enumerate(zip(qs, t)):
+                if (qi * x + ti).denominator == 1:
+                    den |= 1 << i
+                if ((1 - qi) * x - ti).denominator == 1:
+                    num |= 1 << i
+            types.setdefault((den, num), x)
+    return types
 
 
-def _loop_certificate(atom, qs, tn, tn1) -> CertificateTrace:
-    size = len(atom.exponents)
-    steps = []
-    for i in range(size):
-        a = atom.exponents[i]
-        nxt = (i + 1) % size
-        ok = (
-            a * qs[i] + qs[nxt] == 1
-            and _is_integral(a * tn[i] + tn[nxt])
-            and _is_integral(a * tn1[i] + tn1[nxt])
-        )
-        steps.append(ReductionStep(kind="pairwise", m=None, k=a, alpha2=tn[i], beta2=tn1[i]))
-        if not ok:
-            return CertificateTrace(
-                atom, tn, tn1, tuple(steps), False,
-                f"cyclic pairing failed at position {i}",
-                LineFamily(qs[i], tn[i], tn1[i]),
-            )
-    return CertificateTrace(atom, tn, tn1, tuple(steps), True)
+def _first_pole(types_a, types_b) -> tuple[Fraction, Fraction, int] | None:
+    """(a, b, order) of the first point where more denominator than numerator
+    factors vanish, or None when the ratio is holomorphic."""
+    for (den_a, num_a), a in types_a.items():
+        for (den_b, num_b), b in types_b.items():
+            order = (den_a & den_b).bit_count() - (num_a & num_b).bit_count()
+            if order > 0:
+                return a, b, order
+    return None
 
 
-def _smallest_solution(k: int, l: int, target: Fraction) -> int | None:
-    """Smallest non-negative p with k*p = target (mod l); None if unsolvable."""
-    if not _is_integral(target):
-        return None
-    t = int(target) % l
-    g = gcd(k, l)
-    if t % g:
-        return None
-    lred = l // g
-    kred = (k // g) % lred
-    tred = (t // g) % lred
-    if lred == 1:
-        return 0
-    inv = pow(kred, -1, lred)
-    return (inv * tred) % lred
+def sector_pole(qs, tn, tn1) -> tuple[Fraction, Fraction, int] | None:
+    """A pole in z of prod_j T((1 - q_j) z - tn_j tau - tn1_j) / T(q_j z + tn_j tau + tn1_j).
 
-
-def _chain_certificate(atom, qs, tn, tn1) -> CertificateTrace:
-    size = len(atom.exponents)
-    steps: list[ReductionStep] = []
-
-    def fail(msg, line):
-        return CertificateTrace(atom, tn, tn1, tuple(steps), False, msg, line)
-
-    # initial residual family comes from the tail denominator
-    m = atom.exponents[-1]
-    if qs[-1] * m != 1 or not (_is_integral(m * tn[-1]) and _is_integral(m * tn1[-1])):
-        return fail("tail integrality failed", LineFamily(qs[-1], tn[-1], tn1[-1]))
-    k = m - 1
-    alpha2, beta2 = tn[-1], tn1[-1]
-    # consume factor pairs from right to left
-    for pos in range(size - 1, 0, -1):
-        alpha1, beta1 = -tn[pos], -tn1[pos]
-        if k == 0:
-            return fail("degenerate slope in reduction", LineFamily(Fraction(1, m), alpha2, beta2))
-        # invariants of the running residual
-        if not (
-            gcd(k, m) == 1
-            and _is_integral(m * alpha2)
-            and _is_integral(m * beta2)
-            and _is_integral(k * alpha2 - alpha1)
-            and _is_integral(k * beta2 - beta1)
-            and Fraction(k, m) == 1 - qs[pos]
-        ):
-            return fail("residual invariants failed", LineFamily(Fraction(1, m), alpha2, beta2))
-        l = atom.exponents[pos - 1]
-        alpha3, beta3 = tn[pos - 1], tn1[pos - 1]
-        if qs[pos - 1] != Fraction(k, m * l):
-            return fail("slope chain relation failed", LineFamily(qs[pos - 1], alpha3, beta3))
-        if not (_is_integral(l * alpha3 - alpha1) and _is_integral(l * beta3 - beta1)):
-            return fail("coupling integrality failed", LineFamily(qs[pos - 1], alpha3, beta3))
-        p_prime = _smallest_solution(k, l, k * alpha2 - l * alpha3)
-        q_prime = _smallest_solution(k, l, k * beta2 - l * beta3)
-        if p_prime is None or q_prime is None:
-            # the two denominator line families are disjoint: everything
-            # cancels into the numerators; the remaining factors pair up
-            steps.append(ReductionStep(kind="cleared", m=m, k=k, l=l,
-                                       alpha2=alpha2, beta2=beta2,
-                                       alpha3=alpha3, beta3=beta3))
-            for i in range(pos - 1, 0, -1):
-                a = atom.exponents[i - 1]
-                ok = (
-                    a * qs[i - 1] + qs[i] == 1
-                    and _is_integral(a * tn[i - 1] + tn[i])
-                    and _is_integral(a * tn1[i - 1] + tn1[i])
-                )
-                steps.append(ReductionStep(kind="pairwise", k=a, alpha2=tn[i - 1], beta2=tn1[i - 1]))
-                if not ok:
-                    return fail(
-                        f"pairwise cancellation failed at position {i - 1}",
-                        LineFamily(qs[i - 1], tn[i - 1], tn1[i - 1]),
-                    )
-            return CertificateTrace(atom, tn, tn1, tuple(steps), True)
-        g = gcd(k, l)
-        m_new = m * l // g
-        alpha2_new = Fraction(g, l) * (alpha2 - p_prime)
-        beta2_new = Fraction(g, l) * (beta2 - q_prime)
-        k_new = (m * l - k) // g
-        steps.append(
-            ReductionStep(
-                kind="reduce", m=m, k=k, l=l,
-                alpha2=alpha2, beta2=beta2, alpha3=alpha3, beta3=beta3,
-                p_prime=p_prime, q_prime=q_prime,
-                m_new=m_new, k_new=k_new,
-                alpha2_new=alpha2_new, beta2_new=beta2_new,
-            )
-        )
-        if not (
-            gcd(k_new, m_new) == 1
-            and _is_integral(m_new * alpha2_new)
-            and _is_integral(m_new * beta2_new)
-            and _is_integral(k_new * alpha2_new + alpha3)
-            and _is_integral(k_new * beta2_new + beta3)
-        ):
-            return fail("reduction output invariants failed",
-                        LineFamily(Fraction(1, m_new), alpha2_new, beta2_new))
-        m, k, alpha2, beta2 = m_new, k_new, alpha2_new, beta2_new
-    # head factor: the residual family must sit inside the head numerator lines
-    ok = (
-        Fraction(k, m) == 1 - qs[0]
-        and _is_integral(k * alpha2 + tn[0])
-        and _is_integral(k * beta2 + tn1[0])
-    )
-    steps.append(ReductionStep(kind="containment", m=m, k=k, alpha2=alpha2, beta2=beta2))
-    if not ok:
-        return fail("head containment failed", LineFamily(Fraction(1, m), alpha2, beta2))
-    return CertificateTrace(atom, tn, tn1, tuple(steps), True)
+    T has simple zeros exactly on Z tau + Z, so at z = a*tau + b a factor
+    vanishes iff both its tau and its constant coordinate are integral: the
+    a-coordinate sees only tn and the b-coordinate only tn1.  Every zero set
+    is periodic under L(Z tau + Z), L the lcm of the charge denominators, so
+    one period of each coordinate, grouped by zero masks, decides the ratio.
+    """
+    return _first_pole(_zero_types(qs, tn), _zero_types(qs, tn1))
 
 
 def holomorphy_certificate(potential: Potential, group: SymmetryGroup) -> HolomorphyReport:
-    """Run the cancellation certificate for every atom and twist combination.
+    """Check every atom's sector ratio for poles at every twist combination.
 
-    Twist pairs (n, n1) enter an atom's certificate only through the atom's
-    coordinates, so distinct projected combinations are certified once; the
-    coverage still spans all |G|^2 sector pairs.  The report keeps every
-    failing trace and the first ``RECORD_LIMIT`` traces in all.
+    Twist pairs (n, n1) enter an atom's ratio only through the atom's
+    coordinates, so distinct projected combinations are checked once; the
+    coverage still spans all |G|^2 sector pairs.
     """
     require_admissible(potential, group)
     charges = compute_charges(potential)
-    atoms = decompose_atoms(potential).atoms
-    traces: list[CertificateTrace] = []
-    passed = True
+    poles: list[SectorPole] = []
     combos = 0
-    for atom in atoms:
+    for atom in decompose_atoms(potential).atoms:
         qs = tuple(charges.q[v] for v in atom.variables)
-        projected = [e.entries for e in group.projection(atom.variables).elements]
-        checker = {
-            "fermat": _fermat_certificate,
-            "loop": _loop_certificate,
-            "chain": _chain_certificate,
-        }[atom.kind]
-        for tn in projected:
-            for tn1 in projected:
-                trace = checker(atom, qs, tn, tn1)
+        types = {e.entries: _zero_types(qs, e.entries)
+                 for e in group.projection(atom.variables).elements}
+        for tn, types_n in types.items():
+            for tn1, types_n1 in types.items():
                 combos += 1
-                passed = passed and trace.passed
-                if not trace.passed or len(traces) < RECORD_LIMIT:
-                    traces.append(trace)
-    return HolomorphyReport(
-        passed=passed,
-        pairs_total=group.order**2,
-        combos_checked=combos,
-        traces=traces,
-    )
+                if pole := _first_pole(types_n, types_n1):
+                    poles.append(SectorPole(atom, tn, tn1, *pole))
+    return HolomorphyReport(group.order**2, combos, poles)
 
 
 def check_holomorphy(potential: Potential, group: SymmetryGroup) -> Verdict:
     report = holomorphy_certificate(potential, group)
     details = [
         {
-            "atom": f"{t.atom.kind}{t.atom.variables}",
-            "theta_n": [str(x) for x in t.theta_n],
-            "theta_n1": [str(x) for x in t.theta_n1],
-            "failure": t.failure,
+            "atom": f"{p.atom.kind}{p.atom.variables}",
+            "theta_n": [str(x) for x in p.theta_n],
+            "theta_n1": [str(x) for x in p.theta_n1],
+            "pole": {"a": str(p.a), "b": str(p.b), "order": p.order},
         }
-        for t in report.failures()
+        for p in report.poles
     ]
     return Verdict(
         "holo",

@@ -2,7 +2,8 @@
 ones, a slow reference builder for sector series assembled from the public
 series operations only, the term-pair reference arithmetic for the exact
 engine's integer-vector series, list-based reference group algebra kept off
-the lattice code, and the one-vector-at-a-time zero-level lattice count."""
+the lattice code, the one-vector-at-a-time zero-level lattice count, and a
+point-by-point zero count of one atom's sector theta ratio."""
 
 import itertools
 import math
@@ -462,3 +463,40 @@ def reference_zero_level(potential, group, ywindow):
     recurse(0, 0, tuple(F(0) for _ in gen_coords), 0)
     entries = {(F(0), F(ky, d)): v for ky, v in counts.items() if v}
     return BiSeries.from_terms(d, 1, windows, entries)
+
+
+# ---------------------------------------------------------------------------
+# Zeros of one atom's sector theta ratio, point by point.
+# ---------------------------------------------------------------------------
+
+
+def reference_sector_zero_orders(qs, tn, tn1):
+    """Order of vanishing of the denominator of
+    prod_j T((1 - q_j) z - tn_j tau - tn1_j) / T(q_j z + tn_j tau + tn1_j)
+    minus that of the numerator, at every point z = a tau + b of the period
+    box [0, L)^2 (L the lcm of the charge denominators) where some
+    denominator factor vanishes.  T(s z + c tau + c1) vanishes at z iff
+    s a + c and s b + c1 are both integers; every factor is tested at every
+    point."""
+    period = lcm(*(q.denominator for q in qs))
+
+    def roots(t):
+        # coordinates x in [0, L) with q_j x + t_j an integer for some j
+        return {
+            (k - tj) / qj
+            for qj, tj in zip(qs, t)
+            for k in range(math.floor(tj), math.ceil(tj + qj * period) + 1)
+            if 0 <= (k - tj) / qj < period
+        }
+
+    def vanishes(s, c, c1, a, b):
+        return (s * a + c).denominator == 1 and (s * b + c1).denominator == 1
+
+    orders = {}
+    for a in roots(tn):
+        for b in roots(tn1):
+            den = sum(vanishes(q, t, t1, a, b) for q, t, t1 in zip(qs, tn, tn1))
+            num = sum(vanishes(1 - q, -t, -t1, a, b) for q, t, t1 in zip(qs, tn, tn1))
+            if den:
+                orders[(a, b)] = den - num
+    return orders

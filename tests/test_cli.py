@@ -57,6 +57,15 @@ def test_malformed_potential_exit_code(capsys):
     assert "position" in err
 
 
+@pytest.mark.parametrize("command", ["info", "groups", "dual", "genus", "check"])
+def test_non_invertible_potential_exit_code(capsys, command):
+    # x1*x2 + x2^4 is nonsingular but has the diagonal exponent 1
+    code, out, err = run_cli(capsys, command, "--potential", "x1*x2+x2^4")
+    assert code == 2
+    assert out == ""
+    assert "not an invertible potential" in err
+
+
 def test_inadmissible_group_exit_code(capsys):
     code, _, err = run_cli(capsys, "genus", "--potential", "x1^3*x2+x2^4")
     assert code == 2

@@ -149,6 +149,23 @@ def test_jacobi_reach_exact(cbar, qmax, reach):
     assert jacobi_reach(F(cbar), F(qmax)) == reach
 
 
+@settings(max_examples=60, deadline=None,
+          suppress_health_check=[HealthCheck.filter_too_much, HealthCheck.too_slow])
+@given(potential=cy_potentials(max_det=10**9), qmax=st.integers(0, 12))
+def test_default_window_holds_the_jacobi_reach(potential, qmax):
+    """a_j q_j + q_next = 1 with a_j >= 2 in an invertible potential, so every
+    q_j <= 1/2, with equality only where the monomial of x_j is x_j^2; then
+    m >= 0 and the default window's 1/q_j >= 2 give
+    R <= m + 2 qmax <= default_y_cap."""
+    charges = compute_charges(potential)
+    d = potential.dimension
+    for j, q in enumerate(charges.q):
+        square = tuple(2 if i == j else 0 for i in range(d))
+        assert q < F(1, 2) or (q == F(1, 2) and square in potential.matrix)
+    cbar, qmax = charges.central_charge, F(qmax)
+    assert jacobi_reach(cbar, qmax) <= cbar / 2 + 2 * qmax <= default_y_cap(potential, qmax)
+
+
 def inject_term_beyond_bound(monkeypatch):
     def with_extra_term(*args):
         terms, d = _genus_rational_terms(*args)

@@ -6,6 +6,7 @@ from orbigenus.potential import (
     DegenerateChargesError,
     InvalidPotentialError,
     NotInvertibleError,
+    Potential,
     PotentialSyntaxError,
     compute_charges,
     decompose_atoms,
@@ -107,19 +108,19 @@ def test_decompose_longer_loop_orientation():
 def test_decompose_rejects_unit_diagonal():
     # x1*x2 + x2^2 has determinant 2 but a diagonal exponent 1
     with pytest.raises(NotInvertibleError) as err:
-        decompose_atoms(make_potential([[1, 1], [0, 2]]))
+        make_potential([[1, 1], [0, 2]])
     assert err.value.rows
 
 
 def test_decompose_rejects_three_factor_monomial():
     with pytest.raises(NotInvertibleError):
-        decompose_atoms(make_potential([[2, 1, 1], [0, 3, 0], [0, 0, 3]]))
+        make_potential([[2, 1, 1], [0, 3, 0], [0, 0, 3]])
 
 
 def test_decompose_rejects_double_coupling():
     # both monomials couple into x3
     with pytest.raises(NotInvertibleError):
-        decompose_atoms(make_potential([[2, 0, 1], [0, 2, 1], [0, 0, 2]]))
+        make_potential([[2, 0, 1], [0, 2, 1], [0, 0, 2]])
 
 
 def test_quadratic_fermat_flagged():
@@ -166,11 +167,14 @@ def test_charges_k3_chain():
 
 
 def test_charges_degenerate():
+    # x1 + x2^2 is not invertible, so make_potential refuses it; built
+    # directly, it reaches the charge guard
+    bad = Potential(((1, 0), (0, 2)), ("x1", "x2"))
     with pytest.raises(DegenerateChargesError):
-        compute_charges(make_potential([[1, 0], [0, 2]]))
+        compute_charges(bad)
     # the memo caches results only: the raise repeats
     with pytest.raises(DegenerateChargesError):
-        compute_charges(make_potential([[1, 0], [0, 2]]))
+        compute_charges(bad)
 
 
 def test_charges_of_potential_with_listed_names():

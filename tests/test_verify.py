@@ -1,8 +1,12 @@
+import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
-from orbigenus.potential import transpose_potential
+from orbigenus.exactmath import lcm
+from orbigenus.potential import compute_charges, transpose_potential
 from orbigenus.symmetry import (
     dual_group,
     grading_subgroup,
@@ -16,10 +20,20 @@ from orbigenus.verify import (
     check_weight_zero_limit,
     holomorphy_certificate,
     jacobian_ring_middle_dimension,
-    _chain_certificate,
+    sector_pole,
 )
 
-from helpers import CUBIC, K3_CHAIN, LOOP_K3, QUINTIC, TWO_SQUARES
+from helpers import (
+    ATOMS,
+    CUBIC,
+    K3_CHAIN,
+    LOOP_K3,
+    QUINTIC,
+    TWO_SQUARES,
+    cy_potentials,
+    potential_from_atoms,
+    reference_sector_zero_orders,
+)
 
 F = Fraction
 
@@ -42,29 +56,22 @@ def test_holomorphy_quintic_sl():
 def test_holomorphy_loop_atoms():
     report = holomorphy_certificate(LOOP_K3, grading_subgroup(LOOP_K3))
     assert report.passed
-    kinds = {t.atom.kind for t in report.traces}
-    assert "loop" in kinds
+    # a loop of two variables and two self-power atoms, J of order 4
+    assert report.combos_checked == 3 * 4**2
 
 
-def test_holomorphy_chain_reduction_runs():
+def test_holomorphy_chain_atoms():
     report = holomorphy_certificate(K3_CHAIN, grading_subgroup(K3_CHAIN))
     assert report.passed
-    chain_traces = [t for t in report.traces if t.atom.kind == "chain"]
-    assert chain_traces
-    # chain of length two: at most the tail round plus the head containment
-    for t in chain_traces:
-        assert len(t.steps) <= 3
-        assert t.steps[-1].kind == "containment"
+    assert report.combos_checked == 48
 
 
-def test_holomorphy_chain_collision_branch_exercised():
-    # the dual-side groups exercise twists with nontrivial residual families
+def test_holomorphy_dual_chain():
     pd = transpose_potential(K3_CHAIN)
     gd = dual_group(K3_CHAIN, grading_subgroup(K3_CHAIN))
     report = holomorphy_certificate(pd, gd)
     assert report.passed
-    kinds = {step.kind for t in report.traces for step in t.steps}
-    assert "reduce" in kinds
+    assert report.pairs_total == gd.order**2
 
 
 def test_holomorphy_all_admissible_test_pairs():
@@ -73,15 +80,78 @@ def test_holomorphy_all_admissible_test_pairs():
             assert holomorphy_certificate(p, g).passed
 
 
-def test_chain_certificate_detects_broken_input():
-    from orbigenus.potential import decompose_atoms, compute_charges
+@settings(max_examples=30, deadline=None,
+          suppress_health_check=[HealthCheck.filter_too_much, HealthCheck.too_slow])
+@given(potential=cy_potentials(max_det=4000), group_name=st.sampled_from(["J", "SL"]))
+def test_holomorphy_generated_models_and_duals(potential, group_name):
+    group = (grading_subgroup if group_name == "J" else sl_subgroup)(potential)
+    assert holomorphy_certificate(potential, group).passed
+    dual = dual_group(potential, group)
+    assert holomorphy_certificate(transpose_potential(potential), dual).passed
 
-    (atom, *_rest) = decompose_atoms(K3_CHAIN).atoms
-    qs = tuple(compute_charges(K3_CHAIN).q[v] for v in atom.variables)
-    # a twist that is not a symmetry: tail integrality must fail
-    bad = _chain_certificate(atom, qs, (F(1, 7), F(1, 7)), (F(0), F(0)))
-    assert not bad.passed
-    assert bad.uncancelled is not None
+
+def _atom_charges(kind, exponents):
+    return compute_charges(potential_from_atoms([(kind, exponents)])).q
+
+
+def test_sector_pole_k3_chain_non_symmetry_twist():
+    # x1^3 x2 + x2^4 twisted by (1/7, 1/7), which is not a symmetry
+    qs = _atom_charges("chain", (3, 4))
+    tn, tn1 = (F(1, 7), F(1, 7)), (F(0), F(0))
+    a, b, order = sector_pole(qs, tn, tn1)
+    assert order > 0
+    assert reference_sector_zero_orders(qs, tn, tn1)[(a, b)] == order
+
+
+def test_sector_pole_loop_non_symmetry_twist_is_holomorphic():
+    # x1^2 x2 + x2^2 x1: not a symmetry twist, yet every zero cancels
+    qs = _atom_charges("loop", (2, 2))
+    tn, tn1 = (F(0), F(1, 3)), (F(1, 3), F(0))
+    assert sector_pole(qs, tn, tn1) is None
+    assert max(reference_sector_zero_orders(qs, tn, tn1).values()) <= 0
+
+
+def _random_twist(draw_int, qs):
+    """Rational twist entries over a denominator dividing the charge period,
+    or over an arbitrary one up to twice the period; ``draw_int(lo, hi)``
+    draws from lo..hi inclusive."""
+    period = lcm(*(q.denominator for q in qs))
+    divisors = [d for d in range(1, period + 1) if period % d == 0]
+    den = divisors[draw_int(0, len(divisors) - 1)] if draw_int(0, 1) else draw_int(1, 2 * period)
+    return tuple(F(draw_int(0, den - 1), den) for _ in qs)
+
+
+def _agrees_with_reference(qs, tn, tn1) -> bool:
+    """sector_pole's verdict against the point-by-point count; a reported
+    pole must be a point with the reported order."""
+    orders = reference_sector_zero_orders(qs, tn, tn1)
+    pole = sector_pole(qs, tn, tn1)
+    if pole is None:
+        return all(order <= 0 for order in orders.values())
+    a, b, order = pole
+    return order > 0 and orders.get((a, b)) == order
+
+
+@settings(max_examples=200, deadline=None)
+@given(atom=ATOMS, data=st.data())
+def test_sector_pole_matches_point_enumeration(atom, data):
+    qs = _atom_charges(*atom)
+    draw_int = lambda lo, hi: data.draw(st.integers(lo, hi))
+    tn, tn1 = _random_twist(draw_int, qs), _random_twist(draw_int, qs)
+    assert _agrees_with_reference(qs, tn, tn1)
+
+
+def test_random_twists_give_poles_and_holomorphic_sectors():
+    rng = random.Random(0)
+    atoms = [("fermat", (5,)), ("chain", (3, 4)), ("chain", (2, 3, 4)),
+             ("loop", (2, 2)), ("loop", (3, 2, 4))]
+    verdicts = []
+    for _ in range(200):
+        qs = _atom_charges(*rng.choice(atoms))
+        tn, tn1 = _random_twist(rng.randint, qs), _random_twist(rng.randint, qs)
+        assert _agrees_with_reference(qs, tn, tn1)
+        verdicts.append(sector_pole(qs, tn, tn1) is None)
+    assert 0.1 < sum(verdicts) / len(verdicts) < 0.9
 
 
 def test_jacobi_two_squares():
