@@ -7,14 +7,10 @@ and the duality of mirror models.
 """
 
 from .exactmath import (
-    CycNum,
-    NotRationalError,
     SingularMatrixError,
     SnfResult,
-    cyc_to_rational,
     cyclotomic_polynomial,
     invert_rational_matrix,
-    root_of_unity,
     smith_normal_form,
 )
 from .genus import (
@@ -45,7 +41,7 @@ from .potential import (
     parse_potential,
     transpose_potential,
 )
-from .qseries import BiSeries, Windows, geom_expand, series_mul
+from .qseries import Windows
 from .symmetry import (
     AdmissibilityError,
     PhaseVector,

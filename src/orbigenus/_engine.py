@@ -46,13 +46,7 @@ from fractions import Fraction
 from math import gcd
 from operator import add, sub
 
-from .exactmath import (
-    CycNum,
-    NotRationalError,
-    _power_rows,
-    cyc_to_rational,
-    euler_phi,
-)
+from .exactmath import _power_rows, euler_phi
 
 Vec = tuple[int, ...]
 Series = dict[tuple[int, int], list[int]]
@@ -502,11 +496,12 @@ class _ExactRing:
 
     def total(self, products) -> Series:
         """Sum of the products of each factor list, with the conjugate of each
-        mirrored one; zero coefficients dropped."""
+        mirrored one; zero coefficients dropped.  An empty list (no variables)
+        is the unit series."""
         ctx = self.ctx
         out: Series = {}
         for factors, mirrored in products:
-            product = _Rows.of(factors[0])
+            product = _Rows.of(factors[0] if factors else {(0, 0): [1] + [0] * (ctx.phi - 1)})
             for f in factors[1:]:
                 product = _mul_rows(product, _Rows.of(f), ctx)
             for key, vec in product.items():
@@ -603,17 +598,18 @@ def negative_capacity(
 def rationalize(
     total: Series, ctx: SeriesContext, scalar: Fraction
 ) -> dict[tuple[Fraction, Fraction], Fraction]:
-    """Scale accumulated integer-vector terms and demand rational values."""
+    """Scale accumulated integer-vector terms and demand rational values.
+
+    A vector is rational iff its components on z, ..., z^(phi-1) vanish; any
+    that do not raise ``RationalityError`` with the scaled residual.
+    """
     out: dict[tuple[Fraction, Fraction], Fraction] = {}
-    n = ctx.conductor
     d = ctx.denominator
     for (kq, ky), vec in sorted(total.items()):
-        value = CycNum(n, tuple(Fraction(c) * scalar for c in vec))
         e_q, e_y = Fraction(kq, d), Fraction(ky, d)
-        try:
-            rat = cyc_to_rational(value)
-        except NotRationalError as err:
-            raise RationalityError(e_q, e_y, err.residual) from err
-        if rat:
-            out[(e_q, e_y)] = rat
+        if any(vec[1:]):
+            residual = {i: Fraction(c) * scalar for i, c in enumerate(vec) if i and c}
+            raise RationalityError(e_q, e_y, residual)
+        if vec[0]:
+            out[(e_q, e_y)] = Fraction(vec[0]) * scalar
     return out

@@ -1,11 +1,11 @@
-"""Exact arithmetic kernels: rational matrices, Smith normal form, cyclotomic numbers.
+"""Exact arithmetic kernels: rational matrices, Smith normal form, cyclotomic reduction.
 
 Everything in this module is immutable after construction and every function is
 pure, so concurrent use on shared values is safe.  Rational scalars are plain
-``fractions.Fraction``; integer matrices are tuples of tuples.  ``CycNum``
-represents an element of Q(zeta_N) as a vector of Fractions in the power basis
-of a fixed primitive N-th root of unity, reduced modulo the N-th cyclotomic
-polynomial so equality is coefficient equality.
+``fractions.Fraction``; integer matrices are tuples of tuples.  An element of
+Z[zeta_N] is a coefficient vector over the power basis 1, z, ..., z^(phi(N)-1)
+of a fixed primitive N-th root of unity; ``_power_rows`` holds x^k reduced
+modulo the N-th cyclotomic polynomial, so equality is coefficient equality.
 """
 
 from __future__ import annotations
@@ -22,15 +22,6 @@ RatMat = tuple[tuple[Fraction, ...], ...]
 
 class SingularMatrixError(ValueError):
     """Raised when a matrix required to be invertible has determinant zero."""
-
-
-class NotRationalError(ValueError):
-    """Raised when a cyclotomic number with non-vanishing root components is
-    coerced to a rational.  Carries the offending residual components."""
-
-    def __init__(self, message: str, residual: dict[int, Fraction]):
-        super().__init__(message)
-        self.residual = residual
 
 
 def int_matrix(rows: Iterable[Iterable[int]]) -> IntMat:
@@ -224,7 +215,7 @@ def smith_normal_form(a: IntMat) -> SnfResult:
 
 
 # ---------------------------------------------------------------------------
-# Cyclotomic arithmetic
+# Cyclotomic reduction
 # ---------------------------------------------------------------------------
 
 
@@ -283,176 +274,6 @@ def _power_rows(n: int) -> tuple[tuple[int, ...], ...]:
             nxt = [nxt[i] + lead * fold[i] for i in range(phi)]
         cur = nxt
     return tuple(rows)
-
-
-@dataclass(frozen=True)
-class CycNum:
-    """Element of Q(zeta_N) in the power basis 1, z, ..., z^(phi(N)-1)."""
-
-    conductor: int
-    coeffs: tuple[Fraction, ...]
-
-    def __post_init__(self):
-        if len(self.coeffs) != euler_phi(self.conductor):
-            raise ValueError("coefficient vector has wrong length for conductor")
-
-    # -- constructors -------------------------------------------------------
-
-    @classmethod
-    def from_rational(cls, conductor: int, value) -> "CycNum":
-        phi = euler_phi(conductor)
-        coeffs = [Fraction(0)] * phi
-        coeffs[0] = Fraction(value)
-        return cls(conductor, tuple(coeffs))
-
-    @classmethod
-    def zero(cls, conductor: int) -> "CycNum":
-        return cls.from_rational(conductor, 0)
-
-    @classmethod
-    def one(cls, conductor: int) -> "CycNum":
-        return cls.from_rational(conductor, 1)
-
-    # -- ring operations ----------------------------------------------------
-
-    def _coerce(self, other) -> "CycNum":
-        if isinstance(other, CycNum):
-            if other.conductor != self.conductor:
-                raise ValueError("conductor mismatch; lift explicitly")
-            return other
-        return CycNum.from_rational(self.conductor, other)
-
-    def __add__(self, other) -> "CycNum":
-        o = self._coerce(other)
-        return CycNum(self.conductor, tuple(a + b for a, b in zip(self.coeffs, o.coeffs)))
-
-    __radd__ = __add__
-
-    def __neg__(self) -> "CycNum":
-        return CycNum(self.conductor, tuple(-a for a in self.coeffs))
-
-    def __sub__(self, other) -> "CycNum":
-        return self + (-self._coerce(other))
-
-    def __rsub__(self, other) -> "CycNum":
-        return self._coerce(other) + (-self)
-
-    def __mul__(self, other) -> "CycNum":
-        if not isinstance(other, CycNum):
-            f = Fraction(other)
-            return CycNum(self.conductor, tuple(a * f for a in self.coeffs))
-        o = self._coerce(other)
-        n = self.conductor
-        phi = len(self.coeffs)
-        rows = _power_rows(n)
-        out = [Fraction(0)] * phi
-        for i, a in enumerate(self.coeffs):
-            if not a:
-                continue
-            for j, b in enumerate(o.coeffs):
-                if not b:
-                    continue
-                c = a * b
-                k = i + j
-                if k < phi:
-                    out[k] += c
-                else:
-                    for idx, r in enumerate(rows[k]):
-                        if r:
-                            out[idx] += c * r
-        return CycNum(n, tuple(out))
-
-    __rmul__ = __mul__
-
-    def __pow__(self, exponent: int) -> "CycNum":
-        if exponent < 0:
-            raise ValueError("negative powers not supported")
-        acc = CycNum.one(self.conductor)
-        base = self
-        e = exponent
-        while e:
-            if e & 1:
-                acc = acc * base
-            base = base * base
-            e >>= 1
-        return acc
-
-    def conjugate(self) -> "CycNum":
-        """Complex conjugation: zeta -> zeta^(N-1)."""
-        n = self.conductor
-        phi = len(self.coeffs)
-        rows = _power_rows(n)
-        out = [Fraction(0)] * phi
-        for i, a in enumerate(self.coeffs):
-            if not a:
-                continue
-            for idx, r in enumerate(rows[(n - i) % n]):
-                if r:
-                    out[idx] += a * r
-        return CycNum(n, tuple(out))
-
-    def lift(self, conductor: int) -> "CycNum":
-        """Embed into Q(zeta_M) for a multiple M of the current conductor."""
-        if conductor == self.conductor:
-            return self
-        if conductor % self.conductor != 0:
-            raise ValueError("can only lift to a multiple of the conductor")
-        step = conductor // self.conductor
-        phi = euler_phi(conductor)
-        rows = _power_rows(conductor)
-        out = [Fraction(0)] * phi
-        for i, a in enumerate(self.coeffs):
-            if not a:
-                continue
-            k = i * step
-            if k < phi:
-                out[k] += a
-            else:
-                for idx, r in enumerate(rows[k]):
-                    if r:
-                        out[idx] += a * r
-        return CycNum(conductor, tuple(out))
-
-    # -- predicates and conversions -----------------------------------------
-
-    def is_zero(self) -> bool:
-        return all(a == 0 for a in self.coeffs)
-
-    def __bool__(self) -> bool:
-        return not self.is_zero()
-
-    def is_rational(self) -> bool:
-        return all(a == 0 for a in self.coeffs[1:])
-
-    def complex_value(self) -> complex:
-        import cmath
-
-        z = cmath.exp(2j * cmath.pi / self.conductor)
-        return sum(float(a) * z**i for i, a in enumerate(self.coeffs))
-
-    def __str__(self) -> str:
-        if self.is_rational():
-            return str(self.coeffs[0])
-        parts = [f"{a}*z^{i}" for i, a in enumerate(self.coeffs) if a]
-        return " + ".join(parts) + f"  (z = primitive {self.conductor}-th root)"
-
-
-def root_of_unity(k: int, n: int) -> CycNum:
-    """The exact n-th root of unity to the k-th power, as a CycNum."""
-    if n < 1:
-        raise ValueError("order must be positive")
-    row = _power_rows(n)[k % n]
-    return CycNum(n, tuple(Fraction(c) for c in row))
-
-
-def cyc_to_rational(c: CycNum) -> Fraction:
-    """Convert a CycNum to a Fraction; error (with residual) if impossible."""
-    if not c.is_rational():
-        residual = {i: a for i, a in enumerate(c.coeffs) if i > 0 and a != 0}
-        raise NotRationalError(
-            f"cyclotomic number is not rational (conductor {c.conductor})", residual
-        )
-    return c.coeffs[0]
 
 
 def lcm(*values: int) -> int:

@@ -21,9 +21,9 @@ from math import ceil, floor, prod
 
 from . import _engine
 from ._engine import RationalityError, SeriesContext
-from .exactmath import CycNum, euler_phi, lcm
+from .exactmath import euler_phi, lcm
 from .potential import Charges, Potential, compute_charges
-from .qseries import BiSeries, Windows, geom_expand, series_mul
+from .qseries import Windows
 from .symmetry import PhaseVector, SymmetryGroup, require_admissible
 from .theta import ThetaParams, lattice_distance, theta_value
 
@@ -135,40 +135,6 @@ class GenusSeries:
 # ---------------------------------------------------------------------------
 
 
-def cone_supertrace_series(charges: Charges | tuple, windows: Windows) -> BiSeries:
-    """Supertrace of the free untwisted cone, via the public series operations.
-
-    Internally the window is padded so cancellations that re-enter the
-    requested window are not lost to truncation, then restricted.
-    """
-    qs = tuple(charges.q) if isinstance(charges, Charges) else tuple(Fraction(q) for q in charges)
-    d = lcm(*(q.denominator for q in qs), windows.qmax.denominator,
-            windows.ymin.denominator, windows.ymax.denominator) if qs else 1
-    pad = windows.qmax  # worst-case negative-y excursion rate is 1 per unit of q
-    work = Windows.make(windows.qmax, windows.ymin - pad * len(qs), windows.ymax + pad * len(qs))
-    out = BiSeries.one(d, 1, work)
-    for q in qs:
-        k = 0
-        while k <= windows.qmax:  # fermionic raising modes, weight 1-q
-            out = series_mul(out, BiSeries.from_terms(d, 1, work, {(Fraction(0), Fraction(0)): 1,
-                                                                   (Fraction(k), 1 - q): -1}))
-            k += 1
-        k = 1
-        while k <= windows.qmax:  # fermionic lowering modes, weight q-1
-            out = series_mul(out, BiSeries.from_terms(d, 1, work, {(Fraction(0), Fraction(0)): 1,
-                                                                   (Fraction(k), q - 1): -1}))
-            k += 1
-        k = 0
-        while k <= windows.qmax:  # bosonic raising tower
-            out = series_mul(out, geom_expand(q, k, 1, work, denominator=d))
-            k += 1
-        k = 1
-        while k <= windows.qmax:  # bosonic lowering tower
-            out = series_mul(out, geom_expand(-q, k, 1, work, denominator=d))
-            k += 1
-    return out.restricted(windows)
-
-
 def _conductor(charges: tuple[Fraction, ...], moduli: tuple[int, ...]) -> int:
     return lcm(*(q.denominator for q in charges), *moduli)
 
@@ -256,10 +222,35 @@ def _exact_double_sum(
     return total, ctx, weight / group.order
 
 
+def _in_window(total: _engine.Series, ctx: SeriesContext, windows: Windows) -> _engine.Series:
+    """The terms of an engine total with y-exponent inside ``windows``."""
+    d = ctx.denominator
+    return {(kq, ky): vec for (kq, ky), vec in total.items()
+            if windows.ymin * d <= ky <= windows.ymax * d}
+
+
+def cone_supertrace_series(
+    charges: Charges | tuple, windows: Windows
+) -> dict[tuple[Fraction, Fraction], Fraction]:
+    """Supertrace of the free untwisted cone on ``windows``, as rational terms.
+
+    This is the engine's untwisted sector on the trivial group: every modulus
+    1, so the one (0, 0) pair is the product of the single-variable factors
+    of ``_engine.variable_factor`` at zero twist, summed on a context whose
+    work window is exact on ``windows``.  ``oracle.free_state_series`` counts
+    the same supertrace state by state.
+    """
+    qs = tuple(charges.q) if isinstance(charges, Charges) else tuple(Fraction(q) for q in charges)
+    zero = (0,) * len(qs)
+    ctx = _build_context(qs, (1,) * len(qs), windows.qmax, windows.ymin, windows.ymax, zero)
+    total = _engine.double_sum(_engine._ExactRing(ctx), [zero], [zero], "D", "D")
+    return _engine.rationalize(_in_window(total, ctx, windows), ctx, 1)
+
+
 def sector_supertrace_series(
     potential: Potential, group: SymmetryGroup, n: PhaseVector, windows: Windows
-) -> BiSeries:
-    """Group-averaged supertrace series of the sector twisted by n.
+) -> dict[tuple[Fraction, Fraction], Fraction]:
+    """Group-averaged supertrace series of the sector twisted by n, as rational terms.
 
     Includes the 1/|G| average over the second twist and the sector
     prefactor; all stored q-exponents are non-negative (asserted).
@@ -270,13 +261,7 @@ def sector_supertrace_series(
     total, ctx, scalar = _exact_double_sum(
         potential, group, windows.qmax, windows.ymin, windows.ymax, twist=n
     )
-    d, n_cond = ctx.denominator, ctx.conductor
-    terms = {
-        (kq, ky): CycNum(n_cond, tuple(Fraction(c) * scalar for c in vec))
-        for (kq, ky), vec in total.items()
-        if windows.ymin * d <= ky <= windows.ymax * d
-    }
-    return BiSeries(d, n_cond, windows, terms)
+    return _engine.rationalize(_in_window(total, ctx, windows), ctx, scalar)
 
 
 def _genus_rational_terms(

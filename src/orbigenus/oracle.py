@@ -1,14 +1,17 @@
 """Independent counting checks for the supertrace formulas.
 
-Nothing here touches the series engine.  Both counts build the supertrace
-from the mode table (four families per variable, with their charge and level
-weights), accumulating (-1)^fermions y^(total charge) q^(total level), and
-both aggregate states instead of listing them: ``free_state_series`` adds one
+Nothing here touches the series engine: this module imports only ``lcm`` and
+the charges, and its counts are the ground truth the engine's product
+formulas are tested against.  Both counts build the supertrace from the mode
+table (four families per variable, with their charge and level weights),
+accumulating (-1)^fermions y^(total charge) q^(total level), and both
+aggregate states instead of listing them: ``free_state_series`` adds one
 mode at a time to a table of signed counts keyed by (scaled charge, level);
 ``zero_level_group_average`` adds one variable at a time to a table keyed by
 (scaled charge, residues of the pairing with the group's Hermite rows).  Of a
-group only its exponent and Hermite basis are read.  These counts are the
-ground truth the product formulas are tested against.
+group only its exponent and Hermite basis are read.  Both return the
+rational-term dict ``{(e_q, e_y): Fraction}`` that the engine's series
+functions return.
 """
 
 from __future__ import annotations
@@ -20,7 +23,6 @@ from typing import TYPE_CHECKING
 
 from .exactmath import lcm
 from .potential import Charges, Potential, compute_charges
-from .qseries import BiSeries, Windows
 
 if TYPE_CHECKING:
     from .symmetry import SymmetryGroup
@@ -72,20 +74,29 @@ def _charges_tuple(charges) -> tuple[Fraction, ...]:
     return tuple(Fraction(q) for q in charges)
 
 
-def free_state_series(charges, qmax: int, ywindow, cap: int = STATE_CAP) -> BiSeries:
+def _ywindow(ywindow) -> tuple[Fraction, Fraction]:
+    ymin, ymax = Fraction(ywindow[0]), Fraction(ywindow[1])
+    if ymin > ymax:
+        raise ValueError("empty y-window")
+    return ymin, ymax
+
+
+def free_state_series(
+    charges, qmax: int, ywindow, cap: int = STATE_CAP
+) -> dict[tuple[Fraction, Fraction], Fraction]:
     """Supertrace of the free state space by direct mode enumeration.
 
     Equals the untwisted cone product formula coefficientwise on the shared
     window.  ``ywindow`` is (ymin, ymax); levels are truncated at ``qmax``.
     """
     qs = _charges_tuple(charges)
-    ymin, ymax = Fraction(ywindow[0]), Fraction(ywindow[1])
-    windows = Windows.make(qmax, ymin, ymax)
+    ymin, ymax = _ywindow(ywindow)
     d = lcm(*(q.denominator for q in qs)) if qs else 1
-    # accumulate over (scaled charge, level); padding keeps partial sums that
-    # wander below the window but are pulled back by later positive modes
+    # accumulate over (scaled charge, level).  Every partial sum starts at
+    # y = 0; the negative modes cost level, so none falls more than pad below
+    # 0 or rises more than pad above its final charge
     pad = len(qs) * qmax * d
-    lo = int(ymin * d) - pad
+    lo = min(int(ymin * d), 0) - pad
     hi = int(ymax * d) + pad
     states: dict[tuple[int, int], int] = {(0, 0): 1}
     work = 0
@@ -113,11 +124,11 @@ def free_state_series(charges, qmax: int, ywindow, cap: int = STATE_CAP) -> BiSe
                 if step_q == 0 and step_y == 0:
                     break
         states = {k: v for k, v in out.items() if v}
-    entries = {}
-    for (ky, kq), count in states.items():
-        if ymin * d <= ky <= ymax * d:
-            entries[(Fraction(kq), Fraction(ky, d))] = count
-    return BiSeries.from_terms(d, 1, windows, entries)
+    return {
+        (Fraction(kq), Fraction(ky, d)): Fraction(count)
+        for (ky, kq), count in states.items()
+        if ymin * d <= ky <= ymax * d
+    }
 
 
 def _pairing_rows(group: SymmetryGroup) -> list[tuple[tuple[int, ...], int]]:
@@ -138,7 +149,7 @@ def _pairing_rows(group: SymmetryGroup) -> list[tuple[tuple[int, ...], int]]:
 
 def zero_level_group_average(
     potential: Potential, group: SymmetryGroup, ywindow, cap: int = STATE_CAP
-) -> BiSeries:
+) -> dict[tuple[Fraction, Fraction], Fraction]:
     """Level-zero slice of the group-averaged supertrace, by lattice counting.
 
     Zero modes are the bosonic raising modes at level 0 (one per variable,
@@ -157,8 +168,7 @@ def zero_level_group_average(
     """
     charges = compute_charges(potential)
     qs = tuple(charges.q)
-    ymin, ymax = Fraction(ywindow[0]), Fraction(ywindow[1])
-    windows = Windows.make(0, ymin, ymax)
+    ymin, ymax = _ywindow(ywindow)
     d = lcm(*(q.denominator for q in qs)) if qs else 1
     top = floor(ymax * d)
     rows = _pairing_rows(group)
@@ -185,9 +195,8 @@ def zero_level_group_average(
                     raise StateCapError(cap)
         states = {key: v for key, v in out.items() if v}
     zero = (0,) * len(rows)
-    entries = {
-        (Fraction(0), Fraction(ky, d)): v
+    return {
+        (Fraction(0), Fraction(ky, d)): Fraction(v)
         for (ky, residues), v in states.items()
         if residues == zero and ky >= ymin * d
     }
-    return BiSeries.from_terms(d, 1, windows, entries)

@@ -1,14 +1,15 @@
 """Shared fixtures: test potentials and a hypothesis strategy for invertible
-ones, a slow reference builder for sector series assembled from the public
-series operations only, the term-pair reference arithmetic for the exact
-engine's integer-vector series, list-based reference group algebra kept off
-the lattice code, the one-vector-at-a-time zero-level lattice count, and a
-point-by-point zero count of one atom's sector theta ratio."""
+ones, the term-pair reference arithmetic for the exact engine's
+integer-vector series and a slow sector builder on it, list-based reference
+group algebra kept off the lattice code, the one-vector-at-a-time zero-level
+lattice count, and a point-by-point zero count of one atom's sector theta
+ratio.  Nothing here imports the engine or ``genus`` at module level."""
 
 import itertools
 import math
 from fractions import Fraction
 from functools import lru_cache
+from types import SimpleNamespace
 
 from hypothesis import assume
 from hypothesis import strategies as st
@@ -19,7 +20,6 @@ from orbigenus.exactmath import (
     invert_rational_matrix,
     lcm,
     mat_det,
-    root_of_unity,
 )
 from orbigenus.potential import (
     compute_charges,
@@ -27,7 +27,6 @@ from orbigenus.potential import (
     parse_potential,
     transpose_potential,
 )
-from orbigenus.qseries import BiSeries, Windows, geom_expand, series_mul
 
 F = Fraction
 
@@ -86,62 +85,6 @@ def genus_series_cached(text, group_gens, qmax, ycap):
     p = parse_potential(text)
     group = SymmetryGroup.from_generator_strings(group_gens, p.dimension)
     return ell_genus_series(p, group, qmax=qmax, ycap=ycap)
-
-
-def reference_sector_pair_series(potential, thetas_n, thetas_n1, windows, conductor):
-    """One (n, n1) sector term built factor-by-factor from public ops.
-
-    Slow but structurally independent of the fused engine: expands every
-    numerator polynomial and denominator tower explicitly and applies the
-    sector prefactor as an exponent shift at the end.
-    """
-    charges = compute_charges(potential)
-    pad = sum(
-        (q * windows.qmax / (1 - t) for q, t in zip(charges.q, thetas_n)),
-        F(0),
-    ) + len(charges.q) * (1 + windows.qmax)
-    d = lcm(
-        conductor,
-        windows.qmax.denominator,
-        windows.ymin.denominator,
-        windows.ymax.denominator,
-        *(q.denominator for q in charges.q),
-        *(t.denominator for t in thetas_n),
-    )
-    work = Windows.make(windows.qmax, windows.ymin - pad, windows.ymax + pad)
-    out = BiSeries.one(d, conductor, work)
-    for j, qj in enumerate(charges.q):
-        tn, tn1 = thetas_n[j], thetas_n1[j]
-        zeta = root_of_unity(int(tn1 * conductor), conductor)
-        zeta_bar = root_of_unity(-int(tn1 * conductor), conductor)
-        # fermionic factors (1 - zbar y^(1-q) q^(k-t)), k >= 0, shifted by the
-        # per-variable prefactor piece (y^-1 q)^t so exponents stay >= 0
-        bracket = BiSeries.from_terms(
-            d, conductor, work,
-            {(tn, -tn): 1, (F(0), 1 - qj - tn): -zeta_bar},
-        )
-        out = series_mul(out, bracket)
-        k = 1
-        while k - tn <= windows.qmax:
-            out = series_mul(out, BiSeries.from_terms(
-                d, conductor, work,
-                {(F(0), F(0)): 1, (k - tn, 1 - qj): -zeta_bar}))
-            k += 1
-        k = 1
-        while k + tn <= windows.qmax:
-            out = series_mul(out, BiSeries.from_terms(
-                d, conductor, work,
-                {(F(0), F(0)): 1, (k + tn, qj - 1): -zeta}))
-            k += 1
-        k = 0
-        while k + tn <= windows.qmax:
-            out = series_mul(out, geom_expand(qj, k + tn, zeta, work, denominator=d))
-            k += 1
-        k = 1
-        while k - tn <= windows.qmax:
-            out = series_mul(out, geom_expand(-qj, k - tn, zeta_bar, work, denominator=d))
-            k += 1
-    return out.restricted(windows)
 
 
 # ---------------------------------------------------------------------------
@@ -246,6 +189,60 @@ def reference_variable_factor(ctx, j, a, b):
     for poly in polys:
         series = reference_series_mul(series, poly, ctx)
     return series
+
+
+def reference_sector_pair_series(potential, thetas_n, thetas_n1, windows, conductor):
+    """One (n, n1) sector term: the product over the variables of
+    ``reference_variable_factor``, multiplied with ``reference_series_mul``.
+
+    The product runs on a window of its own, padded by the largest negative
+    y-excursion the q-window allows, and is then restricted to ``windows``.
+    Returns {(e_q, e_y): coefficient vector over the power basis of zeta_N}
+    with N = ``conductor``, which every twist denominator must divide.
+    """
+    qs = tuple(compute_charges(potential).q)
+    pad = sum(
+        (q * windows.qmax / (1 - t) for q, t in zip(qs, thetas_n)),
+        F(0),
+    ) + len(qs) * (1 + windows.qmax)
+    d = lcm(
+        conductor,
+        windows.qmax.denominator,
+        windows.ymin.denominator,
+        windows.ymax.denominator,
+        *(q.denominator for q in qs),
+    )
+    ctx = SimpleNamespace(
+        conductor=conductor,
+        denominator=d,
+        qcap=int(windows.qmax * d),
+        ylo=math.floor((min(windows.ymin, 0) - pad) * d),
+        yhi=math.ceil((windows.ymax + pad) * d),
+        charges=qs,
+        moduli=(conductor,) * len(qs),
+    )
+
+    def twist(t):
+        scaled = t * conductor
+        assert scaled.denominator == 1, f"twist {t} not a multiple of 1/{conductor}"
+        return int(scaled)
+
+    series = {(0, 0): list(_power_rows(conductor)[0])}
+    for j in range(len(qs)):
+        factor = reference_variable_factor(ctx, j, twist(thetas_n[j]), twist(thetas_n1[j]))
+        series = reference_series_mul(series, factor, ctx)
+    return {
+        (F(kq, d), F(ky, d)): vec
+        for (kq, ky), vec in series.items()
+        if windows.ymin * d <= ky <= windows.ymax * d
+    }
+
+
+def reference_rational_terms(series, scale=1):
+    """{(e_q, e_y): Fraction} of a vector series times ``scale``, zeros
+    dropped; every vector must be rational (zero off the constant slot)."""
+    assert all(not any(vec[1:]) for vec in series.values()), "non-rational coefficient"
+    return {key: F(vec[0]) * scale for key, vec in series.items() if vec[0]}
 
 
 # ---------------------------------------------------------------------------
@@ -430,7 +427,6 @@ def reference_zero_level(potential, group, ywindow):
     qs = tuple(charges.q)
     dim = len(qs)
     ymin, ymax = F(ywindow[0]), F(ywindow[1])
-    windows = Windows.make(0, ymin, ymax)
     d = lcm(*(q.denominator for q in qs)) if qs else 1
     gen_coords = [g.entries for g in group.generators]
     counts = {}
@@ -461,8 +457,7 @@ def reference_zero_level(potential, group, ywindow):
             c += 1
 
     recurse(0, 0, tuple(F(0) for _ in gen_coords), 0)
-    entries = {(F(0), F(ky, d)): v for ky, v in counts.items() if v}
-    return BiSeries.from_terms(d, 1, windows, entries)
+    return {(F(0), F(ky, d)): F(v) for ky, v in counts.items() if v}
 
 
 # ---------------------------------------------------------------------------

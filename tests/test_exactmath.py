@@ -1,22 +1,22 @@
+import math
 import random
 from fractions import Fraction
 
 import pytest
 
 from orbigenus.exactmath import (
-    CycNum,
-    NotRationalError,
     SingularMatrixError,
-    cyc_to_rational,
+    _power_rows,
     cyclotomic_polynomial,
     euler_phi,
     int_matrix,
     invert_rational_matrix,
     mat_det,
     mat_mul,
-    root_of_unity,
     smith_normal_form,
 )
+
+from helpers import reference_vec_mul
 
 F = Fraction
 
@@ -101,83 +101,50 @@ def test_cyclotomic_polynomials():
     assert euler_phi(12) == 4
 
 
+def _power(row, k, n):
+    """row^k in Z[zeta_n], one ``reference_vec_mul`` at a time."""
+    acc = _power_rows(n)[0]
+    for _ in range(k):
+        acc = reference_vec_mul(acc, row, n)
+    return tuple(acc)
+
+
 def test_root_of_unity_identity():
+    # zeta^0 = 1, and zeta^n = 1: as a product of n rows 1, and as the stored
+    # row n where the table reaches that far
     for n in (1, 2, 3, 4, 5, 7, 12, 30):
-        assert cyc_to_rational(root_of_unity(0, n)) == 1
+        rows = _power_rows(n)
+        one = rows[0]
+        assert one == (1,) + (0,) * (euler_phi(n) - 1)
+        assert _power(rows[1 % n], n, n) == one  # zeta = rows[1], or 1 for n = 1
+        if len(rows) > n:
+            assert rows[n] == one
 
 
 def test_root_of_unity_fourth():
-    i = root_of_unity(1, 4)
-    assert cyc_to_rational(i * i) == -1
+    i = _power_rows(4)[1]
+    assert tuple(reference_vec_mul(i, i, 4)) == (-1, 0)
 
 
 def test_fifth_roots_sum_to_zero():
-    total = CycNum.zero(5)
-    for k in range(5):
-        total = total + root_of_unity(k, 5)
-    assert total.is_zero()
+    # the first n rows of a prime n are the n-th roots of unity, summing to 0
+    for n in (2, 3, 5, 7, 11):
+        rows = _power_rows(n)
+        assert [sum(col) for col in zip(*rows[:n])] == [0] * euler_phi(n)
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6, 10, 12])
 def test_root_of_unity_orders(n):
+    rows = _power_rows(n)
     for k in range(n):
-        z = root_of_unity(k, n)
-        order = n // __import__("math").gcd(k, n) if k else 1
-        acc = CycNum.one(n)
-        seen_one_early = False
-        for step in range(1, order + 1):
-            acc = acc * z
-            if step < order and acc == CycNum.one(n):
-                seen_one_early = True
-        assert acc == CycNum.one(n)
-        assert not seen_one_early
+        order = n // math.gcd(k, n)
+        powers = [_power(rows[k], step, n) for step in range(1, order + 1)]
+        assert powers[-1] == rows[0]
+        assert rows[0] not in powers[:-1]
 
 
 def test_inverse_roots_multiply_to_one():
     for n in (3, 5, 8, 12):
+        rows = _power_rows(n)
         for k in range(n):
-            assert root_of_unity(k, n) * root_of_unity(-k, n) == CycNum.one(n)
-
-
-def test_cyc_to_rational_cases():
-    assert cyc_to_rational(CycNum.one(5)) == 1
-    z = root_of_unity(1, 4) + root_of_unity(3, 4)
-    assert cyc_to_rational(z) == 0
-    with pytest.raises(NotRationalError) as err:
-        cyc_to_rational(root_of_unity(1, 5))
-    assert err.value.residual  # carries the nonzero components
-
-
-def test_cycnum_ring_axioms_random():
-    rng = random.Random(5)
-    for n in (2, 4, 5, 6, 12):
-        phi = euler_phi(n)
-
-        def rand_elem():
-            return CycNum(n, tuple(F(rng.randint(-4, 4), rng.randint(1, 3)) for _ in range(phi)))
-
-        for _ in range(15):
-            a, b, c = rand_elem(), rand_elem(), rand_elem()
-            assert a * b == b * a
-            assert (a * b) * c == a * (b * c)
-            assert a * (b + c) == a * b + a * c
-
-
-def test_conjugate_and_lift():
-    z = root_of_unity(1, 5)
-    assert z.conjugate() == root_of_unity(4, 5)
-    assert (z * z.conjugate()) == CycNum.one(5)
-    lifted = z.lift(10)
-    assert lifted == root_of_unity(2, 10)
-    # lifting a rational keeps it rational
-    assert CycNum.from_rational(5, F(3, 7)).lift(10) == CycNum.from_rational(10, F(3, 7))
-
-
-def test_complex_value_agrees():
-    import cmath
-
-    for n in (3, 5, 12):
-        for k in range(n):
-            approx = root_of_unity(k, n).complex_value()
-            exact = cmath.exp(2j * cmath.pi * k / n)
-            assert abs(approx - exact) < 1e-12
+            assert tuple(reference_vec_mul(rows[k], rows[(-k) % n], n)) == rows[0]
