@@ -21,6 +21,14 @@ fermionic binomial is a shift-and-add and each bosonic geometric tower a
 first-order recurrence along its step, in both cases cut to the window after
 every factor exactly as a term-by-term product would be.
 
+The right twist b of a factor enters only through the phase w^b, w = e(1/m_j),
+so each factor is built once per left twist a as a formal polynomial F_a(w)
+with w^m_j = 1 (``variable_factor``).  The factor at any right twist is the
+substitution F_a(w^b), slot k moved to slot k b mod m_j and reduced mod
+Phi_N, and a character sum over the right twist is read off one slot:
+
+    sum_b e(i b / m_j) F_a(w^b) = m_j [w^(-i)] F_a.
+
 The double group sum is evaluated per side either directly over the group
 elements or, when the annihilator of the group inside prod_j Z/m_j is
 smaller, through the character-sum identity
@@ -309,37 +317,35 @@ def _scaled_exponent(value: Fraction, d: int) -> int:
     return int(out)
 
 
-def variable_factor(ctx: SeriesContext, j: int, a: int, b: int) -> Series:
-    """Exact single-variable factor for twist numerators (a, b) mod m_j.
+def variable_factor(ctx: SeriesContext, j: int, a: int) -> Series:
+    """Formal single-variable factor F_a(w) for left twist numerator a mod m_j.
 
     This is the j-th factor of the twisted-sector product with the
     (y^-1 q)^theta piece of the sector prefactor folded in, so every stored
-    q-exponent is non-negative.
+    q-exponent is non-negative.  Its coefficients are vectors over
+    w^0 .. w^(m_j - 1) with w^m_j = 1: the right twist b enters the factor
+    only through the phase zeta = w^b, so the factor at b is F_a(w^b)
+    (``_at_twist``), and sum_b e(i b / m_j) F_a(w^b) is m_j times the
+    coefficient of w^(-i).
 
     The factor is built one binomial or geometric tower at a time, each
-    product cut to the window as it is formed.  While building, coefficients
-    are vectors over x^0 .. x^(N-1) with x^N = 1, so a root of unity acts by
-    rotation; they are reduced mod Phi_N once at the end.  Not cached here:
-    ``double_sum`` caches factors per (q_j, m_j) class.
+    product cut to the window as it is formed; w acts by rotation.
     """
     qj = ctx.charges[j]
     m = ctx.moduli[j]
-    n = ctx.conductor
     d = ctx.denominator
     a %= m
-    b %= m
     theta = Fraction(a, m)
-    ib = (b * (n // m)) % n
     qcap, ylo, yhi = ctx.qcap, ctx.ylo, ctx.yhi
 
     # (y^-1 q)^theta * (1 - zeta_bar y^(1-qj) q^(-theta)): non-negative q-powers
     series: Series = {}
     kq1, ky1 = _scaled_exponent(theta, d), _scaled_exponent(-theta, d)
     if kq1 <= qcap and ylo <= ky1 <= yhi:
-        series[(kq1, ky1)] = [1] + [0] * (n - 1)
+        series[(kq1, ky1)] = [1] + [0] * (m - 1)
     ky2 = _scaled_exponent(1 - qj - theta, d)
     if ylo <= ky2 <= yhi:
-        series[(0, ky2)] = _rotate([-1] + [0] * (n - 1), -ib)
+        series[(0, ky2)] = _rotate([-1] + [0] * (m - 1), -1)
 
     # remaining fermionic factors (1 - zeta_bar y^(1-qj) q^(k-theta)) and
     # (1 - zeta y^(qj-1) q^(k+theta)) with positive q-exponent
@@ -351,10 +357,10 @@ def variable_factor(ctx: SeriesContext, j: int, a: int, b: int) -> Series:
                 break
             ky = _scaled_exponent(y_exp, d)
             if ylo <= ky <= yhi:
-                series = _times_binomial(series, kq, ky, sign * ib, ctx)
+                series = _times_binomial(series, kq, ky, sign, ctx)
             k += 1
-    # bosonic towers sum_s zeta^(s ib) (y^qj q^(k+theta))^s, k >= 0, and
-    # sum_s zeta^(-s ib) (y^-qj q^(k-theta))^s, k >= 1, expanded in the fixed
+    # bosonic towers sum_s zeta^s (y^qj q^(k+theta))^s, k >= 0, and
+    # sum_s zeta^(-s) (y^-qj q^(k-theta))^s, k >= 1, expanded in the fixed
     # annulus; the kept s are those whose term lies in the window
     for sign, first in ((1, 0), (-1, 1)):
         k = first
@@ -369,21 +375,27 @@ def variable_factor(ctx: SeriesContext, j: int, a: int, b: int) -> Series:
                 if ylo <= s * step_y <= yhi:
                     kept.append(s)
                 s += 1
-            series = _times_geometric(series, step_q, step_y, sign * ib, kept, ctx)
+            series = _times_geometric(series, step_q, step_y, sign, kept, m, ctx)
             k += 1
+    return series
 
-    return _reduced(series, ctx)
 
+def _at_twist(formal: Series, unit: int, ctx: SeriesContext) -> Series:
+    """A formal factor at w = x^unit, reduced mod Phi_N; zeros dropped.
 
-def _reduced(series: Series, ctx: SeriesContext) -> Series:
-    """Vectors over x^0 .. x^(N-1), x^N = 1, reduced mod Phi_N; zeros dropped."""
-    power_rows = _power_rows(ctx.conductor)
+    Slot k of a formal vector moves to x^(k unit mod N); for the right twist
+    b of a factor, unit = b N / m_j.
+    """
+    n = ctx.conductor
+    power_rows = _power_rows(n)
+    # a vector has at most N slots; zip stops at its last one
+    rows = [tuple((i, r) for i, r in enumerate(power_rows[k * unit % n]) if r) for k in range(n)]
     out: Series = {}
-    for term, cyc in series.items():
+    for term, coeffs in formal.items():
         vec = [0] * ctx.phi
-        for k, c in enumerate(cyc):
+        for c, row in zip(coeffs, rows):
             if c:
-                for i, r in enumerate(power_rows[k]):
+                for i, r in row:
                     vec[i] += c * r
         if any(vec):
             out[term] = vec
@@ -391,13 +403,13 @@ def _reduced(series: Series, ctx: SeriesContext) -> Series:
 
 
 def _rotate(vec: list[int], k: int) -> list[int]:
-    """vec * x^k for a coefficient vector over x^0 .. x^(N-1), x^N = 1."""
+    """vec * w^k for a coefficient vector over w^0 .. w^(m-1), w^m = 1."""
     k %= len(vec)
     return vec[-k:] + vec[:-k] if k else vec
 
 
 def _times_binomial(s: Series, kq: int, ky: int, k: int, ctx: SeriesContext) -> Series:
-    """s * (1 - x^k q^kq y^ky), x^N = 1 coefficients, truncated to the window."""
+    """s * (1 - w^k q^kq y^ky), w^m = 1 coefficients, truncated to the window."""
     qcap, ylo, yhi = ctx.qcap, ctx.ylo, ctx.yhi
     out: Series = dict(s)
     for (q, y), v in s.items():
@@ -410,14 +422,14 @@ def _times_binomial(s: Series, kq: int, ky: int, k: int, ctx: SeriesContext) -> 
 
 
 def _times_geometric(
-    s: Series, step_q: int, step_y: int, ratio: int, kept: list[int], ctx: SeriesContext
+    s: Series, step_q: int, step_y: int, ratio: int, kept: list[int], m: int, ctx: SeriesContext
 ) -> Series:
-    """s * sum_{t in kept} x^(t ratio) q^(t step_q) y^(t step_y) on the window,
-    x^N = 1 coefficients.
+    """s * sum_{t in kept} w^(t ratio) q^(t step_q) y^(t step_y) on the window,
+    w^m = 1 coefficients.
 
     ``kept`` is a run t0..t1.  Along each chain p, p + step, ... the product
-    obeys P[p] = x^(t0 ratio) s[p - t0 step] + x^ratio P[p - step]
-    - x^((t1+1) ratio) s[p - (t1+1) step].  A chain is walked from its first
+    obeys P[p] = w^(t0 ratio) s[p - t0 step] + w^ratio P[p - step]
+    - w^((t1+1) ratio) s[p - (t1+1) step].  A chain is walked from its first
     term through the window; P vanishes before it, and P[p - step] is zero
     whenever p - step leaves the window, because s has no terms beyond the
     window on that side.
@@ -426,8 +438,7 @@ def _times_geometric(
         return {}
     t0, t1 = kept[0], kept[-1]
     assert kept == list(range(t0, t1 + 1))
-    n = ctx.conductor
-    head, ratio, tail = (t0 * ratio) % n, ratio % n, ((t1 + 1) * ratio) % n
+    head, ratio, tail = (t0 * ratio) % m, ratio % m, ((t1 + 1) * ratio) % m
     back_q, back_y = t0 * step_q, t0 * step_y
     lag_q, lag_y = (t1 + 1) * step_q, (t1 + 1) * step_y
     qcap, ylo, yhi = ctx.qcap, ctx.ylo, ctx.yhi
@@ -462,13 +473,23 @@ def _times_geometric(
 # ---------------------------------------------------------------------------
 
 
+def _class_memos(charges, moduli) -> list[dict]:
+    """One memo per variable, shared by the variables of one (q_j, m_j) class:
+    their factors are the same functions of the twists."""
+    classes: dict = {}
+    return [classes.setdefault(key, {}) for key in zip(charges, moduli)]
+
+
 class _ExactRing:
     """Exact series coefficients for ``double_sum``: integer vectors over the
     power basis of zeta_N on the context window.
 
-    The factors are ``variable_factor``; e(k/N) acts by rotation, reduced mod
-    Phi_N once per character sum; a sector product is a chain of packed row
-    products; a mirrored product also adds its complex conjugate.
+    The ring keeps one formal factor F_a(w) of ``variable_factor`` per class
+    (q_j, m_j) and left twist a.  ``factor`` substitutes w = e(b / m_j) into
+    it and ``twist_sum`` reads the character sum over b off one slot; in
+    ``character_sum`` e(k/N) acts by rotation, reduced mod Phi_N once per
+    sum; a sector product is a chain of packed row products; a mirrored
+    product also adds its complex conjugate.
     """
 
     mirrors = True
@@ -477,9 +498,27 @@ class _ExactRing:
         self.ctx = ctx
         self.charges = ctx.charges
         self.moduli = ctx.moduli
+        self._formal = _class_memos(self.charges, self.moduli)
+
+    def _formal_factor(self, j: int, a: int) -> Series:
+        a %= self.moduli[j]
+        formal = self._formal[j].get(a)
+        if formal is None:
+            formal = self._formal[j][a] = variable_factor(self.ctx, j, a)
+        return formal
 
     def factor(self, j: int, a: int, b: int) -> Series:
-        return variable_factor(self.ctx, j, a, b)
+        """The factor at twists (a, b): F_a(w^b), reduced mod Phi_N."""
+        m = self.moduli[j]
+        return _at_twist(self._formal_factor(j, a), b % m * (self.ctx.conductor // m), self.ctx)
+
+    def twist_sum(self, j: int, a: int, index: int) -> Series:
+        """sum_b e(index b / m_j) factor(j, a, b) = m_j [w^(-index)] F_a, a
+        rational series."""
+        m = self.moduli[j]
+        k = -index % m
+        pad = [0] * (self.ctx.phi - 1)
+        return {key: [m * vec[k]] + pad for key, vec in self._formal_factor(j, a).items() if vec[k]}
 
     def character_sum(self, index: int, values: list[Series]) -> Series:
         """sum_t e(index t / m) values[t], m = len(values)."""
@@ -492,7 +531,7 @@ class _ExactRing:
                 moved = _rotate(list(vec) + [0] * (n - len(vec)), k)
                 cur = acc.get(key)
                 acc[key] = moved if cur is None else list(map(add, cur, moved))
-        return _reduced(acc, self.ctx)
+        return _at_twist(acc, 1, self.ctx)
 
     def total(self, products) -> Series:
         """Sum of the products of each factor list, with the conjugate of each
@@ -519,37 +558,35 @@ def double_sum(ring, reps_l: list[Vec], reps_r: list[Vec], mode_l: str, mode_r: 
     """Sum over (left, right) representatives of the product over variables.
 
     Mode "D" iterates group-element coordinates, mode "T" annihilator
-    characters.  Variable j of a pair (il, ir) contributes the ring's factor
-    f_j(il, ir) with each "T" side replaced by the character sum over its
-    twist slot: sum_a e(il a / m_j) f_j(a, ir) on the left, and on the right
-    sum_b e(ir b / m_j) of the left-hand form at (il, b).  These depend on j
-    only through (q_j, m_j) and are cached per such class.
+    characters.  Variable j of a pair (il, ir) contributes the ring's
+    transform of its factor f_j(a, b): f_j(il, ir) itself for ("D", "D"),
+    the right twist sum ``twist_sum(j, il, ir)`` = sum_b e(ir b / m_j)
+    f_j(il, b) for ("D", "T"), and for a "T" left side the character sum
+    sum_a e(il a / m_j) of the ("D", right) transform at (a, ir).  These
+    depend on j only through (q_j, m_j) and are cached per such class.
 
     The ring supplies ``charges``, ``moduli``, ``factor(j, a, b)``,
-    ``character_sum(index, values)``, ``total`` of an iterable of (factor
-    list, mirrored) pairs, and ``mirrors``.  A ring that mirrors pairs
-    conjugate products, so roughly half are computed: conj f_j(a, b) =
-    f_j(a, -b), as b enters only through the phase zeta^b, and conjugation
-    negates a character index, so the conjugate pair negates a "T" left
-    index and a "D" right twist.
+    ``twist_sum(j, a, index)``, ``character_sum(index, values)``, ``total``
+    of an iterable of (factor list, mirrored) pairs, and ``mirrors``.  A ring
+    that mirrors pairs conjugate products, so roughly half are computed:
+    conj f_j(a, b) = f_j(a, -b), as b enters only through the phase w^b,
+    and conjugation negates a character index, so the conjugate pair negates
+    a "T" left index and a "D" right twist.
     """
     moduli = ring.moduli
     modes = (mode_l, mode_r)
-    classes: dict = {}
-    cache = [classes.setdefault(key, {}) for key in zip(ring.charges, moduli)]
+    cache = _class_memos(ring.charges, moduli)
 
     def transform(j: int, sides: tuple[str, str], il: int, ir: int):
         memo = cache[j]
         key = (sides, il, ir)
         val = memo.get(key)
         if val is None:
-            m = moduli[j]
-            if sides[1] == "T":
-                inner = (sides[0], "D")
-                val = ring.character_sum(ir, [transform(j, inner, il, b) for b in range(m)])
-            elif sides[0] == "T":
-                inner = ("D", "D")
-                val = ring.character_sum(il, [transform(j, inner, a, ir) for a in range(m)])
+            if sides[0] == "T":
+                inner = ("D", sides[1])
+                val = ring.character_sum(il, [transform(j, inner, a, ir) for a in range(moduli[j])])
+            elif sides[1] == "T":
+                val = ring.twist_sum(j, il, ir)
             else:
                 val = ring.factor(j, il, ir)
             memo[key] = val

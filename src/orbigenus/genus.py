@@ -135,8 +135,10 @@ class GenusSeries:
 # ---------------------------------------------------------------------------
 
 
-def _conductor(charges: tuple[Fraction, ...], moduli: tuple[int, ...]) -> int:
-    return lcm(*(q.denominator for q in charges), *moduli)
+def _conductor(moduli: tuple[int, ...]) -> int:
+    """Order of the roots of unity in the factors: every twist is a multiple
+    of 1/m_j.  (An admissible group contains J, so den(q_j) divides m_j.)"""
+    return lcm(*moduli)
 
 
 def _work_denominator(
@@ -147,7 +149,7 @@ def _work_denominator(
     st_hi: Fraction,
 ) -> int:
     """Exponent denominator of the context for the window [st_lo, st_hi]."""
-    return lcm(2, _conductor(charges, moduli), qmax.denominator, st_lo.denominator,
+    return lcm(2, _conductor(moduli), qmax.denominator, st_lo.denominator,
                st_hi.denominator, *(q.denominator for q in charges))
 
 
@@ -160,7 +162,7 @@ def _build_context(
     theta_max: tuple[Fraction, ...],
 ) -> SeriesContext:
     """Context with a work window wide enough to be exact on [st_lo, st_hi]."""
-    n = _conductor(charges, moduli)
+    n = _conductor(moduli)
     d = _work_denominator(charges, moduli, qmax, st_lo, st_hi)
     cap = _engine.negative_capacity(charges, theta_max, qmax)
     ylo = floor((-cap) * d)
@@ -224,9 +226,8 @@ def _exact_double_sum(
 
 def _in_window(total: _engine.Series, ctx: SeriesContext, windows: Windows) -> _engine.Series:
     """The terms of an engine total with y-exponent inside ``windows``."""
-    d = ctx.denominator
-    return {(kq, ky): vec for (kq, ky), vec in total.items()
-            if windows.ymin * d <= ky <= windows.ymax * d}
+    lo, hi = windows.ymin * ctx.denominator, windows.ymax * ctx.denominator
+    return {(kq, ky): vec for (kq, ky), vec in total.items() if lo <= ky <= hi}
 
 
 def cone_supertrace_series(
@@ -433,7 +434,9 @@ def sector_value_numeric(
 class _ThetaRing:
     """Sector-factor values at one (z, tau), the numeric ring of
     ``_engine.double_sum``.  It never mirrors: conjugate pairing holds for
-    series coefficients, not for values at complex (z, tau)."""
+    series coefficients, not for values at complex (z, tau).  Factor values
+    are kept per class (q_j, m_j) and twist pair, so the right twist sums of
+    one left twist share them."""
 
     charges: tuple[Fraction, ...]
     moduli: tuple[int, ...]
@@ -443,14 +446,26 @@ class _ThetaRing:
     params: ThetaParams | None
     mirrors = False
 
+    def __post_init__(self):
+        self._values = _engine._class_memos(self.charges, self.moduli)
+
     def factor(self, j: int, a: int, b: int) -> complex:
         m = self.moduli[j]
-        tn, tn1 = Fraction(a % m, m), Fraction(b % m, m)
-        return _theta_ratio(
-            self.charges[j], tn, tn1, self.z, self.tau, self.params, POLE_EPS,
-            lambda dist: NearPoleError(j, self.group.element_with(j, tn).entries,
-                                       self.group.element_with(j, tn1).entries, dist),
-        )
+        a, b = a % m, b % m
+        values = self._values[j]
+        value = values.get((a, b))
+        if value is None:
+            tn, tn1 = Fraction(a, m), Fraction(b, m)
+            value = values[a, b] = _theta_ratio(
+                self.charges[j], tn, tn1, self.z, self.tau, self.params, POLE_EPS,
+                lambda dist: NearPoleError(j, self.group.element_with(j, tn).entries,
+                                           self.group.element_with(j, tn1).entries, dist),
+            )
+        return value
+
+    def twist_sum(self, j: int, a: int, index: int) -> complex:
+        """sum_b e(index b / m_j) factor(j, a, b), summed term by term."""
+        return self.character_sum(index, [self.factor(j, a, b) for b in range(self.moduli[j])])
 
     def character_sum(self, index: int, values: list[complex]) -> complex:
         """sum_t e(index t / m) values[t], m = len(values)."""

@@ -30,7 +30,9 @@ if TYPE_CHECKING:
 STATE_CAP = 10**7
 
 
-class StateCapError(RuntimeError):
+class StateCapError(ArithmeticError):
+    """The state enumeration outgrew its cap; a computation limit, exit 1."""
+
     def __init__(self, cap: int):
         super().__init__(f"state enumeration exceeded the cap of {cap} work units")
         self.cap = cap

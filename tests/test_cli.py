@@ -5,7 +5,9 @@ from pathlib import Path
 
 import pytest
 
+from orbigenus import cli
 from orbigenus.cli import main
+from orbigenus.oracle import StateCapError
 
 QUINTIC = "x1^5+x2^5+x3^5+x4^5+x5^5"
 SEPTIC = "+".join(f"x{i}^7" for i in range(1, 8))
@@ -189,6 +191,29 @@ def test_genus_septic_fermat_j_output(capsys):
     code, out, _ = run_cli(capsys, "genus", "--potential", SEPTIC, "--qmax", "1")
     assert code == 0
     assert out == (DATA / "septic_J_q1.json").read_text()
+
+
+def test_genus_dual_k3_chain_mode_t_output(capsys):
+    """Mode T with moduli (3, 12, 4, 4) and N = 12, so most right twists are
+    not coprime to their modulus; stdout recorded from the code that built
+    every factor at its own right twist."""
+    code, out, _ = run_cli(
+        capsys, "genus", "--potential", "x1^3+x1*x2^4+x3^4+x4^4",
+        "--group", "0,0,1/4,3/4;0,1/4,0,3/4;1/3,1/6,0,1/2", "--qmax", "2",
+    )
+    assert code == 0
+    assert out == (DATA / "k3chain_dual_T_q2.json").read_text()
+
+
+def test_check_oracle_state_cap_exit_code(capsys, monkeypatch):
+    def capped(*args, **kwargs):
+        raise StateCapError(10)
+
+    monkeypatch.setattr(cli, "zero_level_group_average", capped)
+    code, out, err = run_cli(capsys, "check", "--potential", QUINTIC, "--set", "oracle")
+    assert code == 1
+    assert out == ""
+    assert err == "computation failed: state enumeration exceeded the cap of 10 work units\n"
 
 
 @pytest.mark.parametrize("case", GENUS_STDOUT, ids=lambda c: " ".join(c["argv"][2:]))

@@ -2,8 +2,10 @@
 
 The driver runs the exact path over ``_engine._ExactRing`` and the numeric
 path over ``genus._ThetaRing``.  These tests swap the exact ring for a
-subclass that counts or unpairs products, and compare the numeric ring with
-explicit character sums and sector-by-sector totals.
+subclass that counts or unpairs products, compare single transforms of both
+rings with explicit sums (the exact ones over the engine-free reference
+factors of ``helpers``), and compare the numeric ring with sector-by-sector
+totals.
 """
 
 import cmath
@@ -14,16 +16,24 @@ import pytest
 from hypothesis import HealthCheck, assume, example, given, settings
 from hypothesis import strategies as st
 
-from helpers import CUBIC, K3_CHAIN, QUINTIC, cy_potentials
+from helpers import (
+    CUBIC,
+    K3_CHAIN,
+    QUINTIC,
+    cy_potentials,
+    reference_variable_factor,
+    reference_vec_mul,
+)
 from orbigenus import _engine, genus
+from orbigenus.exactmath import _power_rows
 from orbigenus.genus import (
     NearPoleError,
     ell_genus_numeric,
     sector_value_from_coords,
     sector_value_numeric,
 )
-from orbigenus.potential import compute_charges
-from orbigenus.symmetry import grading_subgroup, sl_subgroup
+from orbigenus.potential import compute_charges, transpose_potential
+from orbigenus.symmetry import dual_group, grading_subgroup, sl_subgroup
 
 F = Fraction
 Z, TAU = 0.23 + 0.04j, 0.11 + 1.31j
@@ -112,6 +122,88 @@ def test_theta_transforms_match_explicit_character_sums(modes):
             for a in lefts for b in rights
         )
     assert abs(value - expected) <= 1e-12 * max(1.0, abs(expected))
+
+
+# The dual K3 chain with the dual of J: moduli (3, 12, 4, 4), N = 12, mode T.
+K3_DUAL = transpose_potential(K3_CHAIN)
+K3_DUAL_GROUP = dual_group(K3_CHAIN, grading_subgroup(K3_CHAIN))
+
+
+def transform_contexts():
+    """Contexts with m_j = N (12 of 12), m_j < N, and m_j = 1 both at N = 1
+    (the trivial group) and inside N = 12."""
+    qs = tuple(compute_charges(K3_DUAL).q)
+    moduli = K3_DUAL_GROUP.coordinate_moduli()
+    assert moduli == (3, 12, 4, 4)
+    out = []
+    for mods in (moduli, (1, 12, 4, 4), (1, 1, 1, 1)):
+        theta_max = tuple(F(m - 1, m) for m in mods)
+        out.append(genus._build_context(qs, mods, F(1), F(-2), F(3), theta_max))
+    return out
+
+
+@pytest.mark.parametrize("ctx", transform_contexts(), ids=lambda c: str(c.moduli))
+def test_exact_transforms_match_reference_sums(ctx):
+    """factor(j, a, b) at every right twist b, coprime to m_j or not, and
+    twist_sum(j, a, i) = sum_b e(i b / m_j) f_j(a, b), against factors built
+    directly at b by the reference construction."""
+    n = ctx.conductor
+    roots = _power_rows(n)
+    ring = _engine._ExactRing(ctx)
+    for j, m in enumerate(ctx.moduli):
+        for a in range(m):
+            direct = [reference_variable_factor(ctx, j, a, b) for b in range(m)]
+            for b in range(m):
+                assert ring.factor(j, a, b) == direct[b], (j, a, b)
+            for i in range(m):
+                expected = {}
+                for b, series in enumerate(direct):
+                    phase = roots[i * b * (n // m) % n]
+                    for key, vec in series.items():
+                        term = reference_vec_mul(phase, vec, n)
+                        cur = expected.setdefault(key, [0] * ctx.phi)
+                        expected[key] = [u + v for u, v in zip(cur, term)]
+                expected = {key: vec for key, vec in expected.items() if any(vec)}
+                assert ring.twist_sum(j, a, i) == expected, (j, a, i)
+
+
+def test_theta_twist_sum_matches_explicit_sum():
+    qs = tuple(compute_charges(K3_DUAL).q)
+    moduli = K3_DUAL_GROUP.coordinate_moduli()
+    ring = genus._ThetaRing(qs, moduli, K3_DUAL_GROUP, Z, TAU, None)
+    for j, (q, m) in enumerate(zip(qs, moduli)):
+        for a in range(m):
+            for i in range(m):
+                expected = sum(
+                    cmath.exp(2j * math.pi * i * b / m)
+                    * sector_value_from_coords((q,), (F(a, m),), (F(b, m),), Z, TAU)
+                    for b in range(m))
+                value = ring.twist_sum(j, a, i)
+                assert abs(value - expected) <= 1e-12 * max(1.0, abs(expected)), (j, a, i)
+
+
+@pytest.mark.parametrize("potential, group, mode", [
+    (K3_DUAL, K3_DUAL_GROUP, "T"),
+    (QUINTIC, sl_subgroup(QUINTIC), "T"),
+    (K3_CHAIN, sl_subgroup(K3_CHAIN), "D"),
+])
+def test_one_formal_factor_per_left_twist(monkeypatch, potential, group, mode):
+    """Each (q_j, m_j) class builds at most one formal factor per left twist,
+    whatever the right twists and character indices."""
+    builds = []
+    build = _engine.variable_factor
+
+    def counted(ctx, j, a):
+        builds.append((ctx.charges[j], ctx.moduli[j], a % ctx.moduli[j]))
+        return build(ctx, j, a)
+
+    moduli, _, chosen = genus._group_data(group)
+    assert chosen == mode
+    monkeypatch.setattr(_engine, "variable_factor", counted)
+    genus._exact_double_sum(potential, group, F(1), F(-2), F(4))
+    classes = set(zip(compute_charges(potential).q, moduli))
+    assert builds and len(builds) == len(set(builds))
+    assert len(builds) <= sum(m for _, m in classes)
 
 
 @st.composite

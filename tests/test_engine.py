@@ -120,11 +120,12 @@ def test_variable_factor_cut_windows(potential, ylo, yhi):
     theta_max = tuple(Fraction(m - 1, m) for m in moduli)
     ctx = _build_context(charges, moduli, Fraction(2), Fraction(-1), Fraction(1), theta_max)
     ctx = replace(ctx, ylo=ylo, yhi=yhi)
+    ring = _engine._ExactRing(ctx)
     for j, m in enumerate(moduli):
         for a in range(m):
             for b in range(m):
                 expected = reference_variable_factor(ctx, j, a, b)
-                assert _engine.variable_factor(ctx, j, a, b) == expected, (j, a, b)
+                assert ring.factor(j, a, b) == expected, (j, a, b)
 
 
 @pytest.mark.parametrize(
@@ -137,8 +138,9 @@ def test_variable_factor_matches_seed_construction(potential, group):
     qmax = Fraction(3)
     theta_max = tuple(Fraction(m - 1, m) for m in moduli)
     ctx = _build_context(charges, moduli, qmax, Fraction(-3), Fraction(5), theta_max)
+    ring = _engine._ExactRing(ctx)
     for j, m in enumerate(moduli):
         for a in range(m):
             for b in range(m):
                 expected = reference_variable_factor(ctx, j, a, b)
-                assert _engine.variable_factor(ctx, j, a, b) == expected, (j, a, b)
+                assert ring.factor(j, a, b) == expected, (j, a, b)

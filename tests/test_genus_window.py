@@ -22,8 +22,8 @@ from orbigenus.genus import (
     ell_genus_series,
     jacobi_reach,
 )
-from orbigenus.potential import compute_charges
-from orbigenus.symmetry import grading_subgroup, sl_subgroup
+from orbigenus.potential import compute_charges, transpose_potential
+from orbigenus.symmetry import dual_group, grading_subgroup, sl_subgroup
 
 F = Fraction
 
@@ -164,6 +164,30 @@ def test_default_window_holds_the_jacobi_reach(potential, qmax):
         assert q < F(1, 2) or (q == F(1, 2) and square in potential.matrix)
     cbar, qmax = charges.central_charge, F(qmax)
     assert jacobi_reach(cbar, qmax) <= cbar / 2 + 2 * qmax <= default_y_cap(potential, qmax)
+
+
+@settings(max_examples=40, deadline=None,
+          suppress_health_check=[HealthCheck.filter_too_much, HealthCheck.too_slow])
+@given(potential=cy_potentials(max_det=10**6))
+def test_charge_denominators_divide_the_moduli(potential):
+    """Every admissible group contains J = (q_1, ..., q_d), so den(q_j)
+    divides m_j, and the conductor lcm(m_j) already holds every charge
+    denominator: J and SL on W, and their duals on W^T."""
+    transposed = transpose_potential(potential)
+    cases = [(potential, grading_subgroup(potential)), (potential, sl_subgroup(potential))]
+    cases += [(transposed, dual_group(potential, g)) for _, g in cases]
+    for p, group in cases:
+        moduli = group.coordinate_moduli()
+        dens = [q.denominator for q in compute_charges(p).q]
+        assert all(m % den == 0 for den, m in zip(dens, moduli)), (p.text, moduli)
+        assert genus._conductor(moduli) == lcm(*dens, *moduli)
+
+
+def test_cone_runs_at_conductor_one():
+    qs = tuple(compute_charges(QUINTIC).q)
+    zero = (F(0),) * len(qs)
+    ctx = genus._build_context(qs, (1,) * len(qs), F(3), F(-3), F(3), zero)
+    assert (ctx.conductor, ctx.phi) == (1, 1)
 
 
 def inject_term_beyond_bound(monkeypatch):
