@@ -433,10 +433,11 @@ def sector_value_numeric(
 @dataclass
 class _ThetaRing:
     """Sector-factor values at one (z, tau), the numeric ring of
-    ``_engine.double_sum``.  It never mirrors: conjugate pairing holds for
-    series coefficients, not for values at complex (z, tau).  Factor values
-    are kept per class (q_j, m_j) and twist pair, so the right twist sums of
-    one left twist share them."""
+    ``_engine.double_sum``: complex numbers, multiplied and summed as they
+    are.  It never mirrors: conjugate pairing holds for series coefficients,
+    not for values at complex (z, tau).  Factor values are kept per class
+    (q_j, m_j) and twist pair, so the right twist sums of one left twist
+    share them."""
 
     charges: tuple[Fraction, ...]
     moduli: tuple[int, ...]
@@ -445,6 +446,7 @@ class _ThetaRing:
     tau: complex
     params: ThetaParams | None
     mirrors = False
+    unit = 1.0 + 0j
 
     def __post_init__(self):
         self._values = _engine._class_memos(self.charges, self.moduli)
@@ -475,14 +477,18 @@ class _ThetaRing:
             out += cmath.exp(2j * math.pi * index * t / m) * value
         return out
 
-    def total(self, products) -> complex:
-        out = 0j
-        for factors, _ in products:
-            term = 1.0 + 0j
-            for f in factors:
-                term *= f
-            out += term
-        return out
+    def lift(self, value: complex) -> complex:
+        return value
+
+    def mul(self, a: complex, b: complex) -> complex:
+        return a * b
+
+    def accumulate(self, acc: complex | None, product: complex, flag: int) -> complex:
+        """acc + product; a ring that never mirrors gets no conjugating flag."""
+        return product if acc is None else acc + product
+
+    def finish(self, acc: complex) -> complex:
+        return acc
 
 
 def ell_genus_numeric(

@@ -28,13 +28,17 @@ if TYPE_CHECKING:
     from .symmetry import SymmetryGroup
 
 STATE_CAP = 10**7
+# States the table of ``zero_level_group_average`` may hold: about 0.3 kB
+# each, so the table stays near 100 MB.  The reference models hold at most
+# 1472 (the quintic with SL), the septic Fermat with SL 185944.
+TABLE_CAP = 3 * 10**5
 
 
 class StateCapError(ArithmeticError):
     """The state enumeration outgrew its cap; a computation limit, exit 1."""
 
-    def __init__(self, cap: int):
-        super().__init__(f"state enumeration exceeded the cap of {cap} work units")
+    def __init__(self, cap: int, unit: str = "work units"):
+        super().__init__(f"state enumeration exceeded the cap of {cap} {unit}")
         self.cap = cap
 
 
@@ -166,7 +170,8 @@ def zero_level_group_average(
     partial occupancy vectors that reach it.  Every mode has positive charge,
     so a state past floor(ymax * d) is dropped at once; at the end only the
     states with every residue 0 and ky >= ymin * d count.  ``cap`` bounds the
-    number of transitions, one per (state, occupancy of the next variable).
+    number of transitions, one per (state, occupancy of the next variable),
+    and ``TABLE_CAP`` the number of states one table holds.
     """
     charges = compute_charges(potential)
     qs = tuple(charges.q)
@@ -195,6 +200,8 @@ def zero_level_group_average(
                     work += 1
                 if work > cap:
                     raise StateCapError(cap)
+                if len(out) > TABLE_CAP:
+                    raise StateCapError(TABLE_CAP, "states held")
         states = {key: v for key, v in out.items() if v}
     zero = (0,) * len(rows)
     return {

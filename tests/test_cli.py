@@ -5,7 +5,7 @@ from pathlib import Path
 
 import pytest
 
-from orbigenus import cli
+from orbigenus import cli, oracle
 from orbigenus.cli import main
 from orbigenus.oracle import StateCapError
 
@@ -203,6 +203,26 @@ def test_genus_dual_k3_chain_mode_t_output(capsys):
     )
     assert code == 0
     assert out == (DATA / "k3chain_dual_T_q2.json").read_text()
+
+
+def test_genus_loop_k3_sl_output(capsys):
+    """The case whose contraction merges the most prefixes (|SL| = 32, mode
+    D); stdout recorded from the code that multiplied out every pair."""
+    code, out, _ = run_cli(capsys, "genus", "--potential", "x1^3*x2+x2^3*x1+x3^4+x4^4",
+                           "--group", "SL", "--qmax", "2")
+    assert code == 0
+    assert out == (DATA / "loopk3_SL_q2.json").read_text()
+
+
+def test_check_oracle_table_cap_exit_code(capsys, monkeypatch):
+    """The table cap bounds the states the zero-level oracle holds, within
+    its transition budget."""
+    monkeypatch.setattr(oracle, "TABLE_CAP", 100)
+    code, out, err = run_cli(capsys, "check", "--potential", QUINTIC, "--group", "SL",
+                             "--set", "oracle")
+    assert code == 1
+    assert out == ""
+    assert err.startswith("computation failed:") and "100 states held" in err
 
 
 def test_check_oracle_state_cap_exit_code(capsys, monkeypatch):

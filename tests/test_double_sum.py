@@ -4,8 +4,8 @@ The driver runs the exact path over ``_engine._ExactRing`` and the numeric
 path over ``genus._ThetaRing``.  These tests swap the exact ring for a
 subclass that counts or unpairs products, compare single transforms of both
 rings with explicit sums (the exact ones over the engine-free reference
-factors of ``helpers``), and compare the numeric ring with sector-by-sector
-totals.
+factors of ``helpers``), compare the contraction with an explicit sum over
+every pair, and compare the numeric ring with sector-by-sector totals.
 """
 
 import cmath
@@ -19,13 +19,15 @@ from hypothesis import strategies as st
 from helpers import (
     CUBIC,
     K3_CHAIN,
+    LOOP_K3,
     QUINTIC,
     cy_potentials,
+    reference_series_mul,
     reference_variable_factor,
     reference_vec_mul,
 )
 from orbigenus import _engine, genus
-from orbigenus.exactmath import _power_rows
+from orbigenus.exactmath import _power_rows, lcm
 from orbigenus.genus import (
     NearPoleError,
     ell_genus_numeric,
@@ -42,10 +44,9 @@ Z, TAU = 0.23 + 0.04j, 0.11 + 1.31j
 class CountingRing(_engine._ExactRing):
     products = 0
 
-    def total(self, products):
-        products = list(products)
-        CountingRing.products += len(products)
-        return super().total(products)
+    def mul(self, a, b):
+        CountingRing.products += 1
+        return super().mul(a, b)
 
 
 class UnpairedRing(_engine._ExactRing):
@@ -62,19 +63,39 @@ def self_conjugate(rl, rr, mode, moduli):
     return (neg(rl, moduli) == rl) if mode == "T" else (neg(rr, moduli) == rr)
 
 
+def count_products(monkeypatch, potential, group):
+    monkeypatch.setattr(_engine, "_ExactRing", CountingRing)
+    CountingRing.products = 0
+    genus._genus_rational_terms(potential, group, F(1), F(3))
+    return CountingRing.products
+
+
+def paired_count(group):
+    """Series products of a sum that multiplies out one product of each
+    conjugate pair of sector pairs, d - 1 per product."""
+    moduli, reps, mode = genus._group_data(group)
+    selfconj = sum(self_conjugate(rl, rr, mode, moduli) for rl in reps for rr in reps)
+    assert selfconj < len(reps) ** 2
+    return (len(reps) ** 2 + selfconj) // 2 * (len(moduli) - 1)
+
+
 @pytest.mark.parametrize("potential, group, mode", [
     (K3_CHAIN, grading_subgroup(K3_CHAIN), "D"),
     (QUINTIC, sl_subgroup(QUINTIC), "T"),
 ])
 def test_sector_products_halved_by_conjugation(monkeypatch, potential, group, mode):
-    moduli, reps, chosen = genus._group_data(group)
-    assert chosen == mode
-    monkeypatch.setattr(_engine, "_ExactRing", CountingRing)
-    CountingRing.products = 0
-    genus._genus_rational_terms(potential, group, F(1), F(3))
-    selfconj = sum(self_conjugate(rl, rr, mode, moduli) for rl in reps for rr in reps)
-    assert selfconj < len(reps) ** 2
-    assert CountingRing.products == (len(reps) ** 2 + selfconj) // 2
+    """Where no two prefixes share their completions the contraction forms
+    one chain of products per conjugate pair of sector pairs."""
+    assert genus._group_data(group)[2] == mode
+    assert count_products(monkeypatch, potential, group) == paired_count(group)
+
+
+@pytest.mark.parametrize("potential, group", [
+    (K3_CHAIN, sl_subgroup(K3_CHAIN)),
+    (LOOP_K3, sl_subgroup(LOOP_K3)),
+])
+def test_merged_prefixes_save_products(monkeypatch, potential, group):
+    assert count_products(monkeypatch, potential, group) < paired_count(group)
 
 
 @pytest.mark.parametrize("potential, group", [
@@ -231,3 +252,64 @@ def test_numeric_genus_equals_sector_sum(case):
     brute = sign * sum(terms) / group.order
     scale = sum(abs(t) for t in terms) / group.order
     assert abs(fused - brute) <= 1e-11 * max(1.0, scale)
+
+
+def explicit_pair_sum(ring, reps_l, reps_r, mode_l, mode_r):
+    """Every (left, right) product multiplied out factor by factor with the
+    term-pair reference product, from the ring's transforms, and summed."""
+    moduli = ring.moduli
+
+    def transform(j, sides, il, ir):
+        if sides[0] == "T":
+            return ring.character_sum(
+                il, [transform(j, ("D", sides[1]), a, ir) for a in range(moduli[j])])
+        return ring.twist_sum(j, il, ir) if sides[1] == "T" else ring.factor(j, il, ir)
+
+    total = {}
+    for rl in reps_l:
+        for rr in reps_r:
+            product = ring.unit
+            for j in range(len(moduli)):
+                product = reference_series_mul(
+                    product, transform(j, (mode_l, mode_r), rl[j], rr[j]), ring.ctx)
+            for key, vec in product.items():
+                cur = total.setdefault(key, [0] * len(vec))
+                total[key] = [u + v for u, v in zip(cur, vec)]
+    return {key: vec for key, vec in total.items() if any(vec)}
+
+
+@st.composite
+def contraction_cases(draw):
+    """A generated CY model with J or SL, or the dual of one, and either the
+    whole double sum or the sector of one left twist."""
+    p = draw(cy_potentials(200))
+    group = (grading_subgroup if draw(st.booleans()) else sl_subgroup)(p)
+    if draw(st.booleans()):
+        p, group = transpose_potential(p), dual_group(p, group)
+    moduli, reps, _ = genus._group_data(group)
+    # the term-pair reference costs phi(N)^2 per pair of terms
+    assume(len(reps) <= 16 and lcm(*moduli) <= 12)
+    twist = draw(st.sampled_from(group.elements)) if draw(st.booleans()) else None
+    return p, group, twist
+
+
+@settings(max_examples=30, deadline=None,
+          suppress_health_check=[HealthCheck.filter_too_much, HealthCheck.too_slow])
+@given(contraction_cases())
+@example((K3_CHAIN, sl_subgroup(K3_CHAIN), None))  # merged states, mode D
+@example((K3_DUAL, K3_DUAL_GROUP, None))  # mode T
+@example((QUINTIC, grading_subgroup(QUINTIC), grading_subgroup(QUINTIC).elements[2]))
+def test_contraction_equals_explicit_pair_sum(case):
+    """The contraction, paired and unpaired, equals the sum of every pair
+    product: truncation and reduction are linear."""
+    potential, group, twist = case
+    total, ctx, _ = genus._exact_double_sum(potential, group, F(1), F(-1), F(2), twist=twist)
+    moduli, reps, mode = genus._group_data(group)
+    if twist is None:
+        left, mode_l = reps, mode
+    else:
+        left, mode_l = [tuple(int(t * m) for t, m in zip(twist.entries, moduli))], "D"
+    unpaired = _engine.double_sum(UnpairedRing(ctx), left, reps, mode_l, mode)
+    expected = explicit_pair_sum(_engine._ExactRing(ctx), left, reps, mode_l, mode)
+    assert total == expected
+    assert unpaired == expected
