@@ -53,7 +53,7 @@ from .symmetry import (
     grading_subgroup,
     sl_subgroup,
 )
-from .theta import ThetaParams, check_theta_identities, theta_value
+from .theta import ThetaParams, theta_value
 from .verify import (
     HolomorphyReport,
     SectorPole,
@@ -61,10 +61,13 @@ from .verify import (
     check_holomorphy,
     check_jacobi_transformations,
     check_mirror,
+    check_oracle,
     check_spectral_flow,
     check_star_substitution,
+    check_theta_identities,
     check_weight_zero_limit,
     holomorphy_certificate,
+    jacobi_laws,
 )
 
 __version__ = "0.1.0"

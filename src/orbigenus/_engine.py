@@ -308,11 +308,6 @@ def _mul_rows(a: _Rows, b: _Rows, ctx: SeriesContext) -> _Rows:
     return _Rows(rows, peak, nnz)
 
 
-def series_mul(a: Series, b: Series, ctx: SeriesContext) -> Series:
-    """Product of two series, truncated to the context window."""
-    return {key: list(vec) for key, vec in _mul_rows(_Rows.of(a), _Rows.of(b), ctx).items()}
-
-
 def _add_term(acc: Series, key: tuple[int, int], vec) -> None:
     cur = acc.get(key)
     acc[key] = list(vec) if cur is None else list(map(add, cur, vec))

@@ -8,13 +8,13 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 from fractions import Fraction
 
 from .exactmath import mat_det
-from .genus import default_y_cap, ell_genus_series
-from .oracle import free_state_series, zero_level_group_average
+from .genus import ell_genus_series
 from .potential import (
     InvalidPotentialError,
     Potential,
@@ -24,10 +24,8 @@ from .potential import (
     parse_potential,
     transpose_potential,
 )
-from .qseries import Windows
 from .symmetry import (
     AdmissibilityError,
-    PhaseVector,
     SymmetryGroup,
     admissible_subgroups,
     aut_group,
@@ -40,6 +38,7 @@ from .verify import (
     check_holomorphy,
     check_jacobi_transformations,
     check_mirror,
+    check_oracle,
     check_spectral_flow,
     check_star_substitution,
 )
@@ -180,29 +179,6 @@ def _cmd_genus(args) -> int:
     return 0
 
 
-def _oracle_verdicts(potential: Potential, group: SymmetryGroup, qmax: Fraction) -> list[dict]:
-    charges = compute_charges(potential)
-    # a modest window keeps the brute-force enumeration cheap; equality on a
-    # window is what the oracle certifies
-    ymax = min(default_y_cap(potential, qmax), Fraction(3))
-    from .genus import cone_supertrace_series, sector_supertrace_series
-
-    windows = Windows.make(qmax, -ymax, ymax)
-    free = free_state_series(charges, int(qmax), (-ymax, ymax))
-    cone = cone_supertrace_series(charges, windows)
-    free_ok = free == cone
-    zero = PhaseVector.canonical([0] * potential.dimension)
-    sector = sector_supertrace_series(potential, group, zero, Windows.make(0, 0, ymax))
-    lattice = zero_level_group_average(potential, group, (0, ymax))
-    zero_ok = sector == lattice
-    return [
-        {"check": "oracle-free-states", "status": "pass" if free_ok else "fail",
-         "max_residual": "exact", "details": []},
-        {"check": "oracle-zero-level", "status": "pass" if zero_ok else "fail",
-         "max_residual": "exact", "details": []},
-    ]
-
-
 def _cmd_check(args) -> int:
     potential = _load_potential(args.potential)
     group = _load_group(args.group, potential)
@@ -210,23 +186,27 @@ def _cmd_check(args) -> int:
     unknown = [name for name in selected if name not in CHECK_NAMES]
     if unknown:
         raise InputError(f"unknown check(s): {', '.join(unknown)}; valid: {', '.join(CHECK_NAMES)}")
+    if not selected:
+        raise InputError(f"no check selected; valid: {', '.join(CHECK_NAMES)}")
+    if args.samples < 1:
+        raise InputError(f"--samples must be at least 1, got {args.samples}")
+    if args.tol is not None and not (math.isfinite(args.tol) and args.tol > 0):
+        raise InputError(f"--tol must be a finite positive number, got {args.tol}")
     qmax, ycap = _windows(args, Fraction(1))
-    tol = args.tol
-    verdicts: list[dict] = []
+    verdicts = []
     for name in selected:
         if name == "holo":
-            verdicts.append(check_holomorphy(potential, group).to_json_dict())
+            verdicts.append(check_holomorphy(potential, group))
         elif name == "mirror":
-            verdicts.append(check_mirror(potential, group, qmax=qmax, ycap=ycap).to_json_dict())
+            verdicts.append(check_mirror(potential, group, qmax=qmax, ycap=ycap))
         elif name == "oracle":
-            verdicts.extend(_oracle_verdicts(potential, group, qmax))
+            verdicts.extend(check_oracle(potential, group, qmax))
         else:
-            verdict = _SAMPLED_CHECKS[name](
-                potential, group, samples=args.samples, tol=tol, seed=args.seed
-            )
-            verdicts.append(verdict.to_json_dict())
-    all_pass = all(v["status"] == "pass" for v in verdicts)
-    _emit({"checks": verdicts, "all_pass": all_pass}, args.out)
+            verdicts.append(_SAMPLED_CHECKS[name](
+                potential, group, samples=args.samples, tol=args.tol, seed=args.seed
+            ))
+    all_pass = all(v.status == "pass" for v in verdicts)
+    _emit({"checks": [v.to_json_dict() for v in verdicts], "all_pass": all_pass}, args.out)
     return 0 if all_pass else 1
 
 

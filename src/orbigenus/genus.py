@@ -25,7 +25,7 @@ from .exactmath import euler_phi, lcm
 from .potential import Charges, Potential, compute_charges
 from .qseries import Windows
 from .symmetry import PhaseVector, SymmetryGroup, require_admissible
-from .theta import ThetaParams, lattice_distance, theta_value
+from .theta import lattice_distance, theta_value
 
 DEFAULT_QMAX = Fraction(2)
 # The reported y-window: a band of CERTIFY_MARGIN beyond the outermost term,
@@ -371,7 +371,7 @@ def ell_genus_series(
 # ---------------------------------------------------------------------------
 
 
-def _theta_ratio(qj, tn, tn1, z: complex, tau: complex, params, pole_eps: float, pole) -> complex:
+def _theta_ratio(qj, tn, tn1, z: complex, tau: complex, pole_eps: float, pole) -> complex:
     """e(-z tn) T((1 - qj) z - tn tau - tn1) / T(qj z + tn tau + tn1), the factor
     of one variable of charge qj at twists (tn, tn1); ``pole(distance)`` is
     raised when the denominator argument lies within pole_eps of its zeros."""
@@ -382,8 +382,8 @@ def _theta_ratio(qj, tn, tn1, z: complex, tau: complex, params, pole_eps: float,
     nu_num = (1 - float(qj)) * z - float(tn) * tau - float(tn1)
     return (
         cmath.exp(-2j * math.pi * z * float(tn))
-        * theta_value(nu_num, tau, params)
-        / theta_value(nu_den, tau, params)
+        * theta_value(nu_num, tau)
+        / theta_value(nu_den, tau)
     )
 
 
@@ -393,7 +393,6 @@ def sector_value_from_coords(
     thetas_n1,
     z: complex,
     tau: complex,
-    params: ThetaParams | None = None,
     pole_eps: float = POLE_EPS,
 ) -> complex:
     """Theta-ratio product for one sector pair, from raw rational twists.
@@ -405,7 +404,7 @@ def sector_value_from_coords(
     out = 1.0 + 0j
     for j, (qj, tn, tn1) in enumerate(zip(qs, thetas_n, thetas_n1)):
         out *= _theta_ratio(
-            qj, tn, tn1, z, tau, params, pole_eps,
+            qj, tn, tn1, z, tau, pole_eps,
             lambda dist: NearPoleError(j, tuple(thetas_n), tuple(thetas_n1), dist),
         )
     return out
@@ -418,16 +417,12 @@ def sector_value_numeric(
     n1: PhaseVector,
     z: complex,
     tau: complex,
-    params: ThetaParams | None = None,
-    pole_eps: float = POLE_EPS,
 ) -> complex:
     """Numeric value of one (n, n1) sector term (no group averaging)."""
     if n not in group or n1 not in group:
         raise ValueError("twists must be elements of the group")
     charges = compute_charges(potential)
-    return sector_value_from_coords(
-        charges, n.entries, n1.entries, z, tau, params, pole_eps
-    )
+    return sector_value_from_coords(charges, n.entries, n1.entries, z, tau)
 
 
 @dataclass
@@ -444,7 +439,6 @@ class _ThetaRing:
     group: SymmetryGroup
     z: complex
     tau: complex
-    params: ThetaParams | None
     mirrors = False
     unit = 1.0 + 0j
 
@@ -459,7 +453,7 @@ class _ThetaRing:
         if value is None:
             tn, tn1 = Fraction(a, m), Fraction(b, m)
             value = values[a, b] = _theta_ratio(
-                self.charges[j], tn, tn1, self.z, self.tau, self.params, POLE_EPS,
+                self.charges[j], tn, tn1, self.z, self.tau, POLE_EPS,
                 lambda dist: NearPoleError(j, self.group.element_with(j, tn).entries,
                                            self.group.element_with(j, tn1).entries, dist),
             )
@@ -496,7 +490,6 @@ def ell_genus_numeric(
     group: SymmetryGroup,
     z: complex,
     tau: complex,
-    params: ThetaParams | None = None,
     retries: int = 3,
 ) -> EllValue:
     """Numeric genus value at (z, tau).
@@ -515,7 +508,7 @@ def ell_genus_numeric(
     z_cur = complex(z)
     attempts = 0
     while True:
-        ring = _ThetaRing(tuple(charges.q), moduli, group, z_cur, tau, params)
+        ring = _ThetaRing(tuple(charges.q), moduli, group, z_cur, tau)
         try:
             total = _engine.double_sum(ring, reps, reps, mode, mode)
             return EllValue(sign * (total * weight / group.order), z_cur, tau, attempts)

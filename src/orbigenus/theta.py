@@ -1,4 +1,4 @@
-"""Numerical Jacobi theta function and its transformation identities.
+"""Numerical Jacobi theta function.
 
 The function computed here is the odd theta
 
@@ -6,14 +6,14 @@ The function computed here is the odd theta
               prod_{n>=1} (1-q^n)(1-q^n e^(2 pi i v))(1-q^n e^(-2 pi i v)),
 
 with q = e^(2 pi i t), holomorphic for t in the upper half-plane, odd in v,
-with simple zeros exactly on the lattice Z t + Z.
+with simple zeros exactly on the lattice Z t + Z: a Jacobi form of weight 1/2
+and index 1/2, whose laws ``verify.check_theta_identities`` checks.
 """
 
 from __future__ import annotations
 
 import cmath
 import math
-import random
 from dataclasses import dataclass
 
 TWO_PI_I = 2j * math.pi
@@ -80,65 +80,3 @@ def lattice_distance(nu: complex, tau: complex) -> float:
     da = abs(alpha - round(alpha))
     db = abs(beta.real - round(beta.real))
     return max(da, db)
-
-
-def default_samples(count: int, seed: int = 0) -> list[tuple[complex, complex]]:
-    """Seeded (nu, tau) samples kept away from lattice zeros and the real axis."""
-    rng = random.Random(seed)
-    samples = []
-    for _ in range(count):
-        nu = complex(rng.uniform(0.08, 0.42), rng.uniform(-0.2, 0.2))
-        tau = complex(rng.uniform(-0.45, 0.45), rng.uniform(0.9, 1.8))
-        samples.append((nu, tau))
-    return samples
-
-
-# An identity with both sides below this sits at a zero and is skipped.
-SKIP_THRESHOLD = 1e-10
-
-
-def _residual(lhs: complex, rhs: complex) -> float:
-    return abs(lhs - rhs) / max(1.0, abs(lhs), abs(rhs))
-
-
-def check_theta_identities(
-    samples: list[tuple[complex, complex]],
-    params: ThetaParams | None = None,
-) -> dict:
-    """Max residual of the four classical identities over the samples.
-
-    Samples where either side is too close to a zero are skipped and reported.
-    Returns {"residuals": {name: float}, "skipped": [(name, nu, tau), ...]}.
-    """
-    params = params or DEFAULT_PARAMS
-    names = ("tau_shift", "nu_shift", "nu_tau_shift", "inversion")
-    residuals = {name: 0.0 for name in names}
-    skipped: list[tuple[str, complex, complex]] = []
-    worst_truncation = 0.0
-    for nu, tau in samples:
-        worst_truncation = max(
-            worst_truncation, truncation_bound(tau, params.resolve_terms(tau))
-        )
-        base = theta_value(nu, tau, params)
-        pairs = {
-            "tau_shift": (theta_value(nu, tau + 1, params), base),
-            "nu_shift": (theta_value(nu + 1, tau, params), -base),
-            "nu_tau_shift": (
-                theta_value(nu + tau, tau, params),
-                -cmath.exp(-TWO_PI_I * nu - 1j * math.pi * tau) * base,
-            ),
-            "inversion": (
-                theta_value(nu / tau, -1 / tau, params),
-                -1j * cmath.sqrt(tau / 1j) * cmath.exp(1j * math.pi * nu * nu / tau) * base,
-            ),
-        }
-        for name, (lhs, rhs) in pairs.items():
-            if max(abs(lhs), abs(rhs)) < SKIP_THRESHOLD:
-                skipped.append((name, nu, tau))
-                continue
-            residuals[name] = max(residuals[name], _residual(lhs, rhs))
-    return {
-        "residuals": residuals,
-        "skipped": skipped,
-        "truncation_bound": worst_truncation,
-    }

@@ -5,9 +5,10 @@ Holomorphy is checked per atom and per pair of twists by zero containment:
 a sector's theta ratio has a pole exactly where more denominator than
 numerator theta factors vanish, and every zero of every factor shows up on
 one period of the lattice L(Z tau + Z), one coordinate at a time.
-Transformation laws and duality statements are checked numerically at
-seeded samples; the mirror statement is also checked exactly, coefficient by
-coefficient, on the series side.
+The mirror statement and the oracle state counts are checked exactly, on
+the series side.  The transformation laws of the genus and of the theta
+function, and the star and flow statements, are checked numerically at
+seeded samples through one sample loop.
 """
 
 from __future__ import annotations
@@ -15,18 +16,23 @@ from __future__ import annotations
 import cmath
 import math
 import random
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from fractions import Fraction
 
 from .exactmath import lcm
 from .genus import (
     NearPoleError,
+    cone_supertrace_series,
+    default_y_cap,
     ell_genus_numeric,
     ell_genus_series,
+    sector_supertrace_series,
 )
+from .oracle import free_state_series, zero_level_group_average
 from .potential import Atom, Potential, compute_charges, decompose_atoms, transpose_potential
-from .symmetry import SymmetryGroup, dual_group, require_admissible
-from .theta import ThetaParams, _residual
+from .qseries import Windows
+from .symmetry import PhaseVector, SymmetryGroup, dual_group, require_admissible
+from .theta import theta_value
 
 
 def default_tolerance(group_order: int) -> float:
@@ -41,12 +47,7 @@ class Verdict:
     details: list = field(default_factory=list)
 
     def to_json_dict(self) -> dict:
-        return {
-            "check": self.check,
-            "status": self.status,
-            "max_residual": self.max_residual,
-            "details": self.details,
-        }
+        return asdict(self)
 
 
 # ---------------------------------------------------------------------------
@@ -167,6 +168,53 @@ def check_holomorphy(potential: Potential, group: SymmetryGroup) -> Verdict:
 
 
 # ---------------------------------------------------------------------------
+# Exact comparisons
+# ---------------------------------------------------------------------------
+
+
+def check_mirror(potential: Potential, group: SymmetryGroup, qmax=1, ycap=None) -> Verdict:
+    """Genus of (W, G) against the genus of the transposed model with the
+    dual group, with the parity sign, coefficient by coefficient.  (Star and
+    flow at the same samples imply the numeric mirror law.)"""
+    require_admissible(potential, group)
+    dual_potential = transpose_potential(potential)
+    dual = dual_group(potential, group)
+    sign = (-1) ** int(compute_charges(potential).central_charge)
+    a = ell_genus_series(potential, group, qmax=qmax, ycap=ycap)
+    b = ell_genus_series(dual_potential, dual, qmax=qmax, ycap=ycap)
+    qcap = min(a.qmax, b.qmax)
+    ywin = min(a.ycap, b.ycap)
+    mismatches = []
+    for key in sorted(set(a.terms) | set(b.terms)):
+        eq, ey = key
+        if eq > qcap or abs(ey) > ywin:
+            continue
+        va, vb = a.terms.get(key, Fraction(0)), sign * b.terms.get(key, Fraction(0))
+        if va != vb:
+            mismatches.append({"q": str(eq), "y": str(ey), "lhs": str(va), "rhs": str(vb)})
+    status = "pass" if not mismatches else "fail"
+    return Verdict("mirror", status, "exact", mismatches[:10] or
+                   [{"compared_terms": len(set(a.terms) | set(b.terms)), "sign": sign}])
+
+
+def check_oracle(potential: Potential, group: SymmetryGroup, qmax: Fraction) -> list[Verdict]:
+    """The state counts of ``oracle`` against the engine's untwisted sector
+    of the trivial group (free states) and of the group (zero level), exact
+    on a window small enough for the brute-force enumeration."""
+    charges = compute_charges(potential)
+    ymax = min(default_y_cap(potential, qmax), Fraction(3))
+    free = free_state_series(charges, int(qmax), (-ymax, ymax))
+    cone = cone_supertrace_series(charges, Windows.make(qmax, -ymax, ymax))
+    zero = PhaseVector.canonical([0] * potential.dimension)
+    sector = sector_supertrace_series(potential, group, zero, Windows.make(0, 0, ymax))
+    lattice = zero_level_group_average(potential, group, (0, ymax))
+    return [
+        Verdict("oracle-free-states", "pass" if free == cone else "fail", "exact"),
+        Verdict("oracle-zero-level", "pass" if sector == lattice else "fail", "exact"),
+    ]
+
+
+# ---------------------------------------------------------------------------
 # Numeric checks
 # ---------------------------------------------------------------------------
 
@@ -179,6 +227,10 @@ def _sample_points(count: int, seed: int) -> list[tuple[complex, complex]]:
         tau = complex(rng.uniform(-0.42, 0.42), rng.uniform(0.95, 1.65))
         out.append((z, tau))
     return out
+
+
+def _residual(lhs: complex, rhs: complex) -> float:
+    return abs(lhs - rhs) / max(1.0, abs(lhs), abs(rhs))
 
 
 def _sampled_check(check: str, identity, samples: int, seed: int, tol: float,
@@ -208,9 +260,39 @@ def _sampled_check(check: str, identity, samples: int, seed: int, tol: float,
     return Verdict(check, "pass" if residual < tol else "fail", residual, [detail])
 
 
-def _genus(potential: Potential, group: SymmetryGroup, params: ThetaParams | None = None):
+JACOBI_LAWS = ("tau_shift", "z_shift", "z_tau_shift", "inversion")
+
+
+def jacobi_laws(f, index2: int, weight):
+    """The four transformation laws of a Jacobi form f(z, tau) of index
+    index2 / 2, as an identity of ``_sampled_check``; ``weight(tau)`` is the
+    automorphy factor of the inversion law."""
+    sign = (-1) ** index2
+
+    def laws(z, tau):
+        base = f(z, tau)
+        return {
+            "tau_shift": (f(z, tau + 1), base),
+            "z_shift": (f(z + 1, tau), sign * base),
+            "z_tau_shift": (f(z + tau, tau),
+                            sign * cmath.exp(-1j * math.pi * index2 * (tau + 2 * z)) * base),
+            "inversion": (f(z / tau, -1 / tau),
+                          weight(tau) * cmath.exp(1j * math.pi * index2 * z * z / tau) * base),
+        }
+
+    return laws
+
+
+def check_theta_identities(samples: int = 10, seed: int = 0, tol: float = 1e-9) -> Verdict:
+    """Residuals of the odd theta's four transformation laws at seeded
+    sample points: weight 1/2 with the multiplier -i, index 1/2."""
+    laws = jacobi_laws(theta_value, 1, lambda tau: -1j * cmath.sqrt(tau / 1j))
+    return _sampled_check("theta", laws, samples, seed, tol, JACOBI_LAWS)
+
+
+def _genus(potential: Potential, group: SymmetryGroup):
     """(z, tau) -> numeric genus value, with no retry at a pole."""
-    return lambda z, tau: ell_genus_numeric(potential, group, z, tau, params, retries=0).value
+    return lambda z, tau: ell_genus_numeric(potential, group, z, tau, retries=0).value
 
 
 def check_jacobi_transformations(
@@ -219,69 +301,14 @@ def check_jacobi_transformations(
     samples: int = 5,
     tol: float | None = None,
     seed: int = 0,
-    params: ThetaParams | None = None,
 ) -> Verdict:
-    """Residuals of the four transformation laws at seeded sample points."""
+    """Residuals of the four transformation laws of a weak Jacobi form of
+    weight 0 and index cbar/2 at seeded sample points."""
     require_admissible(potential, group)
     tol = tol if tol is not None else default_tolerance(group.order)
     cbar = int(compute_charges(potential).central_charge)
-    sign = (-1) ** cbar
-    phi = _genus(potential, group, params)
-
-    def laws(z, tau):
-        base = phi(z, tau)
-        return {
-            "tau_shift": (phi(z, tau + 1), base),
-            "z_shift": (phi(z + 1, tau), sign * base),
-            "z_tau_shift": (phi(z + tau, tau),
-                            sign * cmath.exp(-1j * math.pi * cbar * (tau + 2 * z)) * base),
-            "inversion": (phi(z / tau, -1 / tau),
-                          cmath.exp(1j * math.pi * cbar * z * z / tau) * base),
-        }
-
-    names = ("tau_shift", "z_shift", "z_tau_shift", "inversion")
-    return _sampled_check("jacobi", laws, samples, seed, tol, names)
-
-
-def check_mirror(
-    potential: Potential,
-    group: SymmetryGroup,
-    mode: str = "series",
-    qmax=1,
-    ycap=None,
-    samples: int = 3,
-    tol: float | None = None,
-    seed: int = 0,
-) -> Verdict:
-    """Genus of (W, G) against the genus of the transposed model with the
-    dual group, with the parity sign; exact in series mode."""
-    require_admissible(potential, group)
-    dual_potential = transpose_potential(potential)
-    dual = dual_group(potential, group)
-    cbar = int(compute_charges(potential).central_charge)
-    sign = (-1) ** cbar
-    if mode == "series":
-        a = ell_genus_series(potential, group, qmax=qmax, ycap=ycap)
-        b = ell_genus_series(dual_potential, dual, qmax=qmax, ycap=ycap)
-        qcap = min(a.qmax, b.qmax)
-        ywin = min(a.ycap, b.ycap)
-        mismatches = []
-        for key in sorted(set(a.terms) | set(b.terms)):
-            eq, ey = key
-            if eq > qcap or abs(ey) > ywin:
-                continue
-            va, vb = a.terms.get(key, Fraction(0)), sign * b.terms.get(key, Fraction(0))
-            if va != vb:
-                mismatches.append({"q": str(eq), "y": str(ey), "lhs": str(va), "rhs": str(vb)})
-        status = "pass" if not mismatches else "fail"
-        return Verdict("mirror", status, "exact", mismatches[:10] or
-                       [{"compared_terms": len(set(a.terms) | set(b.terms)), "sign": sign}])
-    tol = tol if tol is not None else default_tolerance(max(group.order, dual.order))
-    phi, phi_dual = _genus(potential, group), _genus(dual_potential, dual)
-    return _sampled_check(
-        "mirror", lambda z, tau: {"mirror": (phi(z, tau), sign * phi_dual(z, tau))},
-        samples, seed, tol,
-    )
+    laws = jacobi_laws(_genus(potential, group), cbar, lambda tau: 1)
+    return _sampled_check("jacobi", laws, samples, seed, tol, JACOBI_LAWS)
 
 
 def check_star_substitution(

@@ -18,9 +18,9 @@ from orbigenus.symmetry import (
     grading_subgroup,
     sl_subgroup,
 )
-from orbigenus.theta import check_theta_identities, default_samples
 from orbigenus.verify import (
     check_jacobi_transformations,
+    check_theta_identities,
     check_weight_zero_limit,
     holomorphy_certificate,
     jacobian_ring_middle_dimension,
@@ -94,10 +94,9 @@ def test_criterion_2_transformation_laws():
 
 
 def test_criterion_3_theta_identities():
-    report = check_theta_identities(default_samples(10, seed=0))
-    worst = max(report["residuals"].values())
-    ok = worst < 1e-9 and not report["skipped"]
-    _report("3 theta-identities", ok, f"max residual {worst:.2e} over 10 samples")
+    verdict = check_theta_identities(samples=10, seed=0, tol=1e-9)
+    ok = verdict.status == "pass" and not verdict.details[0]["skipped"]
+    _report("3 theta-identities", ok, f"max residual {verdict.max_residual:.2e} over 10 samples")
 
 
 def test_criterion_4_oracle_equivalence():

@@ -5,7 +5,7 @@ from pathlib import Path
 
 import pytest
 
-from orbigenus import cli, oracle
+from orbigenus import oracle, verify
 from orbigenus.cli import main
 from orbigenus.oracle import StateCapError
 
@@ -229,7 +229,7 @@ def test_check_oracle_state_cap_exit_code(capsys, monkeypatch):
     def capped(*args, **kwargs):
         raise StateCapError(10)
 
-    monkeypatch.setattr(cli, "zero_level_group_average", capped)
+    monkeypatch.setattr(verify, "zero_level_group_average", capped)
     code, out, err = run_cli(capsys, "check", "--potential", QUINTIC, "--set", "oracle")
     assert code == 1
     assert out == ""
@@ -255,6 +255,24 @@ def test_bad_window_exit_code(capsys, argv):
     assert code == 2
     assert out == ""
     assert err.startswith("error: --")
+
+
+@pytest.mark.parametrize("argv, message", [
+    (("--set", ","), "no check selected"),
+    (("--samples", "0"), "--samples must be at least 1"),
+    (("--samples=-3",), "--samples must be at least 1"),
+    (("--tol=-1",), "--tol must be a finite positive number"),
+    (("--tol", "nan"), "--tol must be a finite positive number"),
+    (("--tol", "inf"), "--tol must be a finite positive number"),
+], ids=lambda v: " ".join(v) if isinstance(v, tuple) else None)
+def test_vacuous_or_impossible_check_exit_code(capsys, argv, message):
+    """A check run that could only pass vacuously (nothing selected, no
+    sample drawn) or fail by construction (no residual below the tolerance)
+    is bad input."""
+    code, out, err = run_cli(capsys, "check", "--potential", "x1^3+x2^3+x3^3", *argv)
+    assert code == 2
+    assert out == ""
+    assert err.startswith(f"error: {message}")
 
 
 def assert_matches(got, want, where="stdout"):

@@ -125,7 +125,7 @@ def test_theta_transforms_match_explicit_character_sums(modes):
     moduli = group.coordinate_moduli()
     qs = tuple(compute_charges(CUBIC).q)
     il, ir = (1, 2, 0), (2, 0, 1)
-    ring = genus._ThetaRing(qs, moduli, group, Z, TAU, None)
+    ring = genus._ThetaRing(qs, moduli, group, Z, TAU)
     value = _engine.double_sum(ring, [il], [ir], *modes)
 
     expected = 1.0
@@ -191,7 +191,7 @@ def test_exact_transforms_match_reference_sums(ctx):
 def test_theta_twist_sum_matches_explicit_sum():
     qs = tuple(compute_charges(K3_DUAL).q)
     moduli = K3_DUAL_GROUP.coordinate_moduli()
-    ring = genus._ThetaRing(qs, moduli, K3_DUAL_GROUP, Z, TAU, None)
+    ring = genus._ThetaRing(qs, moduli, K3_DUAL_GROUP, Z, TAU)
     for j, (q, m) in enumerate(zip(qs, moduli)):
         for a in range(m):
             for i in range(m):

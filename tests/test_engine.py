@@ -38,6 +38,12 @@ def make_context(conductor, qcap, ylo, yhi):
     )
 
 
+def ring_mul(a, b, ctx):
+    """a * b through the exact ring's multiplication, as a series dict."""
+    ring = _engine._ExactRing(ctx)
+    return ring.finish(ring.mul(ring.lift(a), ring.lift(b)))
+
+
 coefficients = st.one_of(
     st.integers(-3, 3),
     st.integers(-(2**80), 2**80),
@@ -76,7 +82,7 @@ def test_series_mul_matches_pair_loop(data):
     ctx = data.draw(windows())
     a = data.draw(series(ctx))
     b = data.draw(series(ctx))
-    assert _engine.series_mul(a, b, ctx) == reference_series_mul(a, b, ctx)
+    assert ring_mul(a, b, ctx) == reference_series_mul(a, b, ctx)
 
 
 @settings(max_examples=100, deadline=None)
@@ -85,9 +91,9 @@ def test_series_mul_empty_and_single_terms(data):
     ctx = data.draw(windows())
     a = data.draw(series(ctx, max_terms=1))
     b = data.draw(series(ctx))
-    assert _engine.series_mul(a, b, ctx) == reference_series_mul(a, b, ctx)
-    assert _engine.series_mul(b, a, ctx) == reference_series_mul(b, a, ctx)
-    assert _engine.series_mul({}, b, ctx) == {}
+    assert ring_mul(a, b, ctx) == reference_series_mul(a, b, ctx)
+    assert ring_mul(b, a, ctx) == reference_series_mul(b, a, ctx)
+    assert ring_mul({}, b, ctx) == {}
 
 
 @pytest.mark.parametrize("conductor", [1, 5])
@@ -98,7 +104,7 @@ def test_series_mul_reaches_slot_bound(conductor, c, c2, terms):
     ctx = make_context(conductor, 2, -10, 10)
     a = {(0, y): [c] + [0] * (ctx.phi - 1) for y in range(terms)}
     b = {(1, y): [c2] + [0] * (ctx.phi - 1) for y in range(terms)}
-    product = _engine.series_mul(a, b, ctx)
+    product = ring_mul(a, b, ctx)
     assert product[(1, terms - 1)][0] == terms * c * c2
     assert product == reference_series_mul(a, b, ctx)
 
@@ -108,7 +114,7 @@ def test_series_mul_dense_sublattice_rows():
     ctx = make_context(12, 4, -20, 20)
     a = {(q, y): [y - q, 2**70, -3, q * y] for q in range(5) for y in range(-10, 11, 2)}
     b = {(q, y): [-(2**40), q, y, 1] for q in range(3) for y in range(-9, 10, 2)}
-    assert _engine.series_mul(a, b, ctx) == reference_series_mul(a, b, ctx)
+    assert ring_mul(a, b, ctx) == reference_series_mul(a, b, ctx)
 
 
 @pytest.mark.parametrize("potential", [QUINTIC, K3_CHAIN])

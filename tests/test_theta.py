@@ -5,12 +5,26 @@ import pytest
 
 from orbigenus.theta import (
     ThetaParams,
-    check_theta_identities,
-    default_samples,
     lattice_distance,
     theta_value,
     truncation_bound,
 )
+from orbigenus.verify import JACOBI_LAWS, check_theta_identities, jacobi_laws
+
+# Ten seeded (nu, tau) samples kept as data: nu in [0.08, 0.42] + [-0.2, 0.2] i,
+# tau in [-0.45, 0.45] + [0.9, 1.8] i, away from the zero lattice and the real axis.
+THETA_SAMPLES = [
+    ((0.3671034295185163+0.10318176117612099j), (-0.07148557725223947+1.133025075263667j)),
+    ((0.2538334052653269-0.03802634501983429j), (0.2554187301312954+1.1729814534710348j)),
+    ((0.24204296441180095+0.03335281578201249j), (0.3673015966758017+1.3542181702356513j)),
+    ((0.17582486709589928+0.10232168166288957j), (0.10653209700779848+1.1254557072261966j)),
+    ((0.38931372702920164+0.19311419041506123j), (0.2791955123969306+1.7119493553956244j)),
+    ((0.18545017356857307+0.09193269930405146j), (0.3589544591711941+1.5155855387238972j)),
+    ((0.24052852325392254-0.1597195167726537j), (-0.05924534809159471+1.4497982760994215j)),
+    ((0.39042375810088537+0.18664254710830352j), (-0.02069120110255468+1.678778934994476j)),
+    ((0.1685673855332662+0.12201113080520892j), (0.04382937345203036+0.9126375301476171j)),
+    ((0.3246995933773444-0.0404705831102925j), (0.29236047943340976+1.501337881108666j)),
+]
 
 
 def test_zero_at_origin():
@@ -55,10 +69,22 @@ def test_inversion_example():
 
 
 def test_identities_at_seeded_samples():
-    report = check_theta_identities(default_samples(10, seed=0))
-    assert not report["skipped"]
-    for name, residual in report["residuals"].items():
-        assert residual < 1e-9, name
+    laws = jacobi_laws(theta_value, 1, lambda tau: -1j * cmath.sqrt(tau / 1j))
+    for nu, tau in THETA_SAMPLES:
+        pairs = laws(nu, tau)
+        assert set(pairs) == set(JACOBI_LAWS)
+        for name, (lhs, rhs) in pairs.items():
+            assert abs(lhs - rhs) / max(1.0, abs(lhs), abs(rhs)) < 1e-9, (name, nu, tau)
+
+
+@pytest.mark.parametrize("seed", range(5))
+def test_check_theta_identities_passes(seed):
+    verdict = check_theta_identities(samples=10, seed=seed, tol=1e-9)
+    assert verdict.status == "pass", verdict.details
+    detail = verdict.details[0]
+    assert not detail["skipped"]
+    assert set(detail["residuals"]) == set(JACOBI_LAWS)
+    assert verdict.max_residual < 1e-9
 
 
 def test_quasi_periodicity_integer_shifts():

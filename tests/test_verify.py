@@ -183,11 +183,6 @@ def test_mirror_series_cubic_and_k3():
     assert check_mirror(K3_CHAIN, grading_subgroup(K3_CHAIN), qmax=1, ycap=4).status == "pass"
 
 
-def test_mirror_numeric_two_squares():
-    verdict = check_mirror(TWO_SQUARES, grading_subgroup(TWO_SQUARES), mode="numeric", samples=3)
-    assert verdict.status == "pass"
-
-
 def test_star_substitution():
     assert check_star_substitution(TWO_SQUARES, grading_subgroup(TWO_SQUARES)).status == "pass"
     assert check_star_substitution(CUBIC, grading_subgroup(CUBIC)).status == "pass"
