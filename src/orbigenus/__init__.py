@@ -18,6 +18,7 @@ from .genus import (
     GenusSeries,
     JacobiBoundError,
     NearPoleError,
+    NumericGenus,
     RationalityError,
     cone_supertrace_series,
     ell_genus_numeric,

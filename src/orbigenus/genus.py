@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from math import ceil, floor, prod
 
@@ -432,18 +432,22 @@ class _ThetaRing:
     are.  It never mirrors: conjugate pairing holds for series coefficients,
     not for values at complex (z, tau).  Factor values are kept per class
     (q_j, m_j) and twist pair, so the right twist sums of one left twist
-    share them."""
+    share them.  Twists enter as the floats a / m_j, the float of
+    Fraction(a, m_j); ``phases`` keeps the character weights, which do not
+    depend on (z, tau), and may be shared by the rings of one model."""
 
     charges: tuple[Fraction, ...]
     moduli: tuple[int, ...]
     group: SymmetryGroup
     z: complex
     tau: complex
+    phases: dict = field(default_factory=dict)
     mirrors = False
     unit = 1.0 + 0j
 
     def __post_init__(self):
         self._values = _engine._class_memos(self.charges, self.moduli)
+        self._q = tuple(map(float, self.charges))
 
     def factor(self, j: int, a: int, b: int) -> complex:
         m = self.moduli[j]
@@ -451,11 +455,10 @@ class _ThetaRing:
         values = self._values[j]
         value = values.get((a, b))
         if value is None:
-            tn, tn1 = Fraction(a, m), Fraction(b, m)
             value = values[a, b] = _theta_ratio(
-                self.charges[j], tn, tn1, self.z, self.tau, POLE_EPS,
-                lambda dist: NearPoleError(j, self.group.element_with(j, tn).entries,
-                                           self.group.element_with(j, tn1).entries, dist),
+                self._q[j], a / m, b / m, self.z, self.tau, POLE_EPS,
+                lambda dist: NearPoleError(j, self.group.element_with(j, Fraction(a, m)).entries,
+                                           self.group.element_with(j, Fraction(b, m)).entries, dist),
             )
         return value
 
@@ -466,9 +469,13 @@ class _ThetaRing:
     def character_sum(self, index: int, values: list[complex]) -> complex:
         """sum_t e(index t / m) values[t], m = len(values)."""
         m = len(values)
+        weights = self.phases.get((index, m))
+        if weights is None:
+            weights = self.phases[index, m] = [
+                cmath.exp(2j * math.pi * index * t / m) for t in range(m)]
         out = 0j
-        for t, value in enumerate(values):
-            out += cmath.exp(2j * math.pi * index * t / m) * value
+        for weight, value in zip(weights, values):
+            out += weight * value
         return out
 
     def lift(self, value: complex) -> complex:
@@ -485,6 +492,46 @@ class _ThetaRing:
         return acc
 
 
+class NumericGenus:
+    """The numeric genus of one model, as a function of (z, tau).
+
+    What depends on the model alone is done once, when it is built:
+    admissibility, the charges and the sign, the representatives and mode
+    of the double sum with the weight of its "T" sides, and the character
+    weights.  Each call evaluates one point; the object keeps no values of
+    the genus.
+    """
+
+    def __init__(self, potential: Potential, group: SymmetryGroup):
+        require_admissible(potential, group)
+        charges = compute_charges(potential)
+        self.group = group
+        self._charges = tuple(charges.q)
+        self._sign = -1 if int(charges.central_charge) % 2 else 1
+        self._moduli, self._reps, self._mode = _group_data(group)
+        self._weight = (group.order / prod(self._moduli)) ** 2 if self._mode == "T" else 1.0
+        self._phases: dict = {}
+
+    def __call__(self, z: complex, tau: complex, retries: int = 3) -> EllValue:
+        """The value at (z, tau), retried at z + ``PERTURBATION`` on a
+        near-pole hit (see ``ell_genus_numeric``)."""
+        if tau.imag <= 0:
+            raise ValueError("tau must lie in the upper half-plane")
+        z_cur = complex(z)
+        attempts = 0
+        while True:
+            ring = _ThetaRing(self._charges, self._moduli, self.group, z_cur, tau, self._phases)
+            try:
+                total = _engine.double_sum(ring, self._reps, self._reps, self._mode, self._mode)
+                value = self._sign * (total * self._weight / self.group.order)
+                return EllValue(value, z_cur, tau, attempts)
+            except NearPoleError:
+                if attempts >= retries:
+                    raise
+                attempts += 1
+                z_cur = z_cur + PERTURBATION
+
+
 def ell_genus_numeric(
     potential: Potential,
     group: SymmetryGroup,
@@ -497,23 +544,6 @@ def ell_genus_numeric(
     Individual sector terms have poles on a measure-zero set even though the
     total is finite; on a near-pole hit the evaluation deterministically
     retries at z + ``PERTURBATION`` (up to ``retries`` times, count reported).
+    To evaluate one model at many points, build one ``NumericGenus``.
     """
-    require_admissible(potential, group)
-    if tau.imag <= 0:
-        raise ValueError("tau must lie in the upper half-plane")
-    charges = compute_charges(potential)
-    sign = -1 if int(charges.central_charge) % 2 else 1
-    moduli, reps, mode = _group_data(group)
-    weight = (group.order / prod(moduli)) ** 2 if mode == "T" else 1.0
-    z_cur = complex(z)
-    attempts = 0
-    while True:
-        ring = _ThetaRing(tuple(charges.q), moduli, group, z_cur, tau)
-        try:
-            total = _engine.double_sum(ring, reps, reps, mode, mode)
-            return EllValue(sign * (total * weight / group.order), z_cur, tau, attempts)
-        except NearPoleError:
-            if attempts >= retries:
-                raise
-            attempts += 1
-            z_cur = z_cur + PERTURBATION
+    return NumericGenus(potential, group)(z, tau, retries)

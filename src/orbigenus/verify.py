@@ -18,13 +18,14 @@ import math
 import random
 from dataclasses import asdict, dataclass, field
 from fractions import Fraction
+from functools import lru_cache
 
 from .exactmath import lcm
 from .genus import (
     NearPoleError,
+    NumericGenus,
     cone_supertrace_series,
     default_y_cap,
-    ell_genus_numeric,
     ell_genus_series,
     sector_supertrace_series,
 )
@@ -290,9 +291,23 @@ def check_theta_identities(samples: int = 10, seed: int = 0, tol: float = 1e-9) 
     return _sampled_check("theta", laws, samples, seed, tol, JACOBI_LAWS)
 
 
+# Most values kept per model.  The jacobi, star and flow checks of one run
+# evaluate the model at 6 points per sample, so up to 170 samples every
+# value is computed once; past that the oldest are computed again.
+_POINT_MEMO = 1024
+
+
+@lru_cache(maxsize=2)
 def _genus(potential: Potential, group: SymmetryGroup):
-    """(z, tau) -> numeric genus value, with no retry at a pole."""
-    return lambda z, tau: ell_genus_numeric(potential, group, z, tau, retries=0).value
+    """(z, tau) -> numeric genus value, with no retry at a pole.
+
+    One evaluator per model, its values memoized per point: the jacobi,
+    star and flow checks draw the same seeded points, and flow evaluates
+    the genus at (z, tau), where jacobi did, and at (tau - z, tau), where
+    star did.  The two slots hold a model and its dual.
+    """
+    evaluate = NumericGenus(potential, group)
+    return lru_cache(maxsize=_POINT_MEMO)(lambda z, tau: evaluate(z, tau, retries=0).value)
 
 
 def check_jacobi_transformations(
@@ -368,12 +383,9 @@ def check_weight_zero_limit(
     passes when the finest rung and the extrapolated limits agree across tau
     within tol.
     """
-    require_admissible(potential, group)
+    evaluate = NumericGenus(potential, group)
     ladder = sorted(eps_ladder, reverse=True)
-    values = {
-        tau: [ell_genus_numeric(potential, group, eps, complex(tau)).value for eps in ladder]
-        for tau in taus
-    }
+    values = {tau: [evaluate(eps, complex(tau)).value for eps in ladder] for tau in taus}
     finest = [values[tau][-1] for tau in taus]
     spread_fine = max(abs(a - b) for a in finest for b in finest)
     limits = []

@@ -188,6 +188,24 @@ def test_exact_transforms_match_reference_sums(ctx):
                 assert ring.twist_sum(j, a, i) == expected, (j, a, i)
 
 
+@pytest.mark.parametrize("potential, group", [
+    (K3_DUAL, K3_DUAL_GROUP),
+    (QUINTIC, sl_subgroup(QUINTIC)),
+])
+def test_theta_ring_factor_equals_theta_ratio(potential, group):
+    """The ring's float twists a / m give the factor of the Fraction twists
+    bit for bit."""
+    qs = tuple(compute_charges(potential).q)
+    moduli = group.coordinate_moduli()
+    ring = genus._ThetaRing(qs, moduli, group, Z, TAU)
+    for j, (q, m) in enumerate(zip(qs, moduli)):
+        for a in range(m):
+            for b in range(m):
+                expected = genus._theta_ratio(q, F(a, m), F(b, m), Z, TAU, genus.POLE_EPS,
+                                              NearPoleError)
+                assert ring.factor(j, a, b) == expected, (j, a, b)
+
+
 def test_theta_twist_sum_matches_explicit_sum():
     qs = tuple(compute_charges(K3_DUAL).q)
     moduli = K3_DUAL_GROUP.coordinate_moduli()

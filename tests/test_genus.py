@@ -5,6 +5,7 @@ import pytest
 
 from orbigenus.genus import (
     NearPoleError,
+    NumericGenus,
     cone_supertrace_series,
     ell_genus_numeric,
     ell_genus_series,
@@ -24,6 +25,7 @@ from orbigenus.symmetry import (
 from helpers import (
     CUBIC,
     K3_CHAIN,
+    LOOP_K3,
     QUINTIC,
     TWO_SQUARES,
     reference_rational_terms,
@@ -228,6 +230,48 @@ def test_numeric_retry_reports_count():
     assert abs(result.value - 2) < 1e-4
     with pytest.raises(NearPoleError):
         ell_genus_numeric(TWO_SQUARES, group, 0.0, 1.3j, retries=0)
+
+
+def test_numeric_pole_names_its_sector():
+    # z = tau + 1 puts the (1/2, 1/2) sector's denominator z/2 + tau/2 + 1/2
+    # on the lattice while the other sectors of J stay finite
+    group = grading_subgroup(TWO_SQUARES)
+    with pytest.raises(NearPoleError) as err:
+        ell_genus_numeric(TWO_SQUARES, group, 1 + 1.3j, 1.3j, retries=0)
+    half = (F(1, 2), F(1, 2))
+    assert (err.value.variable, err.value.n, err.value.n1) == (0, half, half)
+    assert ell_genus_numeric(TWO_SQUARES, group, 1 + 1.3j, 1.3j).retries == 1
+
+
+# The genus at (0.2 + 0.05i, 0.1 + 1.2i), recorded before the evaluator was
+# split from ell_genus_numeric; the cubic's genus vanishes.
+PINNED_VALUES = {
+    (QUINTIC, "J"): -163.9939535526513 + 18.41572555583524j,
+    (QUINTIC, "SL"): 163.99395355265193 - 18.415725555834957j,
+    (K3_CHAIN, "J"): 21.318542589953125 - 1.1586899031269284j,
+    (K3_CHAIN, "SL"): 21.318542589953097 - 1.1586899031269242j,
+    (LOOP_K3, "J"): 21.318542589953125 - 1.1586899031269284j,
+    (LOOP_K3, "SL"): 21.31854258995308 - 1.158689903126921j,
+    (CUBIC, "J"): 0j,
+    (CUBIC, "SL"): 0j,
+    (TWO_SQUARES, "J"): 1.9999999999999993 - 2.5667106151982484e-16j,
+    (TWO_SQUARES, "SL"): 1.9999999999999993 - 2.5667106151982484e-16j,
+}
+
+
+@pytest.mark.parametrize("model", PINNED_VALUES)
+def test_numeric_genus_evaluator_matches_ell_genus_numeric(model):
+    """One evaluator called point after point gives each point's value bit
+    for bit as a fresh ell_genus_numeric call does."""
+    potential, name = model
+    group = (grading_subgroup if name == "J" else sl_subgroup)(potential)
+    evaluate = NumericGenus(potential, group)
+    points = [(0.2 + 0.05j, 0.1 + 1.2j), (0.23 + 0.04j, 0.11 + 1.31j),
+              (0.31 + 0.02j, -0.27 + 0.97j), (0.13 + 0.1j, 0.4 + 0.3j)]
+    for z, tau in points + points[:1]:
+        assert evaluate(z, tau) == ell_genus_numeric(potential, group, z, tau)
+    value = evaluate(*points[0]).value
+    assert abs(value - PINNED_VALUES[model]) <= 1e-12 * max(1.0, abs(value))
 
 
 def test_numeric_fused_matches_direct_double_sum():

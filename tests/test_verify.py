@@ -5,6 +5,8 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from orbigenus import _engine, genus, verify
+from orbigenus.cli import main
 from orbigenus.exactmath import lcm
 from orbigenus.potential import compute_charges, transpose_potential
 from orbigenus.symmetry import (
@@ -161,7 +163,18 @@ def test_jacobi_two_squares():
 
 
 def test_jacobi_cubic():
-    verdict = check_jacobi_transformations(CUBIC, grading_subgroup(CUBIC), samples=5)
+    """The cubic's genus vanishes identically, so its Jacobi check passes
+    whatever the laws say; what holds is that it reads 0 at the samples."""
+    phi = genus.NumericGenus(CUBIC, grading_subgroup(CUBIC))
+    for z, tau in verify._sample_points(5, 0):
+        assert abs(phi(z, tau, retries=0).value) < 1e-12
+
+
+def test_jacobi_k3_chain_sl():
+    """A nonvanishing model with a lattice group, so a wrong law fails."""
+    group = sl_subgroup(K3_CHAIN)
+    assert abs(genus.ell_genus_numeric(K3_CHAIN, group, 0.2 + 0.05j, 0.1 + 1.2j).value) > 20
+    verdict = check_jacobi_transformations(K3_CHAIN, group, samples=3)
     assert verdict.status == "pass"
     assert verdict.max_residual < 1e-6
 
@@ -195,6 +208,24 @@ def test_spectral_flow():
     assert check_spectral_flow(CUBIC, grading_subgroup(CUBIC)).status == "pass"
     v = check_spectral_flow(QUINTIC, grading_subgroup(QUINTIC), tol=1e-5)
     assert v.status == "pass"
+
+
+def test_check_evaluates_each_point_once(monkeypatch, capsys):
+    """A default check on the quintic with SL: jacobi evaluates 25 points,
+    star 5 of the model and 5 of its dual, flow only points already seen."""
+    sums = []
+    double_sum = _engine.double_sum
+
+    def counted(ring, *args):
+        if isinstance(ring, genus._ThetaRing):
+            sums.append((ring.z, ring.tau))
+        return double_sum(ring, *args)
+
+    monkeypatch.setattr(_engine, "double_sum", counted)
+    verify._genus.cache_clear()
+    main(["check", "--potential", "x1^5+x2^5+x3^5+x4^5+x5^5", "--group", "SL"])
+    capsys.readouterr()
+    assert len(sums) == 35
 
 
 def test_weight_zero_limit_two_squares():
