@@ -20,7 +20,7 @@ from fractions import Fraction
 from functools import lru_cache
 from typing import Iterable
 
-from .exactmath import IntMat, int_matrix, mat_det, mat_transpose, solve_rational
+from .exactmath import IntMat, mat_det, mat_transpose, solve_rational
 
 
 class PotentialSyntaxError(ValueError):
@@ -106,17 +106,24 @@ class Charges:
 def make_potential(matrix: Iterable[Iterable[int]], names: tuple[str, ...] | None = None) -> Potential:
     """Build and validate a Potential from an exponent matrix.
 
-    Raises NotInvertibleError unless the matrix decomposes into atoms, so
-    every Potential built here is invertible.
+    Raises InvalidPotentialError unless every entry is an int (not a bool or
+    a float), and NotInvertibleError unless the matrix decomposes into atoms,
+    so every Potential built here is invertible.
     """
-    mat = int_matrix(matrix)
+    try:
+        mat = tuple(tuple(row) for row in matrix)
+    except TypeError:
+        mat = None
+    if mat is None or any(isinstance(e, bool) or not isinstance(e, int) for row in mat for e in row):
+        raise InvalidPotentialError("the exponent matrix must be a list of rows of integers")
     d = len(mat)
     if d == 0:
         raise InvalidPotentialError("empty potential")
-    if any(len(row) != d for row in mat):
-        raise InvalidPotentialError(
-            f"need as many monomials as variables; got {d} monomials over {len(mat[0])} variables"
-        )
+    for row in mat:
+        if len(row) != d:
+            raise InvalidPotentialError(
+                f"need as many monomials as variables; got {d} monomials over {len(row)} variables"
+            )
     if any(e < 0 for row in mat for e in row):
         raise InvalidPotentialError("negative exponents are not allowed")
     if mat_det(mat) == 0:

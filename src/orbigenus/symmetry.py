@@ -10,10 +10,11 @@ equality and hashing read H without listing any element:
 
     |G| = m^d / prod_i H_ii,    v in G  iff  m*v reduces to 0 down the rows of H.
 
-The invariant factors come from the Smith normal form of H.  Elements, their
-per-coordinate scaled forms and the canonical greedy generators are listed
-only on first use, by walking the lattice in lexicographic order, and the
-size cap applies only there.
+The invariant factors come from the Smith normal form of H, and the canonical
+generators are the rows of H with H_ii < m.  Elements and their
+per-coordinate scaled forms are listed only where something sums over them,
+by walking the lattice in lexicographic order, and the size cap applies only
+there.
 
 The groups attached to a potential with exponent matrix A follow Krawitz's
 lattice description (arXiv:0906.0796) of the Berglund-Huebsch duality:
@@ -32,6 +33,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from math import gcd, prod
+from operator import mul
 from typing import Iterable, Iterator, Sequence
 
 from .exactmath import (
@@ -69,7 +71,7 @@ class PhaseVector:
         return cls(tuple(Fraction(v) % 1 for v in values))
 
     def __post_init__(self):
-        if any(not (0 <= e < 1) for e in self.entries):
+        if any(not 0 <= e.numerator < e.denominator for e in self.entries):
             raise ValueError("phase vector entries must lie in [0, 1)")
 
     def __add__(self, other: "PhaseVector") -> "PhaseVector":
@@ -148,29 +150,22 @@ def _hnf(rows: Iterable[Sequence[int]], moduli: Sequence[int]) -> tuple[Row, ...
     return tuple(tuple(r) for r in basis)
 
 
-def _in_lattice(hnf: Sequence[Row], vec: Sequence[int]) -> bool:
+def _reduce(hnf: Sequence[Row], vec: Sequence[int]) -> list[int]:
+    """The least point of vec + L: coordinate c brought into [0, H_cc) down the rows."""
     v = list(vec)
     for c, row in enumerate(hnf):
-        k, rem = divmod(v[c], row[c])
-        if rem:
-            return False
+        k = v[c] // row[c]
         if k:
             v = [a - k * b for a, b in zip(v, row)]
-    return True
+    return v
 
 
-def _box_order(hnf: Sequence[Row], moduli: Sequence[int]) -> int:
-    """Number of lattice points modulo the box of moduli."""
-    return prod(moduli) // prod(row[i] for i, row in enumerate(hnf))
-
-
-def _walk(hnf: Sequence[Row], moduli: Sequence[int], pin: tuple[int, int] | None = None) -> Iterator[Row]:
+def _walk(hnf: Sequence[Row], moduli: Sequence[int]) -> Iterator[Row]:
     """Lattice points reduced into the box of moduli, in lexicographic order.
 
     Coordinate i of x.H depends on x_0..x_i only, and x_i moves it through one
     residue class mod H_ii; visiting that class upwards at every level yields
-    the points sorted.  pin = (j, a) keeps only the points with coordinate j
-    equal to a.
+    the points sorted.
     """
     d = len(moduli)
     point = [0] * d
@@ -182,11 +177,7 @@ def _walk(hnf: Sequence[Row], moduli: Sequence[int], pin: tuple[int, int] | None
         row, m = hnf[i], moduli[i]
         h = row[i]
         base = carry[i] % m
-        if pin is not None and pin[0] == i:
-            values: Iterable[int] = (pin[1],) if (pin[1] - base) % h == 0 else ()
-        else:
-            values = range(base % h, m, h)
-        for v in values:
+        for v in range(base % h, m, h):
             k = (v - base) // h
             point[i] = v
             yield from level(i + 1, [s + k * t for s, t in zip(carry, row)] if k else carry)
@@ -253,7 +244,7 @@ class SymmetryGroup:
         self.dimension = dimension
         self.exponent = exponent
         self.hnf = hnf
-        self.order = _box_order(hnf, (exponent,) * dimension)
+        self.order = exponent**dimension // prod(row[i] for i, row in enumerate(hnf))
 
     @classmethod
     def _span(cls, rows: Iterable[Sequence[int]], modulus: int, dimension: int) -> "SymmetryGroup":
@@ -283,18 +274,12 @@ class SymmetryGroup:
     @cached_property
     def generators(self) -> tuple[PhaseVector, ...]:
         """Canonical generators: each element, in sorted order, that the ones
-        chosen before it do not span."""
-        box = (self.exponent,) * self.dimension
-        chosen: list[Row] = []
-        span = _hnf(chosen, box)
-        for e in _walk(self.hnf, box):
-            if not _in_lattice(span, e):
-                chosen.append(e)
-                span = _hnf(chosen, box)
-                if _box_order(span, box) == self.order:
-                    break
-        vecs = tuple(_unscale(g, self.exponent) for g in chosen)
-        return vecs or (PhaseVector.canonical([0] * self.dimension),)
+        chosen before it do not span.  These are the Hermite rows with H_kk < m,
+        last row first: the least element outside the span of the rows after k
+        is row k, which they already reduce, and a row with H_kk = m is m e_k."""
+        m = self.exponent
+        rows = [_unscale(row, m) for k, row in enumerate(self.hnf) if row[k] < m]
+        return tuple(reversed(rows)) or (PhaseVector.canonical([0] * self.dimension),)
 
     def generator_strings(self) -> list[str]:
         return [g.as_string() for g in self.generators]
@@ -320,11 +305,10 @@ class SymmetryGroup:
         m = self.exponent
         return tuple(tuple(x * mj // m for x, mj in zip(row, moduli)) for row in self.hnf)
 
-    def scaled_elements(self, moduli: Sequence[int] | None = None) -> list[Row]:
+    def scaled_elements(self, moduli: Sequence[int]) -> list[Row]:
         """Sorted elements as integer tuples, coordinate j scaled by moduli[j]."""
-        mods = tuple(moduli) if moduli is not None else self.coordinate_moduli()
         _check_cap(self.order)
-        return list(_walk(self._box_basis(mods), mods))
+        return list(_walk(self._box_basis(moduli), moduli))
 
     @cached_property
     def elements(self) -> tuple[PhaseVector, ...]:
@@ -350,12 +334,15 @@ class SymmetryGroup:
         return list(_walk(_hnf(self._dual_rows(), mods), mods))
 
     def element_with(self, j: int, value: Fraction) -> PhaseVector:
-        """The first element, in sorted order, whose coordinate j is value."""
+        """The first element, in sorted order, whose coordinate j is value: the
+        least point of a coset of the kernel of coordinate j, whose Hermite
+        rows follow the first once coordinate j is carried in front."""
         m = self.exponent
         scaled = Fraction(value) * m
-        if scaled.denominator == 1:
-            for e in _walk(self.hnf, (m,) * self.dimension, pin=(j, int(scaled) % m)):
-                return _unscale(e, m)
+        first, *kernel = _hnf([(row[j],) + row for row in self.hnf], (m,) * (self.dimension + 1))
+        if scaled.denominator == 1 and int(scaled) % first[0] == 0:
+            step = int(scaled) % m // first[0]
+            return _unscale(_reduce([row[1:] for row in kernel], [step * x for x in first[1:]]), m)
         raise ValueError(f"no group element has coordinate {j} equal to {value}")
 
     def projection(self, indices: Sequence[int]) -> "SymmetryGroup":
@@ -367,13 +354,7 @@ class SymmetryGroup:
         m = self.exponent
         if vec.dimension != self.dimension or m % vec.order():
             return False
-        return _in_lattice(self.hnf, _scale(vec, m))
-
-    def __iter__(self) -> Iterator[PhaseVector]:
-        return iter(self.elements)
-
-    def __len__(self) -> int:
-        return self.order
+        return not any(_reduce(self.hnf, _scale(vec, m)))
 
     def _key(self) -> tuple:
         return (self.dimension, self.exponent, self.hnf)
@@ -388,7 +369,7 @@ class SymmetryGroup:
         if other.dimension != self.dimension or other.exponent % self.exponent:
             return False
         k = other.exponent // self.exponent
-        return all(_in_lattice(other.hnf, [x * k for x in row]) for row in self.hnf)
+        return all(not any(_reduce(other.hnf, [x * k for x in row])) for row in self.hnf)
 
     def __repr__(self) -> str:
         shape = "x".join(f"Z/{f}" for f in self.structure) or "trivial"
@@ -480,16 +461,25 @@ def admissible_subgroups(potential: Potential) -> list[SymmetryGroup]:
     snf = smith_normal_form(int_matrix(relation))
     lifts = int_matrix(mat_mul(invert_rational_matrix(snf.right), sl.hnf))
     smith = [(f, row) for f, row in zip(snf.factors, lifts) if f > 1]
-    factors = [f for f, _ in smith]
+    columns = list(zip(*(row for _, row in smith)))
     groups = []
-    for lattice in _subgroup_lattices(factors):
-        rows = [
-            [sum(c * lift[t] for c, (_, lift) in zip(coeffs, smith)) for t in range(d)]
-            for coeffs in lattice
-        ]
+    for lattice in _subgroup_lattices([f for f, _ in smith]):
+        rows = [[sum(map(mul, coeffs, column)) for column in columns] for coeffs in lattice]
         groups.append(SymmetryGroup._span(rows + [j], m, d))
-    groups.sort(key=lambda g: (g.order, g.scaled_elements(box)))
+    groups.sort(key=lambda g: (g.order, _rows_up(g, m)))
     return groups
+
+
+def _rows_up(group: SymmetryGroup, m: int) -> list[Row]:
+    """Hermite rows from the last up, row i from column i on, in the box of m.
+
+    Groups of one order compare by these as their sorted element lists do:
+    past the last row i where they differ, both lists begin with the span of
+    the later rows, and go on with row i if H_ii < m (see generators), or
+    with a point nonzero left of column i if row i is m e_i.
+    """
+    s = m // group.exponent
+    return [tuple(x * s for x in row[i:]) for i, row in reversed(tuple(enumerate(group.hnf)))]
 
 
 def dual_group(potential: Potential, group: SymmetryGroup) -> SymmetryGroup:

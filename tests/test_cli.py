@@ -22,6 +22,9 @@ GENUS_STDOUT = json.loads((DATA / "genus_stdout.json").read_text())
 # the benchmark's five check cases at seed 1, recorded before the exact and
 # numeric paths shared one double-sum driver
 CHECK_STDOUT = json.loads((DATA / "check_stdout.json").read_text())
+# `groups` on the five reference models and six squares, recorded from the
+# code that listed each group's elements to name and order it
+GROUPS_STDOUT = json.loads((DATA / "groups_stdout.json").read_text())
 
 
 def run_cli(capsys, *argv):
@@ -57,6 +60,21 @@ def test_malformed_potential_exit_code(capsys):
     code, _, err = run_cli(capsys, "info", "--potential", "x1^5+!x2")
     assert code == 2
     assert "position" in err
+
+
+@pytest.mark.parametrize("monomials, message", [
+    ("[[2.5, 0], [0, 2]]", "must be a list of rows of integers"),
+    ("5", "must be a list of rows of integers"),
+    ('[[2, "x"], [0, 2]]', "must be a list of rows of integers"),
+    ("[[1e400, 0], [0, 2]]", "must be a list of rows of integers"),
+    ("[[true, 0], [0, 2]]", "must be a list of rows of integers"),
+    ("[[2, 0], [0]]", "need as many monomials as variables"),
+])
+def test_bad_json_potential_exit_code(capsys, monomials, message):
+    code, out, err = run_cli(capsys, "info", "--potential", f'{{"monomials": {monomials}}}')
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: ") and message in err
 
 
 @pytest.mark.parametrize("command", ["info", "groups", "dual", "genus", "check"])
@@ -242,6 +260,13 @@ def test_genus_stdout_pinned(capsys, case):
     assert code == case["exit"]
     assert hashlib.sha256(out.encode()).hexdigest() == case["stdout_sha256"]
     assert err == case["stderr"]
+
+
+@pytest.mark.parametrize("case", GROUPS_STDOUT, ids=lambda c: c["potential"])
+def test_groups_stdout_pinned(capsys, case):
+    code, out, _ = run_cli(capsys, "groups", "--potential", case["potential"])
+    assert code == case["exit"]
+    assert out == case["stdout"]
 
 
 @pytest.mark.parametrize("argv", [

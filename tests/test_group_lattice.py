@@ -12,6 +12,7 @@ from sympy.matrices.normalforms import smith_normal_form
 
 from helpers import (
     ATOMS,
+    QUINTIC,
     cy_potentials,
     potential_from_atoms,
     reference_admissible_subgroups,
@@ -25,7 +26,9 @@ from helpers import (
     reference_sl,
     reference_structure,
 )
+from orbigenus import symmetry
 from orbigenus.exactmath import mat_det
+from orbigenus.potential import parse_potential
 from orbigenus.symmetry import (
     PhaseVector,
     SymmetryGroup,
@@ -37,6 +40,18 @@ from orbigenus.symmetry import (
 )
 
 MAX_DET = 4000
+OCTIC = parse_potential("+".join(f"x{i}^8" for i in range(1, 9)))
+# the greedy generators of the octic's SL (8^7 elements), recorded from the
+# code that walked the group in sorted order until it was spanned
+OCTIC_SL_GENERATORS = [
+    "0,0,0,0,0,0,1/8,7/8",
+    "0,0,0,0,0,1/8,0,7/8",
+    "0,0,0,0,1/8,0,0,7/8",
+    "0,0,0,1/8,0,0,0,7/8",
+    "0,0,1/8,0,0,0,0,7/8",
+    "0,1/8,0,0,0,0,0,7/8",
+    "1/8,0,0,0,0,0,0,7/8",
+]
 SETTINGS = settings(max_examples=15, deadline=None,
                     suppress_health_check=[HealthCheck.filter_too_much, HealthCheck.too_slow])
 
@@ -118,3 +133,23 @@ def test_element_with_rejects_absent_coordinate():
     assert group.element_with(1, Fraction(1, 2)).entries == (Fraction(1, 2), Fraction(1, 2))
     with pytest.raises(ValueError):
         group.element_with(0, Fraction(1, 3))
+
+
+def test_naming_and_ordering_list_no_element(monkeypatch):
+    """Generators, element_with and the order of the admissible groups read
+    the Hermite basis; no group is walked for them."""
+
+    def no_walk(*args):
+        raise AssertionError("a group was walked")
+
+    monkeypatch.setattr(symmetry, "_walk", no_walk)
+    sl = sl_subgroup(OCTIC)
+    assert sl.generator_strings() == OCTIC_SL_GENERATORS
+    assert sl.element_with(7, Fraction(3, 8)).entries == (0,) * 6 + (Fraction(5, 8), Fraction(3, 8))
+    names = [g.generator_strings() for g in admissible_subgroups(QUINTIC)]
+    # the list-based closures: sorted by (size, elements), named greedily
+    closures = [reference_closure([PhaseVector.from_string(t).entries for t in gens], 5)
+                for gens in names]
+    assert len(closures) == 64
+    assert closures == sorted(closures, key=lambda c: (len(c), c))
+    assert names == [reference_generator_strings(c) for c in closures]
