@@ -4,8 +4,7 @@
 words of length d, a product of one transform per coordinate.  Its schedule
 contracts that sum one coordinate at a time, merging prefixes that have the
 same completions, and depends only on the words, the side modes, the moduli
-and whether the ring pairs complex conjugates; ``plan`` builds it once per
-such input.
+and the ring's Galois units; ``plan`` builds it once per such input.
 """
 
 from __future__ import annotations
@@ -13,14 +12,6 @@ from __future__ import annotations
 from functools import lru_cache
 
 Vec = tuple[int, ...]
-
-# How a product reaches the accumulator of a state (see ``plan``): as it is,
-# as its complex conjugate, or as itself plus its conjugate.
-PLAIN, CONJ, BOTH = 0, 1, 2
-
-
-def _neg(vec: Vec, moduli: tuple[int, ...]) -> Vec:
-    return tuple((m - x) % m for x, m in zip(vec, moduli))
 
 
 def _layers(words: tuple[Vec, ...], d: int) -> tuple[list[dict], list[list]]:
@@ -49,42 +40,47 @@ def _layers(words: tuple[Vec, ...], d: int) -> tuple[list[dict], list[list]]:
     return state_of, edges
 
 
-def _mirror(state_of: list[dict], edges: list[list], moduli) -> list[list[int]]:
-    """Per level, the state of the negated prefixes of each state; the words
-    must be closed under negation."""
+def _images(state_of: list[dict], edges: list[list], moduli, unit: int) -> list[list[int]]:
+    """Per level, the state of the prefixes of each state scaled by ``unit``;
+    the words must be closed under that scaling."""
+    if unit == 1:
+        return [range(len(states)) for states in edges]
     out = []
     for level, states in zip(state_of, edges):
         image = [0] * len(states)
         for prefix, state in level.items():
-            image[state] = level[_neg(prefix, moduli)]
+            image[state] = level[tuple(unit * x % m for x, m in zip(prefix, moduli))]
         out.append(image)
     return out
 
 
 @lru_cache(maxsize=32)
-def plan(reps_l, reps_r, mode_l: str, mode_r: str, moduli: tuple[int, ...], mirrors: bool):
+def plan(reps_l, reps_r, mode_l: str, mode_r: str, moduli: tuple[int, ...], units: tuple[int, ...]):
     """The schedule over the pairs of ``reps_l`` x ``reps_r``: (transform
     keys, steps, number of states, final state).
 
     Transform key i is (k, xl, xr), the transform of coordinate k at letters
     (xl, xr).  A state is a pair of left and right automaton states at one
-    level.  The conjugation sigma negates the letters of a "T" left side and
-    of a "D" right side when the ring mirrors, and is the identity otherwise;
-    values live on canonical states s <= sigma(s).
+    level.  The ring's Galois automorphism sigma_u, u in ``units`` (1 first),
+    maps the transform at (xl, xr) to the transform at the letters scaled by
+    u on a "T" left side and on a "D" right side, so it maps the value of a
+    state to the value of its scaled image.  Values live on the least state
+    of each orbit.
 
-    Each step is a canonical state with its edges (transform index, target,
-    flag): the product of the state's value with the transform reaches the
-    target's accumulator as ``flag`` says.  A state fixed by sigma expands
-    one edge of each sigma-pair, the other being its conjugate; a product
-    whose target is not canonical arrives conjugated at sigma(target).
-    States are expanded depth first, each once all its inputs have arrived;
-    state 0 is the root, whose value is 1.
+    Each step is a kept state with its edges (transform index, target, ks):
+    the product of the state's value with the transform reaches the kept
+    image of its target as the sum of sigma_k(product) over the units ks.
+    A state expands one edge of each orbit of its stabilizer; ks holds one
+    unit for each distinct image of that edge that lands on the kept target,
+    so every edge of the whole automaton is counted once.  States are
+    expanded depth first, each once all its inputs have arrived; state 0 is
+    the root, whose value is 1.
     """
     d = len(moduli)
     auto_l, auto_r = _layers(reps_l, d), _layers(reps_r, d)
-    flip_l, flip_r = mirrors and mode_l == "T", mirrors and mode_r == "D"
-    sig_l = _mirror(*auto_l, moduli) if flip_l else [range(len(s)) for s in auto_l[1]]
-    sig_r = _mirror(*auto_r, moduli) if flip_r else [range(len(s)) for s in auto_r[1]]
+    scale_l, scale_r = mode_l == "T", mode_r == "D"
+    sig = [(_images(*auto_l, moduli, u if scale_l else 1),
+            _images(*auto_r, moduli, u if scale_r else 1)) for u in units]
 
     ids: dict[tuple, int] = {(0, 0, 0): 0}
     keys: dict[tuple, int] = {}
@@ -102,35 +98,33 @@ def plan(reps_l, reps_r, mode_l: str, mode_r: str, moduli: tuple[int, ...], mirr
     for k in range(d):
         m = moduli[k]
         edges_l, edges_r = auto_l[1][k], auto_r[1][k]
-        next_l, next_r = sig_l[k + 1], sig_r[k + 1]
+
+        def scaled(u, xl, xr):
+            return (u * xl % m if scale_l else xl, u * xr % m if scale_r else xr)
+
         for sl, succ_l in enumerate(edges_l):
             for sr, succ_r in enumerate(edges_r):
                 state = (k, sl, sr)
-                image = (k, sig_l[k][sl], sig_r[k][sr])
-                if image < state:
-                    continue  # carried, conjugated, by its canonical image
-                fixed = image == state
+                images = [(k, img_l[k][sl], img_r[k][sr]) for img_l, img_r in sig]
+                if min(images) < state:
+                    continue  # carried by its least image
+                stab = [u for u, image in zip(units, images) if image == state]
                 expanded = out_edges[state_id(state)]
                 for xl, tl in succ_l:
                     for xr, tr in succ_r:
-                        mirrored = True
-                        if fixed:
-                            label = ((m - xl) % m if flip_l else xl, (m - xr) % m if flip_r else xr)
-                            if label < (xl, xr):
-                                continue  # the conjugate of an expanded edge
-                            mirrored = label != (xl, xr)
-                        target, partner = (k + 1, tl, tr), (k + 1, next_l[tl], next_r[tr])
-                        if not mirrored:
-                            flag = PLAIN
-                        elif target == partner:
-                            flag = BOTH
-                        elif target < partner:
-                            flag = PLAIN
-                        else:
-                            flag, target = CONJ, partner
+                        if any(scaled(u, xl, xr) < (xl, xr) for u in stab):
+                            continue  # the image of an expanded edge
+                        targets = [(k + 1, img_l[k + 1][tl], img_r[k + 1][tr])
+                                   for img_l, img_r in sig]
+                        target = min(targets)
+                        ks: dict[tuple, int] = {}
+                        for u, image, reached in zip(units, images, targets):
+                            if reached == target:
+                                ks.setdefault((image, scaled(u, xl, xr)), u)
                         tid = state_id(target)
                         inputs[tid] += 1
-                        expanded.append((keys.setdefault((k, xl, xr), len(keys)), tid, flag))
+                        key = keys.setdefault((k, xl, xr), len(keys))
+                        expanded.append((key, tid, tuple(ks.values())))
 
     final = ids[(d, 0, 0)]
     steps = []

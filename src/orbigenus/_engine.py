@@ -52,8 +52,10 @@ each sum is multiplied by the next coordinate's transform once:
 On a cyclic group no two prefixes share their completions and the
 contraction forms one chain of products per pair, as a pair loop would; a
 ``check`` of the loop K3 with SL (|SL| = 32) forms 269 series products where
-the pair loop formed 1821.  For the exact ring the sector products come in
-complex-conjugate pairs, and values are kept on one state of each pair.
+the pair loop formed 1821.  For the exact ring the Galois automorphism
+zeta_N -> zeta_N^u, u a unit mod N, maps the sector product of (g, h) to a
+product of the same sum, so values are kept on one state of each orbit of
+the unit group and a product stands in for its whole orbit.
 
 Everything here is standard library only.
 """
@@ -64,10 +66,11 @@ import sys
 from array import array
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from math import gcd
 from operator import add, sub
 
-from ._contract import CONJ, PLAIN, Vec, plan
+from ._contract import Vec, plan
 from .exactmath import _power_rows, euler_phi
 
 Series = dict[tuple[int, int], list[int]]
@@ -92,7 +95,6 @@ class SeriesContext:
     conductor: int
     phi: int
     rows: tuple  # sparse reduction rows for x^k, k in [phi, 2*phi-2]
-    conj_rows: tuple  # rows for x^((N-k) % N), k in [0, phi)
     denominator: int
     qcap: int
     ylo: int
@@ -111,23 +113,6 @@ def _sparse_rows(n: int) -> tuple:
         else:
             out.append(tuple((i, c) for i, c in enumerate(rows[k]) if c))
     return tuple(out)
-
-
-def _conj_rows(n: int) -> tuple:
-    rows = _power_rows(n)
-    phi = euler_phi(n)
-    return tuple(rows[(n - k) % n] for k in range(phi))
-
-
-def vec_conj(u, ctx: SeriesContext) -> list[int]:
-    out = [0] * ctx.phi
-    for i, ui in enumerate(u):
-        if not ui:
-            continue
-        for idx, c in enumerate(ctx.conj_rows[i]):
-            if c:
-                out[idx] += ui * c
-    return out
 
 
 # Signed array typecodes by item size: slots of 1, 2, 4 or 8 bytes move between
@@ -388,23 +373,35 @@ def variable_factor(ctx: SeriesContext, j: int, a: int) -> Series:
     return series
 
 
+@lru_cache(maxsize=None)
+def _substitution(n: int, unit: int) -> tuple:
+    """Sparse rows of x^(k unit mod n) reduced mod Phi_n, k = 0 .. n-1: the
+    substitution x -> x^unit on vectors of at most n slots."""
+    power_rows = _power_rows(n)
+    return tuple(tuple((i, r) for i, r in enumerate(power_rows[k * unit % n]) if r)
+                 for k in range(n))
+
+
+def _substitute(coeffs, rows: tuple, phi: int) -> list[int]:
+    """sum_k coeffs[k] rows[k], a vector over the power basis of zeta_N."""
+    vec = [0] * phi
+    for c, row in zip(coeffs, rows):
+        if c:
+            for i, r in row:
+                vec[i] += c * r
+    return vec
+
+
 def _at_twist(formal: Series, unit: int, ctx: SeriesContext) -> Series:
     """A formal factor at w = x^unit, reduced mod Phi_N; zeros dropped.
 
     Slot k of a formal vector moves to x^(k unit mod N); for the right twist
     b of a factor, unit = b N / m_j.
     """
-    n = ctx.conductor
-    power_rows = _power_rows(n)
-    # a vector has at most N slots; zip stops at its last one
-    rows = [tuple((i, r) for i, r in enumerate(power_rows[k * unit % n]) if r) for k in range(n)]
+    rows = _substitution(ctx.conductor, unit)
     out: Series = {}
     for term, coeffs in formal.items():
-        vec = [0] * ctx.phi
-        for c, row in zip(coeffs, rows):
-            if c:
-                for i, r in row:
-                    vec[i] += c * r
+        vec = _substitute(coeffs, rows, ctx.phi)
         if any(vec):
             out[term] = vec
     return out
@@ -498,10 +495,9 @@ class _ExactRing:
     ``character_sum`` e(k/N) acts by rotation, reduced mod Phi_N once per
     sum.  The contraction multiplies ``lift``-ed operands, packed q-rows
     (``_Rows``), and sums products per state in a dict; a state reached by
-    one plain product keeps that product until a second one arrives.
+    one untransformed product keeps that product until a second one arrives.
+    Its ``units`` are the whole unit group mod N.
     """
-
-    mirrors = True
 
     def __init__(self, ctx: SeriesContext):
         self.ctx = ctx
@@ -509,6 +505,11 @@ class _ExactRing:
         self.moduli = ctx.moduli
         self.unit = {(0, 0): [1] + [0] * (ctx.phi - 1)}
         self._formal = _class_memos(self.charges, self.moduli)
+
+    @property
+    def units(self) -> tuple[int, ...]:
+        n = self.ctx.conductor
+        return tuple(k for k in range(1, n + 1) if gcd(k, n) == 1)
 
     def _formal_factor(self, j: int, a: int) -> Series:
         a %= self.moduli[j]
@@ -552,18 +553,17 @@ class _ExactRing:
     def mul(self, a: _Rows, b: _Rows) -> _Rows:
         return _mul_rows(a, b, self.ctx)
 
-    def accumulate(self, acc, product: _Rows, flag: int):
-        """acc plus the product, its conjugate or both, as ``flag`` says."""
-        if acc is None and flag == PLAIN:
+    def accumulate(self, acc, product: _Rows, ks: tuple[int, ...]):
+        """acc plus sigma_k(product), zeta_N -> zeta_N^k, for each unit k in ks."""
+        if acc is None and ks == (1,):
             return product  # shared; copied when a second product arrives
         if not isinstance(acc, dict):
             acc = {} if acc is None else {key: list(vec) for key, vec in acc.items()}
-        ctx = self.ctx
+        n, phi = self.ctx.conductor, self.ctx.phi
+        sigmas = [None if k == 1 else _substitution(n, k) for k in ks]
         for key, vec in product.items():
-            if flag != CONJ:
-                _add_term(acc, key, vec)
-            if flag != PLAIN:
-                _add_term(acc, key, vec_conj(vec, ctx))
+            for rows in sigmas:
+                _add_term(acc, key, vec if rows is None else _substitute(vec, rows, phi))
         return acc
 
     def finish(self, acc) -> Series:
@@ -586,18 +586,20 @@ def double_sum(ring, reps_l: list[Vec], reps_r: list[Vec], mode_l: str, mode_r: 
     pairs of prefixes with the same completions on both sides share one
     state, whose value is the sum of their partial products, so each such
     sum is multiplied by the next transform once.  Truncation to the window,
-    reduction mod Phi_N and conjugation are linear, so the exact total is
-    the sum of the pair products.  A ring that mirrors keeps values on one
-    state of each conjugate pair: conj f_j(a, b) = f_j(a, -b), as b enters
-    only through the phase w^b, and conjugation negates a character index,
-    so conjugation negates a "T" left index and a "D" right twist.
+    reduction mod Phi_N and each sigma_u below are linear, so the exact total
+    is the sum of the pair products.  The ring's ``units`` u act through
+    sigma_u: zeta_N -> zeta_N^u, which maps f_j(a, b) to f_j(a, u b), as b
+    enters only through the phase w^b, and a character index i to u i; so
+    sigma_u scales a "T" left index and a "D" right twist by u, and values
+    are kept on one state of each orbit.  ``units = (1,)`` pairs nothing.
 
     The ring supplies ``charges``, ``moduli``, ``factor(j, a, b)``,
-    ``twist_sum(j, a, index)``, ``character_sum(index, values)``, ``mirrors``
-    and the contraction's ``unit``, ``lift`` (a transform or an accumulator
-    as a multiplicand), ``mul``, ``accumulate(acc, product, flag)`` (acc None
-    at first) and ``finish`` (an accumulator as the result).  The
-    representatives must be closed under negation when the ring mirrors.
+    ``twist_sum(j, a, index)``, ``character_sum(index, values)``, ``units``
+    (1 first) and the contraction's ``unit``, ``lift`` (a transform or an
+    accumulator as a multiplicand), ``mul``, ``accumulate(acc, product, ks)``
+    (acc None at first; the sum of sigma_k(product) over the units ks) and
+    ``finish`` (an accumulator as the result).  The representatives must be
+    closed under the scaling by each unit.
     """
     moduli = ring.moduli
     modes = (mode_l, mode_r)
@@ -619,7 +621,7 @@ def double_sum(ring, reps_l: list[Vec], reps_r: list[Vec], mode_l: str, mode_r: 
         return val
 
     keys, steps, states, final = plan(tuple(map(tuple, reps_l)), tuple(map(tuple, reps_r)),
-                                       mode_l, mode_r, moduli, ring.mirrors)
+                                       mode_l, mode_r, moduli, ring.units)
     lifted = _class_memos(ring.charges, moduli)  # one multiplicand per class and twist pair
     table = []
     for j, il, ir in keys:
@@ -631,9 +633,9 @@ def double_sum(ring, reps_l: list[Vec], reps_r: list[Vec], mode_l: str, mode_r: 
     for sid, edges in steps:
         value = ring.lift(acc[sid])
         acc[sid] = None
-        for t, target, flag in edges:
+        for t, target, ks in edges:
             product = ring.mul(value, table[t]) if sid else table[t]  # the root's value is 1
-            acc[target] = ring.accumulate(acc[target], product, flag)
+            acc[target] = ring.accumulate(acc[target], product, ks)
     return ring.finish(acc[final])
 
 

@@ -130,21 +130,30 @@ def smith_normal_form(a: IntMat) -> SnfResult:
     Returns factors d_1 | d_2 | ... (non-negative, divisibility chain) and
     unimodular left/right transforms U, V with U*a*V diagonal.
     """
+    factors, u, v = _smith(a, True)
+    return SnfResult(factors, tuple(map(tuple, u)), tuple(map(tuple, v)))
+
+
+def _smith(a: IntMat, transforms: bool) -> tuple[tuple[int, ...], list | None, list | None]:
+    """The Smith factors of ``a`` and, when ``transforms`` is set, the
+    unimodular U and V of ``smith_normal_form``; otherwise U and V are None
+    and only ``a`` is eliminated."""
     nrows = len(a)
     ncols = len(a[0]) if nrows else 0
     m = [list(row) for row in a]
-    u = [[int(i == j) for j in range(nrows)] for i in range(nrows)]
-    v = [[int(i == j) for j in range(ncols)] for i in range(ncols)]
+    u = [[int(i == j) for j in range(nrows)] for i in range(nrows)] if transforms else None
+    v = [[int(i == j) for j in range(ncols)] for i in range(ncols)] if transforms else None
+    row_mats, col_mats = ((m, u), (m, v)) if transforms else ((m,), (m,))
 
     def row_combine(i1, i2, c11, c12, c21, c22):
-        for mat in (m, u):
+        for mat in row_mats:
             r1, r2 = mat[i1], mat[i2]
             mat[i1] = [c11 * x + c12 * y for x, y in zip(r1, r2)]
             mat[i2] = [c21 * x + c22 * y for x, y in zip(r1, r2)]
 
     def col_combine(j1, j2, c11, c12, c21, c22):
         # new col j1 = c11*col j1 + c12*col j2; new col j2 = c21*col j1 + c22*col j2
-        for mat in (m, v):
+        for mat in col_mats:
             for row in mat:
                 x, y = row[j1], row[j2]
                 row[j1] = c11 * x + c12 * y
@@ -208,10 +217,11 @@ def smith_normal_form(a: IntMat) -> SnfResult:
         if m[t][t] < 0:
             # Negating a single row keeps |det| = 1; fold the sign into U.
             m[t] = [-x for x in m[t]]
-            u[t] = [-x for x in u[t]]
+            if transforms:
+                u[t] = [-x for x in u[t]]
 
     factors = tuple(m[i][i] if i < ncols else 0 for i in range(rank))
-    return SnfResult(factors, tuple(tuple(r) for r in u), tuple(tuple(r) for r in v))
+    return factors, u, v
 
 
 # ---------------------------------------------------------------------------

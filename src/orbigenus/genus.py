@@ -171,7 +171,6 @@ def _build_context(
         conductor=n,
         phi=euler_phi(n),
         rows=_engine._sparse_rows(n),
-        conj_rows=_engine._conj_rows(n),
         denominator=d,
         qcap=int(qmax * d),
         ylo=min(ylo, floor(st_lo * d)),
@@ -429,12 +428,13 @@ def sector_value_numeric(
 class _ThetaRing:
     """Sector-factor values at one (z, tau), the numeric ring of
     ``_engine.double_sum``: complex numbers, multiplied and summed as they
-    are.  It never mirrors: conjugate pairing holds for series coefficients,
-    not for values at complex (z, tau).  Factor values are kept per class
-    (q_j, m_j) and twist pair, so the right twist sums of one left twist
-    share them.  Twists enter as the floats a / m_j, the float of
-    Fraction(a, m_j); ``phases`` keeps the character weights, which do not
-    depend on (z, tau), and may be shared by the rings of one model."""
+    are.  Its ``units`` are (1,): the Galois orbits of sector products hold
+    for series coefficients, not for values at complex (z, tau).  Factor
+    values are kept per class (q_j, m_j) and twist pair, so the right twist
+    sums of one left twist share them.  Twists enter as the floats a / m_j,
+    the float of Fraction(a, m_j); ``phases`` keeps the character weights,
+    which do not depend on (z, tau), and may be shared by the rings of one
+    model."""
 
     charges: tuple[Fraction, ...]
     moduli: tuple[int, ...]
@@ -442,7 +442,7 @@ class _ThetaRing:
     z: complex
     tau: complex
     phases: dict = field(default_factory=dict)
-    mirrors = False
+    units = (1,)
     unit = 1.0 + 0j
 
     def __post_init__(self):
@@ -484,8 +484,8 @@ class _ThetaRing:
     def mul(self, a: complex, b: complex) -> complex:
         return a * b
 
-    def accumulate(self, acc: complex | None, product: complex, flag: int) -> complex:
-        """acc + product; a ring that never mirrors gets no conjugating flag."""
+    def accumulate(self, acc: complex | None, product: complex, ks: tuple[int, ...]) -> complex:
+        """acc + product; with units (1,), ks is always (1,)."""
         return product if acc is None else acc + product
 
     def finish(self, acc: complex) -> complex:

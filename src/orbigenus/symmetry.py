@@ -37,6 +37,7 @@ from operator import mul
 from typing import Iterable, Iterator, Sequence
 
 from .exactmath import (
+    _smith,
     _xgcd,
     int_matrix,
     invert_rational_matrix,
@@ -290,9 +291,10 @@ class SymmetryGroup:
 
         With Smith factors d_1 | ... | d_d of the lattice, the group is the
         direct sum of Z/(m/d_i); reading the chain backwards keeps the order.
+        Only the factors are needed, so the transforms are not built.
         """
         m = self.exponent
-        factors = (m // f for f in reversed(smith_normal_form(self.hnf).factors))
+        factors = (m // f for f in reversed(_smith(self.hnf, False)[0]))
         return tuple(f for f in factors if f > 1)
 
     def coordinate_moduli(self) -> tuple[int, ...]:

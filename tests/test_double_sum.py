@@ -2,13 +2,15 @@
 
 The driver runs the exact path over ``_engine._ExactRing`` and the numeric
 path over ``genus._ThetaRing``.  These tests swap the exact ring for a
-subclass that counts or unpairs products, compare single transforms of both
-rings with explicit sums (the exact ones over the engine-free reference
-factors of ``helpers``), compare the contraction with an explicit sum over
-every pair, and compare the numeric ring with sector-by-sector totals.
+subclass that counts products, pairs none of them or breaks their Galois
+symmetry, compare single transforms of both rings with explicit sums (the
+exact ones over the engine-free reference factors of ``helpers``), compare
+the contraction with an explicit sum over every pair, and compare the
+numeric ring with sector-by-sector totals.
 """
 
 import cmath
+import itertools
 import math
 from fractions import Fraction
 
@@ -27,6 +29,7 @@ from helpers import (
     reference_vec_mul,
 )
 from orbigenus import _engine, genus
+from orbigenus._engine import RationalityError
 from orbigenus.exactmath import _power_rows, lcm
 from orbigenus.genus import (
     NearPoleError,
@@ -34,10 +37,11 @@ from orbigenus.genus import (
     sector_value_from_coords,
     sector_value_numeric,
 )
-from orbigenus.potential import compute_charges, transpose_potential
+from orbigenus.potential import compute_charges, parse_potential, transpose_potential
 from orbigenus.symmetry import dual_group, grading_subgroup, sl_subgroup
 
 F = Fraction
+SEPTIC = parse_potential("+".join(f"x{i}^7" for i in range(1, 8)))
 Z, TAU = 0.23 + 0.04j, 0.11 + 1.31j
 
 
@@ -50,17 +54,26 @@ class CountingRing(_engine._ExactRing):
 
 
 class UnpairedRing(_engine._ExactRing):
-    mirrors = False
+    units = (1,)
 
 
-def neg(vec, moduli):
-    return tuple(-x % m for x, m in zip(vec, moduli))
+class SkewRing(_engine._ExactRing):
+    """The exact ring with every transform multiplied by c = 2 + zeta_N.
+    sigma_u(c) = 2 + zeta_N^u is not c, so sigma_u no longer maps the
+    product of a sector pair to the product of its image.  No power of c is
+    rational (N > 2), so the pair sum c^d S is not; the orbit sums of the
+    skewed products are not either on the models tested below."""
 
+    def _skew(self, series):
+        n = self.ctx.conductor
+        c = [2, 1] + [0] * (self.ctx.phi - 2)
+        return {key: reference_vec_mul(c, vec, n) for key, vec in series.items()}
 
-def self_conjugate(rl, rr, mode, moduli):
-    """A product equals its own complex conjugate: conj f(a, b) = f(a, -b),
-    and conjugating a character sum over the left slot negates its index."""
-    return (neg(rl, moduli) == rl) if mode == "T" else (neg(rr, moduli) == rr)
+    def factor(self, j, a, b):
+        return self._skew(super().factor(j, a, b))
+
+    def twist_sum(self, j, a, index):
+        return self._skew(super().twist_sum(j, a, index))
 
 
 def count_products(monkeypatch, potential, group):
@@ -70,24 +83,42 @@ def count_products(monkeypatch, potential, group):
     return CountingRing.products
 
 
-def paired_count(group):
+def orbit_count(group):
     """Series products of a sum that multiplies out one product of each
-    conjugate pair of sector pairs, d - 1 per product."""
+    Galois orbit of sector pairs, d - 1 per product.  The unit u maps the
+    pair (l, r) to (u l, r) for character sums ("T") and to (l, u r) for
+    group elements ("D"); orbits are counted by visiting every pair."""
     moduli, reps, mode = genus._group_data(group)
-    selfconj = sum(self_conjugate(rl, rr, mode, moduli) for rl in reps for rr in reps)
-    assert selfconj < len(reps) ** 2
-    return (len(reps) ** 2 + selfconj) // 2 * (len(moduli) - 1)
+    n = lcm(*moduli)
+    units = [u for u in range(1, n + 1) if math.gcd(u, n) == 1]
+
+    def scaled(vec, u):
+        return tuple(u * x % m for x, m in zip(vec, moduli))
+
+    seen, orbits = set(), 0
+    for pair in itertools.product(map(tuple, reps), repeat=2):
+        if pair in seen:
+            continue
+        orbits += 1
+        rl, rr = pair
+        seen.update((scaled(rl, u), rr) if mode == "T" else (rl, scaled(rr, u)) for u in units)
+    assert orbits < len(reps) ** 2
+    return orbits * (len(moduli) - 1)
 
 
-@pytest.mark.parametrize("potential, group, mode", [
-    (K3_CHAIN, grading_subgroup(K3_CHAIN), "D"),
-    (QUINTIC, sl_subgroup(QUINTIC), "T"),
+@pytest.mark.parametrize("potential, group, mode, products", [
+    pytest.param(K3_CHAIN, grading_subgroup(K3_CHAIN), "D", 36, id="k3chain-J"),
+    pytest.param(QUINTIC, sl_subgroup(QUINTIC), "T", 40, id="quintic-SL"),
+    pytest.param(QUINTIC, grading_subgroup(QUINTIC), "D", 40, id="quintic-J"),
+    pytest.param(SEPTIC, grading_subgroup(SEPTIC), "D", 84, id="septic-J"),
 ])
-def test_sector_products_halved_by_conjugation(monkeypatch, potential, group, mode):
+def test_sector_products_one_chain_per_galois_orbit(monkeypatch, potential, group, mode, products):
     """Where no two prefixes share their completions the contraction forms
-    one chain of products per conjugate pair of sector pairs."""
+    one chain of products per orbit of the units mod N on the sector pairs
+    (quintic: 60 products when only conjugates were paired, septic: 168)."""
     assert genus._group_data(group)[2] == mode
-    assert count_products(monkeypatch, potential, group) == paired_count(group)
+    assert orbit_count(group) == products
+    assert count_products(monkeypatch, potential, group) == products
 
 
 @pytest.mark.parametrize("potential, group", [
@@ -95,7 +126,7 @@ def test_sector_products_halved_by_conjugation(monkeypatch, potential, group, mo
     (LOOP_K3, sl_subgroup(LOOP_K3)),
 ])
 def test_merged_prefixes_save_products(monkeypatch, potential, group):
-    assert count_products(monkeypatch, potential, group) < paired_count(group)
+    assert count_products(monkeypatch, potential, group) < orbit_count(group)
 
 
 @pytest.mark.parametrize("potential, group", [
@@ -104,8 +135,8 @@ def test_merged_prefixes_save_products(monkeypatch, potential, group):
     (CUBIC, sl_subgroup(CUBIC)),
 ])
 def test_paired_sum_equals_unpaired_sum(monkeypatch, potential, group):
-    """Mirrored conjugates stand in for exactly the products they skip, in
-    the genus sum and in one twisted sector."""
+    """Galois images stand in for exactly the products they skip, in the
+    genus sum and in one twisted sector."""
     twist = group.elements[-1]
 
     def sums():
@@ -115,6 +146,22 @@ def test_paired_sum_equals_unpaired_sum(monkeypatch, potential, group):
     paired = sums()
     monkeypatch.setattr(_engine, "_ExactRing", UnpairedRing)
     assert sums() == paired
+
+
+@pytest.mark.parametrize("potential, group", [
+    (K3_CHAIN, grading_subgroup(K3_CHAIN)),
+    (QUINTIC, grading_subgroup(QUINTIC)),
+    (QUINTIC, sl_subgroup(QUINTIC)),
+])
+@pytest.mark.parametrize("ring", [SkewRing, type("UnpairedSkewRing", (SkewRing,), {"units": (1,)})],
+                         ids=["orbits", "unpaired"])
+def test_non_galois_sum_is_not_rational(monkeypatch, potential, group, ring):
+    """Each orbit sum is formed from its sigma_k images, with no shortcut
+    that assumes the total rational: transforms that break the Galois
+    symmetry give a sum that ``rationalize`` rejects."""
+    monkeypatch.setattr(_engine, "_ExactRing", ring)
+    with pytest.raises(RationalityError):
+        genus._genus_rational_terms(potential, group, F(1), F(3))
 
 
 @pytest.mark.parametrize("modes", [("T", "T"), ("T", "D"), ("D", "T"), ("D", "D")])
@@ -296,6 +343,10 @@ def explicit_pair_sum(ring, reps_l, reps_r, mode_l, mode_r):
     return {key: vec for key, vec in total.items() if any(vec)}
 
 
+N8_MODEL = parse_potential("x1^8+x2^8+x3^4+x4^2")
+N12_MODEL = parse_potential("x1^3+x2^4+x3^4+x4^6")
+
+
 @st.composite
 def contraction_cases(draw):
     """A generated CY model with J or SL, or the dual of one, and either the
@@ -317,9 +368,12 @@ def contraction_cases(draw):
 @example((K3_CHAIN, sl_subgroup(K3_CHAIN), None))  # merged states, mode D
 @example((K3_DUAL, K3_DUAL_GROUP, None))  # mode T
 @example((QUINTIC, grading_subgroup(QUINTIC), grading_subgroup(QUINTIC).elements[2]))
+@example((QUINTIC, sl_subgroup(QUINTIC), None))  # N = 5, mode T
+@example((N8_MODEL, grading_subgroup(N8_MODEL), None))  # N = 8, mode D
+@example((N12_MODEL, grading_subgroup(N12_MODEL), None))  # N = 12, moduli (3, 4, 4, 6)
 def test_contraction_equals_explicit_pair_sum(case):
-    """The contraction, paired and unpaired, equals the sum of every pair
-    product: truncation and reduction are linear."""
+    """The contraction, over Galois orbits and unpaired, equals the sum of
+    every pair product: truncation, reduction and each sigma_u are linear."""
     potential, group, twist = case
     total, ctx, _ = genus._exact_double_sum(potential, group, F(1), F(-1), F(2), twist=twist)
     moduli, reps, mode = genus._group_data(group)

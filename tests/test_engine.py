@@ -28,7 +28,6 @@ def make_context(conductor, qcap, ylo, yhi):
         conductor=conductor,
         phi=euler_phi(conductor),
         rows=_engine._sparse_rows(conductor),
-        conj_rows=_engine._conj_rows(conductor),
         denominator=1,
         qcap=qcap,
         ylo=ylo,

@@ -7,6 +7,7 @@ import pytest
 from orbigenus.exactmath import (
     SingularMatrixError,
     _power_rows,
+    _smith,
     cyclotomic_polynomial,
     euler_phi,
     int_matrix,
@@ -90,6 +91,16 @@ def test_snf_transforms_random():
             for f in res.factors:
                 prod *= f
             assert prod == abs(mat_det(a))
+
+
+def test_snf_factors_only_matches_full_form():
+    """The elimination without transforms, which ``SymmetryGroup.structure``
+    runs, reaches the same factors and builds no U or V."""
+    rng = random.Random(17)
+    for _ in range(200):
+        rows, cols = rng.randint(1, 6), rng.randint(1, 6)
+        a = int_matrix([[rng.randint(-12, 12) for _ in range(cols)] for _ in range(rows)])
+        assert _smith(a, False) == (smith_normal_form(a).factors, None, None)
 
 
 def test_cyclotomic_polynomials():
