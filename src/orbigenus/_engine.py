@@ -640,27 +640,8 @@ def double_sum(ring, reps_l: list[Vec], reps_r: list[Vec], mode_l: str, mode_r: 
 
 
 # ---------------------------------------------------------------------------
-# Window sizing and finalization
+# Finalization
 # ---------------------------------------------------------------------------
-
-
-def negative_capacity(
-    charges: tuple[Fraction, ...], theta_max: tuple[Fraction, ...], qmax: Fraction
-) -> Fraction:
-    """Upper bound on the total negative y-excursion inside the q-window.
-
-    Cost accounting: the only q-free negative y comes from the fermionic
-    bracket term y^(1-q-theta) when q+theta > 1; every other unit of negative
-    y costs q-budget at rate at most max(1, q_j/(1-theta_j)).
-    """
-    free = sum(
-        (max(Fraction(0), q + t - 1) for q, t in zip(charges, theta_max)),
-        Fraction(0),
-    )
-    rate = Fraction(1)
-    for q, t in zip(charges, theta_max):
-        rate = max(rate, q / (1 - t))
-    return free + qmax * rate
 
 
 def rationalize(

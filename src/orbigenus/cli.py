@@ -211,6 +211,7 @@ def _cmd_check(args) -> int:
 
 
 def build_parser() -> argparse.ArgumentParser:
+    """The parser; each subcommand accepts only the options it reads."""
     parser = argparse.ArgumentParser(
         prog="orbigenus",
         description="Orbifold elliptic genus of invertible polynomial potentials",
@@ -219,20 +220,22 @@ def build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--potential", required=True,
                         help="potential file, inline text, or inline JSON")
-    common.add_argument("--group", default=None,
-                        help='generators "a/b,...;c/d,..." or the aliases J / SL (default J)')
-    common.add_argument("--qmax", default=None, help="q-order truncation (rational)")
-    common.add_argument("--ywin", default=None, help="y-window half width (rational)")
-    common.add_argument("--tol", type=float, default=None, help="numeric tolerance")
-    common.add_argument("--samples", type=int, default=5, help="sample count for numeric checks")
-    common.add_argument("--seed", type=int, default=0, help="sample RNG seed")
     common.add_argument("--out", default=None, help="also write the JSON to this path")
+    grouped = argparse.ArgumentParser(add_help=False, parents=[common])
+    grouped.add_argument("--group", default=None,
+                         help='generators "a/b,...;c/d,..." or the aliases J / SL (default J)')
+    windowed = argparse.ArgumentParser(add_help=False, parents=[grouped])
+    windowed.add_argument("--qmax", default=None, help="q-order truncation (rational)")
+    windowed.add_argument("--ywin", default=None, help="y-window half width (rational)")
 
     sub.add_parser("info", parents=[common], help="potential data and symmetry overview")
     sub.add_parser("groups", parents=[common], help="enumerate admissible groups")
-    sub.add_parser("dual", parents=[common], help="dual potential and dual group")
-    sub.add_parser("genus", parents=[common], help="exact genus expansion as JSON")
-    check = sub.add_parser("check", parents=[common], help="run verification checks")
+    sub.add_parser("dual", parents=[grouped], help="dual potential and dual group")
+    sub.add_parser("genus", parents=[windowed], help="exact genus expansion as JSON")
+    check = sub.add_parser("check", parents=[windowed], help="run verification checks")
+    check.add_argument("--tol", type=float, default=None, help="numeric tolerance")
+    check.add_argument("--samples", type=int, default=5, help="sample count for numeric checks")
+    check.add_argument("--seed", type=int, default=0, help="sample RNG seed")
     check.add_argument("--set", default=None,
                        help=f"comma-separated subset of {{{','.join(CHECK_NAMES)}}}")
     return parser

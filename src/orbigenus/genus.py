@@ -18,11 +18,12 @@ import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 from math import ceil, floor, prod
+from typing import NamedTuple
 
 from . import _engine
 from ._engine import RationalityError, SeriesContext
 from .exactmath import euler_phi, lcm
-from .potential import Charges, Potential, compute_charges
+from .potential import Charges, Potential, charge_tuple, compute_charges
 from .qseries import Windows
 from .symmetry import PhaseVector, SymmetryGroup, require_admissible
 from .theta import lattice_distance, theta_value
@@ -135,12 +136,6 @@ class GenusSeries:
 # ---------------------------------------------------------------------------
 
 
-def _conductor(moduli: tuple[int, ...]) -> int:
-    """Order of the roots of unity in the factors: every twist is a multiple
-    of 1/m_j.  (An admissible group contains J, so den(q_j) divides m_j.)"""
-    return lcm(*moduli)
-
-
 def _work_denominator(
     charges: tuple[Fraction, ...],
     moduli: tuple[int, ...],
@@ -149,8 +144,27 @@ def _work_denominator(
     st_hi: Fraction,
 ) -> int:
     """Exponent denominator of the context for the window [st_lo, st_hi]."""
-    return lcm(2, _conductor(moduli), qmax.denominator, st_lo.denominator,
-               st_hi.denominator, *(q.denominator for q in charges))
+    return lcm(2, *moduli, qmax.denominator, st_lo.denominator, st_hi.denominator,
+               *(q.denominator for q in charges))
+
+
+def _negative_capacity(
+    charges: tuple[Fraction, ...], theta_max: tuple[Fraction, ...], qmax: Fraction
+) -> Fraction:
+    """Upper bound on the total negative y-excursion inside the q-window.
+
+    Cost accounting: the only q-free negative y comes from the fermionic
+    bracket term y^(1-q-theta) when q+theta > 1; every other unit of negative
+    y costs q-budget at rate at most max(1, q_j/(1-theta_j)).
+    """
+    free = sum(
+        (max(Fraction(0), q + t - 1) for q, t in zip(charges, theta_max)),
+        Fraction(0),
+    )
+    rate = Fraction(1)
+    for q, t in zip(charges, theta_max):
+        rate = max(rate, q / (1 - t))
+    return free + qmax * rate
 
 
 def _build_context(
@@ -162,9 +176,11 @@ def _build_context(
     theta_max: tuple[Fraction, ...],
 ) -> SeriesContext:
     """Context with a work window wide enough to be exact on [st_lo, st_hi]."""
-    n = _conductor(moduli)
+    # every twist is a multiple of 1/m_j (an admissible group contains J, so
+    # den(q_j) divides m_j): the factors hold roots of unity of order lcm(m_j)
+    n = lcm(*moduli)
     d = _work_denominator(charges, moduli, qmax, st_lo, st_hi)
-    cap = _engine.negative_capacity(charges, theta_max, qmax)
+    cap = _negative_capacity(charges, theta_max, qmax)
     ylo = floor((-cap) * d)
     yhi = ceil((st_hi + cap) * d)
     return SeriesContext(
@@ -180,53 +196,68 @@ def _build_context(
     )
 
 
-def _group_data(group: SymmetryGroup):
-    """Coordinate moduli, the representatives the double sum iterates, and its mode.
+class _SumSetup(NamedTuple):
+    """What a sector double sum over one group runs on."""
 
-    |ann(G)| = prod_j m_j / |G| is known before anything is listed, so only
-    the smaller side is listed: ann(G) ("T") when it is smaller than G,
-    otherwise G itself ("D").
+    moduli: tuple[int, ...]
+    left: list[tuple[int, ...]]
+    mode_l: str
+    right: list[tuple[int, ...]]
+    mode_r: str
+    theta_max: tuple[Fraction, ...]  # the largest left twist per coordinate
+    side: Fraction  # the weight of a side listed in the group's mode
+
+
+def _sum_setup(group: SymmetryGroup, twist: PhaseVector | None = None) -> _SumSetup:
+    """The representatives, modes and weights of the double sum over ``group``.
+
+    A side runs over G itself ("D", scaled group elements) or over its
+    annihilator ann(G) inside prod_j Z/m_j ("T", characters), whichever is
+    smaller; |ann(G)| = prod_j m_j / |G| is known before anything is listed,
+    so only the chosen side is listed.  A "T" side carries the weight
+    |G| / prod_j m_j of the character identity, a "D" side 1.  With a twist
+    n the left side is n alone, in mode "D" (one sector, averaged over the
+    second twist); otherwise both sides run over the group.
     """
     moduli = group.coordinate_moduli()
     if prod(moduli) < group.order**2:
-        return moduli, group.annihilator_elements(), "T"
-    return moduli, group.scaled_elements(moduli), "D"
+        reps, mode, side = group.annihilator_elements(), "T", Fraction(group.order, prod(moduli))
+    else:
+        reps, mode, side = group.scaled_elements(moduli), "D", Fraction(1)
+    if twist is None:
+        return _SumSetup(moduli, reps, mode, reps, mode,
+                         tuple(Fraction(m - 1, m) for m in moduli), side)
+    left = [tuple(int(t * m) for t, m in zip(twist.entries, moduli))]
+    return _SumSetup(moduli, left, "D", reps, mode, twist.entries, side)
 
 
-def _exact_double_sum(
-    potential: Potential,
+def _exact_sum(
+    charges: tuple[Fraction, ...],
     group: SymmetryGroup,
     qmax: Fraction,
-    st_lo: Fraction,
-    st_hi: Fraction,
+    lo: Fraction,
+    hi: Fraction,
+    shift: Fraction = Fraction(0),
+    sign: int = 1,
     twist: PhaseVector | None = None,
-) -> tuple[_engine.Series, SeriesContext, Fraction]:
-    """The exact double sum on a context exact on [st_lo, st_hi].
+) -> dict[tuple[Fraction, Fraction], Fraction]:
+    """sign times the 1/|G|-averaged double sum, y shifted down by ``shift``,
+    as rational terms with y-exponent in [lo, hi].
 
-    With a twist n the left side is n alone (one sector, averaged over the
-    second twist); otherwise both sides run over the group.  Returns the
-    total, its context, and the scalar that turns it into the 1/|G|-averaged
-    sum: each "T" side carries |G| / prod_j m_j from the character identity.
+    The sum runs on a context exact on [lo + shift, hi + shift]; every
+    stored q-exponent is non-negative (asserted).
     """
-    charges = compute_charges(potential)
-    moduli, reps, mode = _group_data(group)
-    side = Fraction(group.order, prod(moduli)) if mode == "T" else Fraction(1)
-    if twist is None:
-        theta_max = tuple(Fraction(m - 1, m) for m in moduli)
-        left, mode_l, weight = reps, mode, side * side
-    else:
-        theta_max = twist.entries
-        left, mode_l, weight = [tuple(int(t * m) for t, m in zip(theta_max, moduli))], "D", side
-    ctx = _build_context(tuple(charges.q), moduli, qmax, st_lo, st_hi, theta_max)
-    total = _engine.double_sum(_engine._ExactRing(ctx), left, reps, mode_l, mode)
+    setup = _sum_setup(group, twist)
+    st_lo, st_hi = lo + shift, hi + shift
+    ctx = _build_context(charges, setup.moduli, qmax, st_lo, st_hi, setup.theta_max)
+    total = _engine.double_sum(_engine._ExactRing(ctx), setup.left, setup.right,
+                               setup.mode_l, setup.mode_r)
     assert all(kq >= 0 for (kq, _) in total), "negative q-exponent in the double sum"
-    return total, ctx, weight / group.order
-
-
-def _in_window(total: _engine.Series, ctx: SeriesContext, windows: Windows) -> _engine.Series:
-    """The terms of an engine total with y-exponent inside ``windows``."""
-    lo, hi = windows.ymin * ctx.denominator, windows.ymax * ctx.denominator
-    return {(kq, ky): vec for (kq, ky), vec in total.items() if lo <= ky <= hi}
+    d = ctx.denominator
+    ky_lo, ky_hi, ky_shift = st_lo * d, st_hi * d, int(shift * d)
+    window = {(kq, ky - ky_shift): vec for (kq, ky), vec in total.items() if ky_lo <= ky <= ky_hi}
+    weight = setup.side if twist is not None else setup.side**2
+    return _engine.rationalize(window, ctx, sign * weight / group.order)
 
 
 def cone_supertrace_series(
@@ -234,17 +265,13 @@ def cone_supertrace_series(
 ) -> dict[tuple[Fraction, Fraction], Fraction]:
     """Supertrace of the free untwisted cone on ``windows``, as rational terms.
 
-    This is the engine's untwisted sector on the trivial group: every modulus
-    1, so the one (0, 0) pair is the product of the single-variable factors
-    of ``_engine.variable_factor`` at zero twist, summed on a context whose
-    work window is exact on ``windows``.  ``oracle.free_state_series`` counts
-    the same supertrace state by state.
+    This is the double sum over the trivial group: every modulus 1, so the
+    one (0, 0) pair is the product of the single-variable factors of
+    ``_engine.variable_factor`` at zero twist.  ``oracle.free_state_series``
+    counts the same supertrace state by state.
     """
-    qs = tuple(charges.q) if isinstance(charges, Charges) else tuple(Fraction(q) for q in charges)
-    zero = (0,) * len(qs)
-    ctx = _build_context(qs, (1,) * len(qs), windows.qmax, windows.ymin, windows.ymax, zero)
-    total = _engine.double_sum(_engine._ExactRing(ctx), [zero], [zero], "D", "D")
-    return _engine.rationalize(_in_window(total, ctx, windows), ctx, 1)
+    qs = charge_tuple(charges)
+    return _exact_sum(qs, SymmetryGroup.trivial(len(qs)), windows.qmax, windows.ymin, windows.ymax)
 
 
 def sector_supertrace_series(
@@ -258,10 +285,8 @@ def sector_supertrace_series(
     require_admissible(potential, group)
     if n not in group:
         raise ValueError("twist must be an element of the group")
-    total, ctx, scalar = _exact_double_sum(
-        potential, group, windows.qmax, windows.ymin, windows.ymax, twist=n
-    )
-    return _engine.rationalize(_in_window(total, ctx, windows), ctx, scalar)
+    return _exact_sum(tuple(compute_charges(potential).q), group, windows.qmax,
+                      windows.ymin, windows.ymax, twist=n)
 
 
 def _genus_rational_terms(
@@ -269,21 +294,13 @@ def _genus_rational_terms(
     group: SymmetryGroup,
     qmax: Fraction,
     ycap: Fraction,
-) -> tuple[dict[tuple[Fraction, Fraction], Fraction], int]:
-    """Signed, shifted, rationalized genus terms on the final window."""
-    cbar = compute_charges(potential).central_charge
+) -> dict[tuple[Fraction, Fraction], Fraction]:
+    """Signed, shifted, rationalized genus terms with |y| <= ycap."""
+    charges = compute_charges(potential)
+    cbar = charges.central_charge
     assert cbar.denominator == 1
-    shift = cbar / 2
-    total, ctx, scalar = _exact_double_sum(potential, group, qmax, -ycap + shift, ycap + shift)
-    d = ctx.denominator
-    ky_shift = int(shift * d)
-    shifted = {}
-    for (kq, ky), vec in total.items():
-        ky2 = ky - ky_shift
-        if -ycap * d <= ky2 <= ycap * d and kq <= qmax * d:
-            shifted[(kq, ky2)] = vec
     sign = -1 if int(cbar) % 2 else 1
-    return _engine.rationalize(shifted, ctx, sign * scalar), d
+    return _exact_sum(tuple(charges.q), group, qmax, -ycap, ycap, shift=cbar / 2, sign=sign)
 
 
 def default_y_cap(potential: Potential, qmax: Fraction) -> Fraction:
@@ -315,13 +332,14 @@ def ell_genus_series(
     with R from ``jacobi_reach``; every computed term is checked against the
     bound, and one outside it raises ``JacobiBoundError``.
 
-    The reported window follows the widening schedule: the first of
-    ``ycap`` (or a charge-based default) + k ``WIDEN_STEP``, k <= ``MAX_WIDEN``,
-    that reaches ``CERTIFY_MARGIN`` beyond the outermost computed term.  The
-    reach is taken over every computed term, not only those inside ycap, so
-    a gap in the y-support (the quintic has no q^n y^(3/2) term through q^6)
-    cannot pass for its edge.  The result holds the terms with |y| <= ycap
-    and the achieved margin.
+    The reported window is the first of ``ycap`` (or a charge-based
+    default) + k ``WIDEN_STEP`` that reaches ``CERTIFY_MARGIN`` beyond the
+    outermost computed term: k = max(0, ceil((reach + CERTIFY_MARGIN - ycap)
+    / WIDEN_STEP)), and k > ``MAX_WIDEN`` raises ``WindowCertificationError``.
+    The reach is taken over every computed term, so a gap in the y-support
+    (the quintic has no q^n y^(3/2) term through q^6) cannot pass for its
+    edge, and the margin puts every computed term inside the window.  The
+    result holds those terms and the achieved margin.
     Where ycap exceeds the computed window, the coefficients between the two
     are zero by the theorem, not by computation.
     """
@@ -331,23 +349,20 @@ def ell_genus_series(
     qmax = Fraction(qmax) if qmax is not None else DEFAULT_QMAX
     ycap = Fraction(ycap) if ycap is not None else default_y_cap(potential, qmax)
     work = jacobi_reach(cbar, qmax) + CERTIFY_MARGIN
-    computed, _ = _genus_rational_terms(potential, group, qmax, work)
+    terms = _genus_rational_terms(potential, group, qmax, work)
     index = cbar / 2
-    for e_q, e_y in computed:
+    for e_q, e_y in terms:
         if e_y * e_y > index * index + 4 * e_q * index:
             raise JacobiBoundError(e_q, e_y, index)
-    reach = max((abs(ey) for (_, ey) in computed), default=Fraction(0))
-    for _ in range(MAX_WIDEN + 1):
-        margin = ycap - reach
-        if margin >= CERTIFY_MARGIN:
-            break
-        ycap = ycap + WIDEN_STEP
-    else:
+    reach = max((abs(ey) for (_, ey) in terms), default=Fraction(0))
+    k = max(0, ceil((reach + CERTIFY_MARGIN - ycap) / WIDEN_STEP))
+    if k > MAX_WIDEN:
         raise WindowCertificationError(
-            f"no vanishing boundary band of width {CERTIFY_MARGIN} up to ycap={ycap}"
+            f"no vanishing boundary band of width {CERTIFY_MARGIN} up to "
+            f"ycap={ycap + MAX_WIDEN * WIDEN_STEP}"
         )
-    terms = {key: c for key, c in computed.items() if abs(key[1]) <= ycap}
-    assert all(eq >= 0 for (eq, _) in terms)
+    ycap += k * WIDEN_STEP
+    margin = ycap - reach
     # the denominator a pass on this window would have used (y shifted by m)
     d = _work_denominator(tuple(charges.q), group.coordinate_moduli(), qmax,
                           index - ycap, index + ycap)
@@ -399,7 +414,7 @@ def sector_value_from_coords(
     The twists need not be canonical representatives; integer shifts flip
     numerator and denominator signs together and leave the value unchanged.
     """
-    qs = tuple(charges.q) if isinstance(charges, Charges) else tuple(Fraction(q) for q in charges)
+    qs = charge_tuple(charges)
     out = 1.0 + 0j
     for j, (qj, tn, tn1) in enumerate(zip(qs, thetas_n, thetas_n1)):
         out *= _theta_ratio(
@@ -496,10 +511,9 @@ class NumericGenus:
     """The numeric genus of one model, as a function of (z, tau).
 
     What depends on the model alone is done once, when it is built:
-    admissibility, the charges and the sign, the representatives and mode
-    of the double sum with the weight of its "T" sides, and the character
-    weights.  Each call evaluates one point; the object keeps no values of
-    the genus.
+    admissibility, the charges and the sign, the set-up of the double sum
+    (``_sum_setup``), and the character weights.  Each call evaluates one
+    point; the object keeps no values of the genus.
     """
 
     def __init__(self, potential: Potential, group: SymmetryGroup):
@@ -508,8 +522,8 @@ class NumericGenus:
         self.group = group
         self._charges = tuple(charges.q)
         self._sign = -1 if int(charges.central_charge) % 2 else 1
-        self._moduli, self._reps, self._mode = _group_data(group)
-        self._weight = (group.order / prod(self._moduli)) ** 2 if self._mode == "T" else 1.0
+        self._setup = _sum_setup(group)
+        self._weight = float(self._setup.side) ** 2
         self._phases: dict = {}
 
     def __call__(self, z: complex, tau: complex, retries: int = 3) -> EllValue:
@@ -519,10 +533,11 @@ class NumericGenus:
             raise ValueError("tau must lie in the upper half-plane")
         z_cur = complex(z)
         attempts = 0
+        setup = self._setup
         while True:
-            ring = _ThetaRing(self._charges, self._moduli, self.group, z_cur, tau, self._phases)
+            ring = _ThetaRing(self._charges, setup.moduli, self.group, z_cur, tau, self._phases)
             try:
-                total = _engine.double_sum(ring, self._reps, self._reps, self._mode, self._mode)
+                total = _engine.double_sum(ring, setup.left, setup.right, setup.mode_l, setup.mode_r)
                 value = self._sign * (total * self._weight / self.group.order)
                 return EllValue(value, z_cur, tau, attempts)
             except NearPoleError:

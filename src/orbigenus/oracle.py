@@ -22,7 +22,7 @@ from math import floor, gcd
 from typing import TYPE_CHECKING
 
 from .exactmath import lcm
-from .potential import Charges, Potential, compute_charges
+from .potential import Potential, charge_tuple, compute_charges
 
 if TYPE_CHECKING:
     from .symmetry import SymmetryGroup
@@ -74,12 +74,6 @@ def modes_for_charges(qs: tuple[Fraction, ...], qmax: int) -> list[ModeSpec]:
     return modes
 
 
-def _charges_tuple(charges) -> tuple[Fraction, ...]:
-    if isinstance(charges, Charges):
-        return tuple(charges.q)
-    return tuple(Fraction(q) for q in charges)
-
-
 def _ywindow(ywindow) -> tuple[Fraction, Fraction]:
     ymin, ymax = Fraction(ywindow[0]), Fraction(ywindow[1])
     if ymin > ymax:
@@ -95,7 +89,7 @@ def free_state_series(
     Equals the untwisted cone product formula coefficientwise on the shared
     window.  ``ywindow`` is (ymin, ymax); levels are truncated at ``qmax``.
     """
-    qs = _charges_tuple(charges)
+    qs = charge_tuple(charges)
     ymin, ymax = _ywindow(ywindow)
     d = lcm(*(q.denominator for q in qs)) if qs else 1
     # accumulate over (scaled charge, level).  Every partial sum starts at

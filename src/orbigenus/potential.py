@@ -103,6 +103,13 @@ class Charges:
     central_charge: Fraction
 
 
+def charge_tuple(charges) -> tuple[Fraction, ...]:
+    """The charges q_j of a ``Charges`` object or of a sequence, as Fractions."""
+    if isinstance(charges, Charges):
+        return tuple(charges.q)
+    return tuple(Fraction(q) for q in charges)
+
+
 def make_potential(matrix: Iterable[Iterable[int]], names: tuple[str, ...] | None = None) -> Potential:
     """Build and validate a Potential from an exponent matrix.
 

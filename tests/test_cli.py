@@ -322,3 +322,20 @@ def test_check_stdout_pinned(capsys, case):
     code, out, _ = run_cli(capsys, *case["argv"])
     assert code == case["exit"]
     assert_matches(json.loads(out), case["stdout"])
+
+
+@pytest.mark.parametrize("argv", [
+    ("info", "--samples", "-4"),
+    ("groups", "--group", "SL"),
+    ("dual", "--qmax", "-3"),
+    ("genus", "--seed", "1"),
+    ("genus", "--set", "holo"),
+], ids=" ".join)
+def test_option_of_another_subcommand_is_bad_input(capsys, argv):
+    """Each subcommand accepts only the options it reads."""
+    with pytest.raises(SystemExit) as exit_:
+        main([*argv, "--potential", "x1^2+x2^2"])
+    captured = capsys.readouterr()
+    assert exit_.value.code == 2
+    assert captured.out == ""
+    assert "unrecognized arguments: " + " ".join(argv[1:]) in captured.err

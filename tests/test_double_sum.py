@@ -76,6 +76,15 @@ class SkewRing(_engine._ExactRing):
         return self._skew(super().twist_sum(j, a, index))
 
 
+def raw_sum(qs, group, qmax, st_lo, st_hi, twist=None):
+    """The engine total of the sum set up by ``genus`` on a context exact on
+    [st_lo, st_hi], before the window cut and rationalization."""
+    setup = genus._sum_setup(group, twist)
+    ctx = genus._build_context(qs, setup.moduli, qmax, st_lo, st_hi, setup.theta_max)
+    return _engine.double_sum(_engine._ExactRing(ctx), setup.left, setup.right,
+                              setup.mode_l, setup.mode_r)
+
+
 def count_products(monkeypatch, potential, group):
     monkeypatch.setattr(_engine, "_ExactRing", CountingRing)
     CountingRing.products = 0
@@ -88,7 +97,8 @@ def orbit_count(group):
     Galois orbit of sector pairs, d - 1 per product.  The unit u maps the
     pair (l, r) to (u l, r) for character sums ("T") and to (l, u r) for
     group elements ("D"); orbits are counted by visiting every pair."""
-    moduli, reps, mode = genus._group_data(group)
+    setup = genus._sum_setup(group)
+    moduli, reps, mode = setup.moduli, setup.right, setup.mode_r
     n = lcm(*moduli)
     units = [u for u in range(1, n + 1) if math.gcd(u, n) == 1]
 
@@ -116,7 +126,7 @@ def test_sector_products_one_chain_per_galois_orbit(monkeypatch, potential, grou
     """Where no two prefixes share their completions the contraction forms
     one chain of products per orbit of the units mod N on the sector pairs
     (quintic: 60 products when only conjugates were paired, septic: 168)."""
-    assert genus._group_data(group)[2] == mode
+    assert genus._sum_setup(group).mode_r == mode
     assert orbit_count(group) == products
     assert count_products(monkeypatch, potential, group) == products
 
@@ -138,10 +148,11 @@ def test_paired_sum_equals_unpaired_sum(monkeypatch, potential, group):
     """Galois images stand in for exactly the products they skip, in the
     genus sum and in one twisted sector."""
     twist = group.elements[-1]
+    qs = tuple(compute_charges(potential).q)
 
     def sums():
-        return (genus._exact_double_sum(potential, group, F(1), F(-2), F(4))[0],
-                genus._exact_double_sum(potential, group, F(1), F(-2), F(4), twist=twist)[0])
+        return (raw_sum(qs, group, F(1), F(-2), F(4)),
+                raw_sum(qs, group, F(1), F(-2), F(4), twist=twist))
 
     paired = sums()
     monkeypatch.setattr(_engine, "_ExactRing", UnpairedRing)
@@ -283,11 +294,11 @@ def test_one_formal_factor_per_left_twist(monkeypatch, potential, group, mode):
         builds.append((ctx.charges[j], ctx.moduli[j], a % ctx.moduli[j]))
         return build(ctx, j, a)
 
-    moduli, _, chosen = genus._group_data(group)
-    assert chosen == mode
+    setup = genus._sum_setup(group)
+    assert setup.mode_r == mode
     monkeypatch.setattr(_engine, "variable_factor", counted)
-    genus._exact_double_sum(potential, group, F(1), F(-2), F(4))
-    classes = set(zip(compute_charges(potential).q, moduli))
+    genus._exact_sum(tuple(compute_charges(potential).q), group, F(1), F(-2), F(4))
+    classes = set(zip(compute_charges(potential).q, setup.moduli))
     assert builds and len(builds) == len(set(builds))
     assert len(builds) <= sum(m for _, m in classes)
 
@@ -355,7 +366,8 @@ def contraction_cases(draw):
     group = (grading_subgroup if draw(st.booleans()) else sl_subgroup)(p)
     if draw(st.booleans()):
         p, group = transpose_potential(p), dual_group(p, group)
-    moduli, reps, _ = genus._group_data(group)
+    setup = genus._sum_setup(group)
+    moduli, reps = setup.moduli, setup.right
     # the term-pair reference costs phi(N)^2 per pair of terms
     assume(len(reps) <= 16 and lcm(*moduli) <= 12)
     twist = draw(st.sampled_from(group.elements)) if draw(st.booleans()) else None
@@ -375,12 +387,16 @@ def test_contraction_equals_explicit_pair_sum(case):
     """The contraction, over Galois orbits and unpaired, equals the sum of
     every pair product: truncation, reduction and each sigma_u are linear."""
     potential, group, twist = case
-    total, ctx, _ = genus._exact_double_sum(potential, group, F(1), F(-1), F(2), twist=twist)
-    moduli, reps, mode = genus._group_data(group)
+    qs = tuple(compute_charges(potential).q)
+    setup = genus._sum_setup(group, twist)
+    moduli, reps, mode = setup.moduli, setup.right, setup.mode_r
     if twist is None:
         left, mode_l = reps, mode
     else:
         left, mode_l = [tuple(int(t * m) for t, m in zip(twist.entries, moduli))], "D"
+    assert (setup.left, setup.mode_l) == (left, mode_l)
+    ctx = genus._build_context(qs, moduli, F(1), F(-1), F(2), setup.theta_max)
+    total = _engine.double_sum(_engine._ExactRing(ctx), left, reps, mode_l, mode)
     unpaired = _engine.double_sum(UnpairedRing(ctx), left, reps, mode_l, mode)
     expected = explicit_pair_sum(_engine._ExactRing(ctx), left, reps, mode_l, mode)
     assert total == expected

@@ -17,13 +17,15 @@ from orbigenus import JacobiBoundError, genus
 from orbigenus.cli import main
 from orbigenus.exactmath import lcm
 from orbigenus.genus import (
+    MAX_WIDEN,
+    WindowCertificationError,
     _genus_rational_terms,
     default_y_cap,
     ell_genus_series,
     jacobi_reach,
 )
 from orbigenus.potential import compute_charges, transpose_potential
-from orbigenus.symmetry import dual_group, grading_subgroup, sl_subgroup
+from orbigenus.symmetry import SymmetryGroup, dual_group, grading_subgroup, sl_subgroup
 
 F = Fraction
 
@@ -51,6 +53,16 @@ def counted_passes(monkeypatch):
     return calls
 
 
+def pass_denominator(potential, group, qmax, ycap):
+    """The exponent denominator of a pass on |y| <= ycap: y runs over
+    [m - ycap, m + ycap] before the shift by m = cbar/2, and every exponent
+    is a multiple of 1/2, of a twist 1/m_j, of qmax or of a charge."""
+    charges = compute_charges(potential)
+    m = charges.central_charge / 2
+    return lcm(2, *group.coordinate_moduli(), F(qmax).denominator, (m - ycap).denominator,
+               (m + ycap).denominator, *(q.denominator for q in charges.q))
+
+
 def assert_one_pass_matches_wide(potential, group, qmax):
     """One pass, and the same terms, window, margin and D as a pass at the
     window the widening schedule ends on."""
@@ -59,10 +71,10 @@ def assert_one_pass_matches_wide(potential, group, qmax):
         series = ell_genus_series(potential, group, qmax)
     assert len(calls) == 1
     cbar = compute_charges(potential).central_charge
-    wide, d = _genus_rational_terms(potential, group, F(qmax), series.ycap)
+    wide = _genus_rational_terms(potential, group, F(qmax), series.ycap)
     assert in_jacobi_bound(wide, cbar)
     assert series.terms == wide
-    assert series.denominator == d
+    assert series.denominator == pass_denominator(potential, group, qmax, series.ycap)
     reach = max((abs(ey) for (_, ey) in wide), default=F(0))
     assert series.boundary_margin == series.ycap - reach >= 1
     return series
@@ -89,7 +101,7 @@ def genus_cases(draw):
     p = draw(cy_potentials(600))
     assume(lcm(*(q.denominator for q in compute_charges(p).q)) <= 12)
     group = group_of(p, draw(st.sampled_from(["J", "SL"])))
-    assume(len(genus._group_data(group)[1]) <= 16)
+    assume(len(genus._sum_setup(group).right) <= 16)
     return p, group, draw(st.sampled_from([1, 2]))
 
 
@@ -134,7 +146,8 @@ def test_margin_equal_to_certify_margin_is_accepted():
     # q^1 reaches 5/2, so a start at 7/2 leaves exactly the certify margin 1
     series = ell_genus_series(QUINTIC, grading_subgroup(QUINTIC), qmax=1, ycap=F(7, 2))
     assert (series.ycap, series.boundary_margin) == (F(7, 2), 1)
-    wide, d = _genus_rational_terms(QUINTIC, grading_subgroup(QUINTIC), F(1), F(7, 2))
+    wide = _genus_rational_terms(QUINTIC, grading_subgroup(QUINTIC), F(1), F(7, 2))
+    d = pass_denominator(QUINTIC, grading_subgroup(QUINTIC), 1, F(7, 2))
     assert (series.terms, series.denominator) == (wide, d)
 
 
@@ -180,21 +193,27 @@ def test_charge_denominators_divide_the_moduli(potential):
         moduli = group.coordinate_moduli()
         dens = [q.denominator for q in compute_charges(p).q]
         assert all(m % den == 0 for den, m in zip(dens, moduli)), (p.text, moduli)
-        assert genus._conductor(moduli) == lcm(*dens, *moduli)
+        ctx = genus._build_context(tuple(compute_charges(p).q), moduli, F(1), F(-1), F(1),
+                                   tuple(F(m - 1, m) for m in moduli))
+        assert ctx.conductor == lcm(*dens, *moduli)
 
 
 def test_cone_runs_at_conductor_one():
+    """The cone is the sum over the trivial group: one (0, 0) pair, moduli 1."""
     qs = tuple(compute_charges(QUINTIC).q)
-    zero = (F(0),) * len(qs)
-    ctx = genus._build_context(qs, (1,) * len(qs), F(3), F(-3), F(3), zero)
+    setup = genus._sum_setup(SymmetryGroup.trivial(len(qs)))
+    zero = (0,) * len(qs)
+    assert (setup.left, setup.right, setup.mode_l, setup.mode_r) == ([zero], [zero], "D", "D")
+    assert setup.side == 1
+    ctx = genus._build_context(qs, setup.moduli, F(3), F(-3), F(3), setup.theta_max)
     assert (ctx.conductor, ctx.phi) == (1, 1)
 
 
 def inject_term_beyond_bound(monkeypatch):
     def with_extra_term(*args):
-        terms, d = _genus_rational_terms(*args)
+        terms = _genus_rational_terms(*args)
         # quintic, m = 3/2: at q^0 the bound is y^2 <= 9/4
-        return {**terms, (F(0), F(2)): F(1)}, d
+        return {**terms, (F(0), F(2)): F(1)}
 
     monkeypatch.setattr(genus, "_genus_rational_terms", with_extra_term)
 
@@ -215,3 +234,22 @@ def test_term_beyond_bound_exits_one(monkeypatch, capsys):
     assert captured.out == ""
     assert captured.err.startswith("computation failed:")
     assert "weak-Jacobi" in captured.err
+
+
+@pytest.mark.parametrize("max_widen, qmax, window", [
+    # no widening allowed: the start at 1/10 is the one window tried
+    (0, "1", "1/10"),
+    # q^12 reaches 17/2; the schedule from 1/10 ends at 1/10 + 4 * 2 = 81/10
+    (MAX_WIDEN, "12", "81/10"),
+])
+def test_uncertified_window_names_the_last_window_tried(monkeypatch, capsys, max_widen, qmax,
+                                                        window):
+    monkeypatch.setattr(genus, "MAX_WIDEN", max_widen)
+    with pytest.raises(WindowCertificationError, match=f"up to ycap={window}$"):
+        ell_genus_series(QUINTIC, grading_subgroup(QUINTIC), qmax=F(qmax), ycap=F(1, 10))
+    code = main(["genus", "--potential", QUINTIC.text, "--qmax", qmax, "--ywin", "1/10"])
+    captured = capsys.readouterr()
+    assert code == 1
+    assert captured.out == ""
+    assert captured.err == (
+        f"computation failed: no vanishing boundary band of width 1 up to ycap={window}\n")
