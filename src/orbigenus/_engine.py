@@ -6,15 +6,20 @@ normalization (1/|G|, character-sum weights) is applied once at the end, so
 the hot loops touch only machine/big integers.
 
 Series products are Kronecker substitutions.  Each q-row of an operand is
-packed into one Python int: the term at ky fills a cell of 2*phi-1 signed
-slots, cells spaced by the gcd g of the y-steps of both operands, so one
-big-integer multiply per pair of q-rows does the y-convolution and the
-zeta-polynomial product together (Harvey, "Faster polynomial multiplication
-via multipoint Kronecker substitution", arXiv:0712.4046).  The slot width is
-proven wide enough: an output slot sums at most min(nnz_a, nnz_b) products
-of coefficients, so bits(max|a| * max|b| * min(nnz_a, nnz_b)) plus a sign bit
-suffice.  Products are decoded once per output row, cut to the y-window and
-reduced mod Phi_N.
+packed into one Python int, cells spaced by the gcd g of the y-steps of both
+operands, so one big-integer multiply per pair of q-rows does the
+y-convolution and the zeta-polynomial product together (Harvey, "Faster
+polynomial multiplication via multipoint Kronecker substitution",
+arXiv:0712.4046).  Each operand carries a width, 1 when every vector is zero
+beyond slot 0 and phi otherwise, and the term at ky fills that many slots of
+a cell of a.width + b.width - 1 signed slots: one for two rational operands,
+as in the sectors untwisted in time and the character sums over a right
+twist, phi for one and 2*phi-1 for neither.  The slot width is proven wide
+enough: an output slot sums at most min(nnz_a, nnz_b) products of
+coefficients, so bits(max|a| * max|b| * min(nnz_a, nnz_b)) plus a sign bit
+suffice.  Products are decoded once per output row, cut to the y-window and,
+where the cell is wider than phi, reduced mod Phi_N; a product whose vectors
+are all rational gets width 1.
 
 The single-variable factors are built without general products: each
 fermionic binomial is a shift-and-add and each bosonic geometric tower a
@@ -55,7 +60,11 @@ contraction forms one chain of products per pair, as a pair loop would; a
 the pair loop formed 1821.  For the exact ring the Galois automorphism
 zeta_N -> zeta_N^u, u a unit mod N, maps the sector product of (g, h) to a
 product of the same sum, so values are kept on one state of each orbit of
-the unit group and a product stands in for its whole orbit.
+the unit group and a product stands in for its whole orbit.  A product is
+deposited on its state through one summed map per set of units, the sum of
+the substitutions zeta_N -> zeta_N^u, never through a shortcut that assumes
+the orbit sum rational, so a sum that breaks the symmetry still fails
+``rationalize``.
 
 Everything here is standard library only.
 """
@@ -170,13 +179,15 @@ class _Rows:
 
     ``rows`` lists (kq, [(ky, vector), ...]) by increasing kq, each row by
     increasing ky; ``step`` is the gcd of the y-steps inside the rows (0 when
-    every row has a single term), ``peak`` the largest coefficient magnitude
-    and ``nnz`` the number of nonzero coefficients.
+    every row has a single term), ``peak`` the largest coefficient magnitude,
+    ``nnz`` the number of nonzero coefficients and ``width`` the slots a
+    packing fills per term: 1 when every vector is zero beyond slot 0 (a
+    rational series), else phi.
     """
 
-    __slots__ = ("rows", "step", "peak", "nnz")
+    __slots__ = ("rows", "step", "peak", "nnz", "width")
 
-    def __init__(self, rows: list, peak: int, nnz: int):
+    def __init__(self, rows: list, peak: int, nnz: int, width: int):
         step = 0
         for _, terms in rows:
             y0 = terms[0][0]
@@ -186,18 +197,23 @@ class _Rows:
         self.step = step
         self.peak = peak
         self.nnz = nnz
+        self.width = width
 
     @classmethod
     def of(cls, series: Series) -> "_Rows":
         by_q: dict[int, list] = {}
         peak = nnz = 0
+        width = 1
         for (kq, ky), vec in series.items():
             by_q.setdefault(kq, []).append((ky, vec))
             peak = max(peak, max(map(abs, vec)))
-            nnz += len(vec) - vec.count(0)
+            nonzero = len(vec) - vec.count(0)
+            nnz += nonzero
+            if nonzero > (vec[0] != 0):
+                width = len(vec)
         for terms in by_q.values():
             terms.sort()
-        return cls(sorted(by_q.items()), peak, nnz)
+        return cls(sorted(by_q.items()), peak, nnz, width)
 
     def items(self):
         for kq, terms in self.rows:
@@ -205,33 +221,37 @@ class _Rows:
                 yield (kq, ky), vec
 
     def packed(self, g: int, nbytes: int, cell: int):
-        """Rows as (kq, ymin, cells, int), coefficient i of the term at ky in
-        slot ((ky - ymin) // g) * cell + i of nbytes-byte signed slots."""
+        """Rows as (kq, ymin, cells, int), coefficient i < width of the term at
+        ky in slot ((ky - ymin) // g) * cell + i of nbytes-byte signed slots."""
+        width = self.width
         for kq, terms in self.rows:
             y0 = terms[0][0]
             cells = (terms[-1][0] - y0) // g + 1
             slots = [0] * (cells * cell)
             for ky, vec in terms:
                 at = (ky - y0) // g * cell
-                slots[at:at + len(vec)] = vec
+                slots[at:at + width] = vec[:width]
             yield kq, y0, cells, _pack(slots, nbytes)
 
 
 def _mul_rows(a: _Rows, b: _Rows, ctx: SeriesContext) -> _Rows:
     """Truncated product, one big-integer multiply per pair of q-rows.
 
-    A cell of 2*phi-1 slots holds the unreduced product of two coefficient
-    vectors, so the y-convolution and the zeta-polynomial product of two rows
-    are one integer product.  Each output slot sums at most min(nnz_a, nnz_b)
-    coefficient products, so slots of bits(peak_a * peak_b * min(nnz)) plus a
-    sign bit keep every slot exact.  Products are accumulated per
-    (kq, ky mod g), then each sum is decoded once, cut to [ylo, yhi] and
-    reduced mod Phi_N.
+    A cell of a.width + b.width - 1 slots holds the unreduced product of two
+    coefficient vectors: one slot for two rational operands, phi for one,
+    2*phi-1 for neither.  So the y-convolution and the zeta-polynomial
+    product of two rows are one integer product.  Each output slot sums at
+    most min(nnz_a, nnz_b) coefficient products, so slots of
+    bits(peak_a * peak_b * min(nnz)) plus a sign bit keep every slot exact.
+    Products are accumulated per (kq, ky mod g), then each sum is decoded
+    once, cut to [ylo, yhi] and, where the cell is wider than phi, reduced
+    mod Phi_N.  The product's width is 1 when every decoded vector is zero
+    beyond slot 0, whatever the operands' widths.
     """
     if not a.nnz or not b.nnz:
-        return _Rows([], 0, 0)  # a zero operand; its coefficients fix no slot width
+        return _Rows([], 0, 0, 1)  # a zero operand; its coefficients fix no slot width
     phi, reduce_rows, qcap, ylo, yhi = ctx.phi, ctx.rows, ctx.qcap, ctx.ylo, ctx.yhi
-    cell = 2 * phi - 1
+    cell = a.width + b.width - 1
     g = gcd(a.step, b.step) or 1
     nbytes = _slot_bytes(a.peak * b.peak * min(a.nnz, b.nnz))
     cell_bits = 8 * nbytes * cell
@@ -259,6 +279,8 @@ def _mul_rows(a: _Rows, b: _Rows, ctx: SeriesContext) -> _Rows:
 
     rows: list = []
     peak = nnz = 0
+    width = 1
+    pad = (0,) * (phi - 1)
     for kq, c in sorted(acc):
         e, top, x = acc.pop((kq, c))  # each sum is freed once decoded
         base = e * g + c
@@ -268,7 +290,7 @@ def _mul_rows(a: _Rows, b: _Rows, ctx: SeriesContext) -> _Rows:
             continue
         digits = _unpack(x, nbytes, (top - e) * cell, lo * cell, hi * cell)
         # column t holds slot t of every cell; fold t >= phi into the basis
-        cols = [digits[t::cell] for t in range(phi)]
+        cols = [digits[t::cell] for t in range(min(cell, phi))]
         for t in range(phi, cell):
             high = digits[t::cell]
             for i, r in reduce_rows[t]:
@@ -285,12 +307,13 @@ def _mul_rows(a: _Rows, b: _Rows, ctx: SeriesContext) -> _Rows:
             rows.append((kq, []))
         terms = rows[-1][1]
         ky = base + lo * g
-        for vec in zip(*cols):
-            if any(vec):
-                terms.append((ky, vec))
-            ky += g
+        if any(map(any, cols[1:])):
+            width = phi
+            terms.extend((ky + i * g, vec) for i, vec in enumerate(zip(*cols)) if any(vec))
+        else:
+            terms.extend((ky + i * g, (v,) + pad) for i, v in enumerate(cols[0]) if v)
     rows = [(kq, sorted(terms)) for kq, terms in rows if terms]
-    return _Rows(rows, peak, nnz)
+    return _Rows(rows, peak, nnz, width)
 
 
 def _add_term(acc: Series, key: tuple[int, int], vec) -> None:
@@ -380,6 +403,20 @@ def _substitution(n: int, unit: int) -> tuple:
     power_rows = _power_rows(n)
     return tuple(tuple((i, r) for i, r in enumerate(power_rows[k * unit % n]) if r)
                  for k in range(n))
+
+
+@lru_cache(maxsize=None)
+def _summed_substitution(n: int, units: tuple[int, ...]) -> tuple:
+    """Sparse rows of sum_{u in units} x^(k u mod n) reduced mod Phi_n: the
+    sum of the substitutions x -> x^u, row by row, zero entries dropped."""
+    out = []
+    for parts in zip(*(_substitution(n, u) for u in units)):
+        row: dict[int, int] = {}
+        for part in parts:
+            for i, r in part:
+                row[i] = row.get(i, 0) + r
+        out.append(tuple((i, r) for i, r in sorted(row.items()) if r))
+    return tuple(out)
 
 
 def _substitute(coeffs, rows: tuple, phi: int) -> list[int]:
@@ -554,16 +591,15 @@ class _ExactRing:
         return _mul_rows(a, b, self.ctx)
 
     def accumulate(self, acc, product: _Rows, ks: tuple[int, ...]):
-        """acc plus sigma_k(product), zeta_N -> zeta_N^k, for each unit k in ks."""
+        """acc plus sigma_k(product), zeta_N -> zeta_N^k, for each unit k in
+        ks, through the one summed map of ks."""
         if acc is None and ks == (1,):
             return product  # shared; copied when a second product arrives
         if not isinstance(acc, dict):
             acc = {} if acc is None else {key: list(vec) for key, vec in acc.items()}
-        n, phi = self.ctx.conductor, self.ctx.phi
-        sigmas = [None if k == 1 else _substitution(n, k) for k in ks]
+        rows, phi = _summed_substitution(self.ctx.conductor, ks), self.ctx.phi
         for key, vec in product.items():
-            for rows in sigmas:
-                _add_term(acc, key, vec if rows is None else _substitute(vec, rows, phi))
+            _add_term(acc, key, _substitute(vec, rows, phi))
         return acc
 
     def finish(self, acc) -> Series:

@@ -112,6 +112,13 @@ def _unscale(row: Sequence[int], m: int) -> PhaseVector:
     return PhaseVector(tuple(Fraction(a % m, m) for a in row))
 
 
+def _phase_string(a: int, m: int) -> str:
+    """str(Fraction(a % m, m)) without building the Fraction."""
+    a %= m
+    g = gcd(a, m)
+    return f"{a // g}/{m // g}" if a else "0"
+
+
 # ---------------------------------------------------------------------------
 # Lattices containing a box of moduli
 # ---------------------------------------------------------------------------
@@ -272,18 +279,26 @@ class SymmetryGroup:
     def from_generator_strings(cls, texts: Iterable[str], dimension: int) -> "SymmetryGroup":
         return cls.generate([PhaseVector.from_string(t) for t in texts], dimension)
 
+    def _generator_rows(self) -> list[Row]:
+        """Canonical generators scaled by the exponent m: each element, in
+        sorted order, that the ones chosen before it do not span.  These are
+        the Hermite rows with H_kk < m, last row first: the least element
+        outside the span of the rows after k is row k, which they already
+        reduce, and a row with H_kk = m is m e_k.  The trivial group has the
+        zero generator."""
+        m = self.exponent
+        rows = [row for k, row in enumerate(self.hnf) if row[k] < m]
+        return rows[::-1] or [(0,) * self.dimension]
+
     @cached_property
     def generators(self) -> tuple[PhaseVector, ...]:
-        """Canonical generators: each element, in sorted order, that the ones
-        chosen before it do not span.  These are the Hermite rows with H_kk < m,
-        last row first: the least element outside the span of the rows after k
-        is row k, which they already reduce, and a row with H_kk = m is m e_k."""
-        m = self.exponent
-        rows = [_unscale(row, m) for k, row in enumerate(self.hnf) if row[k] < m]
-        return tuple(reversed(rows)) or (PhaseVector.canonical([0] * self.dimension),)
+        return tuple(_unscale(row, self.exponent) for row in self._generator_rows())
 
     def generator_strings(self) -> list[str]:
-        return [g.as_string() for g in self.generators]
+        """The generators as "a/b,..." strings, each entry a reduced fraction
+        or 0, read off the integer rows."""
+        m = self.exponent
+        return [",".join(_phase_string(a, m) for a in row) for row in self._generator_rows()]
 
     @cached_property
     def structure(self) -> tuple[int, ...]:

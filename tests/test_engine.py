@@ -1,8 +1,10 @@
-"""The exact engine's packed series product and recurrence-built factors
-against the term-pair reference arithmetic in ``helpers``."""
+"""The exact engine's packed series product, Galois deposit and
+recurrence-built factors against the term-pair reference arithmetic in
+``helpers``."""
 
 from dataclasses import replace
 from fractions import Fraction
+from math import gcd
 
 import pytest
 from hypothesis import HealthCheck, given, settings
@@ -14,10 +16,11 @@ from helpers import (
     reference_series_mul,
     reference_variable_factor,
 )
-from orbigenus import _engine
-from orbigenus.exactmath import euler_phi
-from orbigenus.genus import _build_context
-from orbigenus.potential import compute_charges
+from orbigenus import _engine, genus
+from orbigenus._contract import plan
+from orbigenus.exactmath import _power_rows, euler_phi, lcm
+from orbigenus.genus import _build_context, ell_genus_series
+from orbigenus.potential import compute_charges, parse_potential
 from orbigenus.symmetry import grading_subgroup, sl_subgroup
 
 CONDUCTORS = (1, 4, 5, 8, 12, 16)  # phi = 1, 2, 4, 4, 4, 8
@@ -37,10 +40,23 @@ def make_context(conductor, qcap, ylo, yhi):
     )
 
 
+def is_rational(series):
+    return all(not any(vec[1:]) for vec in series.values())
+
+
 def ring_mul(a, b, ctx):
-    """a * b through the exact ring's multiplication, as a series dict."""
+    """a * b through the exact ring's multiplication, as a series dict.
+
+    Each operand and the product must have width 1, one packed slot per
+    term, exactly when every vector of it is zero beyond slot 0."""
     ring = _engine._ExactRing(ctx)
-    return ring.finish(ring.mul(ring.lift(a), ring.lift(b)))
+    lifted = ring.lift(a), ring.lift(b)
+    for operand, series in zip(lifted, (a, b)):
+        assert operand.width == (1 if is_rational(series) else ctx.phi)
+    product = ring.mul(*lifted)
+    out = ring.finish(product)
+    assert product.width == (1 if is_rational(out) else ctx.phi)
+    return out
 
 
 coefficients = st.one_of(
@@ -62,7 +78,8 @@ def windows(draw):
 @st.composite
 def series(draw, ctx, max_terms=12):
     """Terms on the y-sublattice offset + step*Z, keys reaching the window
-    edges and a little beyond them."""
+    edges and a little beyond them; about half the series are rational,
+    every vector zero beyond slot 0."""
     step = draw(st.sampled_from([1, 1, 2, 3, 4, 6]))
     offset = draw(st.integers(0, step - 1))
     kq = st.one_of(st.sampled_from([0, ctx.qcap]), st.integers(0, ctx.qcap + 1))
@@ -71,7 +88,10 @@ def series(draw, ctx, max_terms=12):
     ).map(lambda y: y - (y - offset) % step)
     small = draw(st.booleans())
     coeff = st.integers(-3, 3) if small else coefficients
-    vec = st.lists(coeff, min_size=ctx.phi, max_size=ctx.phi)
+    if draw(st.booleans()):
+        vec = coeff.map(lambda c: [c] + [0] * (ctx.phi - 1))
+    else:
+        vec = st.lists(coeff, min_size=ctx.phi, max_size=ctx.phi)
     return draw(st.dictionaries(st.tuples(kq, ky), vec, max_size=max_terms))
 
 
@@ -114,6 +134,75 @@ def test_series_mul_dense_sublattice_rows():
     a = {(q, y): [y - q, 2**70, -3, q * y] for q in range(5) for y in range(-10, 11, 2)}
     b = {(q, y): [-(2**40), q, y, 1] for q in range(3) for y in range(-9, 10, 2)}
     assert ring_mul(a, b, ctx) == reference_series_mul(a, b, ctx)
+
+
+@pytest.mark.parametrize("conductor", [4, 12])
+def test_series_mul_rational_by_accident(conductor):
+    """zeta^k A times zeta^-k B, A and B rational, at every k: operands of
+    width phi (for k != 0) whose product is rational, so it has width 1."""
+    ctx = make_context(conductor, 3, -6, 6)
+    roots = _power_rows(conductor)
+    for k in range(conductor):
+        up, down = roots[k], roots[-k % conductor]
+        a = {(0, 0): list(up), (0, 1): [2 * c for c in up], (1, -2): [-3 * c for c in up]}
+        b = {(0, -1): list(down), (1, 3): [5 * c for c in down], (2, 0): [-c for c in down]}
+        product = ring_mul(a, b, ctx)
+        assert product == reference_series_mul(a, b, ctx)
+        assert product and is_rational(product), k
+
+
+WEIGHTED_K3 = parse_potential("x1^2+x2^3+x3^7+x4^42")
+DEPOSIT_MODELS = {  # conductor: a model whose J and SL sums run at it
+    4: parse_potential("x1^4+x2^4+x3^4+x4^4"),
+    5: QUINTIC,
+    8: parse_potential("x1^8+x2^8+x3^4+x4^2"),
+    12: parse_potential("x1^3+x2^4+x3^4+x4^6"),
+    42: WEIGHTED_K3,
+}
+
+
+@pytest.mark.parametrize("conductor", sorted(DEPOSIT_MODELS))
+def test_summed_deposit_map_is_sum_of_unit_maps(conductor):
+    """The deposit of a product's orbit images uses one map per unit set,
+    the literal sum of the substitutions x -> x^u: for every unit set the
+    contraction emits on the model's J and SL sums."""
+    potential = DEPOSIT_MODELS[conductor]
+    phi = euler_phi(conductor)
+    units = tuple(u for u in range(1, conductor + 1) if gcd(u, conductor) == 1)
+    unit_sets = set()
+    for group in (grading_subgroup(potential), sl_subgroup(potential)):
+        setup = genus._sum_setup(group)
+        if lcm(*setup.moduli) != conductor:
+            continue
+        steps = plan(tuple(map(tuple, setup.left)), tuple(map(tuple, setup.right)),
+                     setup.mode_l, setup.mode_r, setup.moduli, units)[1]
+        unit_sets.update(ks for _, edges in steps for _, _, ks in edges)
+    assert unit_sets and any(len(ks) > 1 for ks in unit_sets)
+
+    def dense(row):
+        vec = [0] * phi
+        for i, r in row:
+            vec[i] += r
+        return vec
+
+    for ks in unit_sets:
+        summed = _engine._summed_substitution(conductor, ks)
+        assert len(summed) == conductor
+        for k, row in enumerate(summed):
+            expected = [sum(col) for col in zip(
+                *(dense(_engine._substitution(conductor, u)[k]) for u in ks))]
+            assert dense(row) == expected, (ks, k)
+            assert all(r for _, r in row), (ks, k)
+
+
+def test_weighted_k3_at_the_widest_cell():
+    """Conductor 42, phi = 12: a cell of 23 slots for two non-rational
+    operands.  The genus is 2 phi_{0,1}."""
+    g = ell_genus_series(WEIGHTED_K3, grading_subgroup(WEIGHTED_K3), qmax=1)
+    assert g.terms == {
+        (0, -1): 2, (0, 0): 20, (0, 1): 2,
+        (1, -2): 20, (1, -1): -128, (1, 0): 216, (1, 1): -128, (1, 2): 20,
+    }
 
 
 @pytest.mark.parametrize("potential", [QUINTIC, K3_CHAIN])
