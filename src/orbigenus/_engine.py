@@ -209,7 +209,7 @@ class _Rows:
             peak = max(peak, max(map(abs, vec)))
             nonzero = len(vec) - vec.count(0)
             nnz += nonzero
-            if nonzero > (vec[0] != 0):
+            if nonzero > (vec[0] != 0):  # a nonzero slot beyond slot 0
                 width = len(vec)
         for terms in by_q.values():
             terms.sort()

@@ -128,6 +128,18 @@ def test_series_mul_reaches_slot_bound(conductor, c, c2, terms):
     assert product == reference_series_mul(a, b, ctx)
 
 
+@pytest.mark.parametrize("c, c2, terms", [(5, 17, 3), (-5, 17, 3), (255, 1, 1), (-(2**32), 2**32, 1)])
+def test_series_mul_reaches_slot_bound_in_wide_cells(c, c2, terms):
+    """The same bound for zeta times rational rows at N = 5, packed in
+    cells of 2*phi-1 slots: the central coefficient lands in slot 2."""
+    ctx = make_context(5, 2, -10, 10)
+    a = {(0, y): [0, c, 0, 0] for y in range(terms)}
+    b = {(1, y): [0, c2, 0, 0] for y in range(terms)}
+    product = ring_mul(a, b, ctx)
+    assert product[(1, terms - 1)] == [0, 0, terms * c * c2, 0]
+    assert product == reference_series_mul(a, b, ctx)
+
+
 def test_series_mul_dense_sublattice_rows():
     """Full rows on the even sublattice against odd-coset rows, N = 12."""
     ctx = make_context(12, 4, -20, 20)
