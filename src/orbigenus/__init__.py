@@ -24,7 +24,6 @@ from .genus import (
     ell_genus_numeric,
     ell_genus_series,
     sector_supertrace_series,
-    sector_value_numeric,
 )
 from .oracle import ModeSpec, StateCapError, free_state_series, zero_level_group_average
 from .potential import (
@@ -66,7 +65,6 @@ from .verify import (
     check_spectral_flow,
     check_star_substitution,
     check_theta_identities,
-    check_weight_zero_limit,
     holomorphy_certificate,
     jacobi_laws,
 )

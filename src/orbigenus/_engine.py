@@ -80,7 +80,7 @@ from math import gcd
 from operator import add, sub
 
 from ._contract import Vec, plan
-from .exactmath import _power_rows, euler_phi
+from .exactmath import _power_rows
 
 Series = dict[tuple[int, int], list[int]]
 
@@ -103,25 +103,12 @@ class SeriesContext:
 
     conductor: int
     phi: int
-    rows: tuple  # sparse reduction rows for x^k, k in [phi, 2*phi-2]
     denominator: int
     qcap: int
     ylo: int
     yhi: int
     charges: tuple[Fraction, ...]
     moduli: tuple[int, ...]
-
-
-def _sparse_rows(n: int) -> tuple:
-    phi = euler_phi(n)
-    rows = _power_rows(n)
-    out = []
-    for k in range(2 * phi - 1):
-        if k < phi:
-            out.append(None)
-        else:
-            out.append(tuple((i, c) for i, c in enumerate(rows[k]) if c))
-    return tuple(out)
 
 
 # Signed array typecodes by item size: slots of 1, 2, 4 or 8 bytes move between
@@ -250,7 +237,8 @@ def _mul_rows(a: _Rows, b: _Rows, ctx: SeriesContext) -> _Rows:
     """
     if not a.nnz or not b.nnz:
         return _Rows([], 0, 0, 1)  # a zero operand; its coefficients fix no slot width
-    phi, reduce_rows, qcap, ylo, yhi = ctx.phi, ctx.rows, ctx.qcap, ctx.ylo, ctx.yhi
+    n, phi, qcap, ylo, yhi = ctx.conductor, ctx.phi, ctx.qcap, ctx.ylo, ctx.yhi
+    reduce_rows = _substitution(n, 1)
     cell = a.width + b.width - 1
     g = gcd(a.step, b.step) or 1
     nbytes = _slot_bytes(a.peak * b.peak * min(a.nnz, b.nnz))
@@ -290,10 +278,11 @@ def _mul_rows(a: _Rows, b: _Rows, ctx: SeriesContext) -> _Rows:
             continue
         digits = _unpack(x, nbytes, (top - e) * cell, lo * cell, hi * cell)
         # column t holds slot t of every cell; fold t >= phi into the basis
+        # through x^t = x^(t mod N), as x^N = 1 mod Phi_N
         cols = [digits[t::cell] for t in range(min(cell, phi))]
         for t in range(phi, cell):
             high = digits[t::cell]
-            for i, r in reduce_rows[t]:
+            for i, r in reduce_rows[t % n]:
                 if r == 1:
                     cols[i] = list(map(add, cols[i], high))
                 elif r == -1:

@@ -57,8 +57,11 @@ class InputError(ValueError):
 
 def _load_potential(source: str) -> Potential:
     if os.path.exists(source):
-        with open(source, "r", encoding="utf-8") as handle:
-            source = handle.read()
+        try:
+            with open(source, "r", encoding="utf-8") as handle:
+                source = handle.read()
+        except (OSError, UnicodeDecodeError) as err:
+            raise InputError(f"cannot read --potential {source}: {err}") from err
     return parse_potential(source)
 
 
@@ -117,8 +120,11 @@ def _info_payload(potential: Potential) -> dict:
 def _emit(payload, out_path: str | None) -> None:
     text = json.dumps(payload, sort_keys=True, indent=2) + "\n"
     if out_path:
-        with open(out_path, "w", encoding="utf-8") as handle:
-            handle.write(text)
+        try:
+            with open(out_path, "w", encoding="utf-8") as handle:
+                handle.write(text)
+        except OSError as err:
+            raise InputError(f"cannot write --out {out_path}: {err}") from err
     sys.stdout.write(text)
 
 
@@ -238,12 +244,16 @@ def build_parser() -> argparse.ArgumentParser:
     check.add_argument("--seed", type=int, default=0, help="sample RNG seed")
     check.add_argument("--set", default=None,
                        help=f"comma-separated subset of {{{','.join(CHECK_NAMES)}}}")
+    for command in sub.choices.values():
+        # an option the subcommand does not take is reported with its usage
+        command.set_defaults(command_parser=command)
     return parser
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args, extra = build_parser().parse_known_args(argv)
+    if extra:
+        args.command_parser.error(f"unrecognized arguments: {' '.join(extra)}")
     handlers = {
         "info": _cmd_info,
         "groups": _cmd_groups,

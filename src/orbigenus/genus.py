@@ -186,7 +186,6 @@ def _build_context(
     return SeriesContext(
         conductor=n,
         phi=euler_phi(n),
-        rows=_engine._sparse_rows(n),
         denominator=d,
         qcap=int(qmax * d),
         ylo=min(ylo, floor(st_lo * d)),
@@ -422,21 +421,6 @@ def sector_value_from_coords(
             lambda dist: NearPoleError(j, tuple(thetas_n), tuple(thetas_n1), dist),
         )
     return out
-
-
-def sector_value_numeric(
-    potential: Potential,
-    group: SymmetryGroup,
-    n: PhaseVector,
-    n1: PhaseVector,
-    z: complex,
-    tau: complex,
-) -> complex:
-    """Numeric value of one (n, n1) sector term (no group averaging)."""
-    if n not in group or n1 not in group:
-        raise ValueError("twists must be elements of the group")
-    charges = compute_charges(potential)
-    return sector_value_from_coords(charges, n.entries, n1.entries, z, tau)
 
 
 @dataclass

@@ -43,11 +43,6 @@ class ThetaParams:
 DEFAULT_PARAMS = ThetaParams()
 
 
-def truncation_bound(tau: complex, terms: int) -> float:
-    """Magnitude |q|^P of the first dropped product factor."""
-    return math.exp(-2 * math.pi * tau.imag * terms)
-
-
 def theta_value(nu: complex, tau: complex, params: ThetaParams | None = None) -> complex:
     """Truncated triple-product value; deterministic for fixed params."""
     if tau.imag <= 0:

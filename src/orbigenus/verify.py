@@ -367,60 +367,3 @@ def check_spectral_flow(
         return {"flow": (phi(-z + tau, tau), factor * phi(z, tau))}
 
     return _sampled_check("flow", law, samples, seed, tol)
-
-
-def check_weight_zero_limit(
-    potential: Potential,
-    group: SymmetryGroup,
-    eps_ladder=(1e-2, 1e-3),
-    taus=(1.2j, 0.3 + 1.7j),
-    tol: float = 1e-4,
-) -> tuple[Verdict, complex]:
-    """Constancy of the small-z limit across tau, and the limit value itself.
-
-    The value at z = eps deviates from the limit by an eps^2 Taylor term, so
-    the two finest ladder rungs are Richardson-extrapolated per tau; the check
-    passes when the finest rung and the extrapolated limits agree across tau
-    within tol.
-    """
-    evaluate = NumericGenus(potential, group)
-    ladder = sorted(eps_ladder, reverse=True)
-    values = {tau: [evaluate(eps, complex(tau)).value for eps in ladder] for tau in taus}
-    finest = [values[tau][-1] for tau in taus]
-    spread_fine = max(abs(a - b) for a in finest for b in finest)
-    limits = []
-    for tau in taus:
-        coarse, fine = values[tau][-2], values[tau][-1]
-        r2 = (ladder[-2] / ladder[-1]) ** 2
-        limits.append((r2 * fine - coarse) / (r2 - 1))
-    spread_limits = max(abs(a - b) for a in limits for b in limits)
-    spread = max(spread_fine, spread_limits)
-    limit = sum(limits) / len(limits)
-    status = "pass" if spread < tol else "fail"
-    details = [{
-        "ladder": {str(tau): [str(v) for v in vals] for tau, vals in values.items()},
-        "extrapolated": [str(v) for v in limits],
-        "limit": str(limit),
-    }]
-    return Verdict("weight0", status, spread, details), limit
-
-
-def jacobian_ring_middle_dimension(exponents: list[int]) -> int:
-    """Count degree-k monomial classes in the quotient by the partials of a
-    diagonal potential sum_i x_i^{a_i} (degree k = common weighted degree).
-
-    For the diagonal case the quotient basis is x^c with 0 <= c_i <= a_i - 2;
-    this counts those of total weighted degree equal to the potential's.
-    """
-    d = len(exponents)
-    target = Fraction(1)
-    counts = {Fraction(0): 1}
-    for a in exponents:
-        new: dict[Fraction, int] = {}
-        for deg, cnt in counts.items():
-            for c in range(0, a - 1):
-                nd = deg + Fraction(c, a)
-                if nd <= target:
-                    new[nd] = new.get(nd, 0) + cnt
-        counts = new
-    return counts.get(target, 0)

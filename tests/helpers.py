@@ -2,8 +2,9 @@
 ones, the term-pair reference arithmetic for the exact engine's
 integer-vector series and a slow sector builder on it, list-based reference
 group algebra kept off the lattice code, the one-vector-at-a-time zero-level
-lattice count, and a point-by-point zero count of one atom's sector theta
-ratio.  Nothing here imports the engine or ``genus`` at module level."""
+lattice count, a point-by-point zero count of one atom's sector theta
+ratio and the Jacobian ring count behind the Witten index.  Nothing here
+imports the engine or ``genus`` at module level."""
 
 import itertools
 import math
@@ -495,3 +496,24 @@ def reference_sector_zero_orders(qs, tn, tn1):
             if den:
                 orders[(a, b)] = den - num
     return orders
+
+
+# ---------------------------------------------------------------------------
+# Jacobian ring count for the Witten index
+# ---------------------------------------------------------------------------
+
+
+def reference_jacobian_middle_dimension(exponents):
+    """Number of monomials x^c, 0 <= c_i <= a_i - 2, of weighted degree 1 in
+    the Jacobian ring of the diagonal potential sum_i x_i^(a_i): its
+    middle-dimensional classes, counted without the package."""
+    counts = {Fraction(0): 1}
+    for a in exponents:
+        new = {}
+        for deg, cnt in counts.items():
+            for c in range(a - 1):
+                nd = deg + Fraction(c, a)
+                if nd <= 1:
+                    new[nd] = new.get(nd, 0) + cnt
+        counts = new
+    return counts.get(Fraction(1), 0)

@@ -176,6 +176,25 @@ def test_out_file_written(capsys, tmp_path):
     assert json.loads(out_path.read_text()) == json.loads(out)
 
 
+def not_utf8_file(tmp_path):
+    path = tmp_path / "potential.txt"
+    path.write_bytes(b"x1^2+\xff")
+    return ["--potential", str(path)]
+
+
+@pytest.mark.parametrize("argv, message", [
+    (lambda tmp_path: ["--potential", str(tmp_path)], "cannot read --potential"),
+    (not_utf8_file, "cannot read --potential"),
+    (lambda tmp_path: ["--potential", "x1^2+x2^2", "--out", str(tmp_path / "missing" / "x.json")],
+     "cannot write --out"),
+], ids=["potential is a directory", "potential not utf-8", "out in a missing directory"])
+def test_file_error_is_bad_input(capsys, tmp_path, argv, message):
+    code, out, err = run_cli(capsys, "info", *argv(tmp_path))
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: ") and message in err
+
+
 def test_custom_group_generators(capsys):
     code, out, _ = run_cli(
         capsys, "genus", "--potential", "x1^2+x2^2", "--group", "1/2,1/2", "--qmax", "1",
@@ -338,4 +357,5 @@ def test_option_of_another_subcommand_is_bad_input(capsys, argv):
     captured = capsys.readouterr()
     assert exit_.value.code == 2
     assert captured.out == ""
+    assert captured.err.startswith(f"usage: orbigenus {argv[0]} ")
     assert "unrecognized arguments: " + " ".join(argv[1:]) in captured.err

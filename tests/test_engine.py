@@ -30,7 +30,6 @@ def make_context(conductor, qcap, ylo, yhi):
     return _engine.SeriesContext(
         conductor=conductor,
         phi=euler_phi(conductor),
-        rows=_engine._sparse_rows(conductor),
         denominator=1,
         qcap=qcap,
         ylo=ylo,

@@ -11,7 +11,6 @@ from orbigenus.genus import (
     ell_genus_series,
     sector_supertrace_series,
     sector_value_from_coords,
-    sector_value_numeric,
 )
 from orbigenus.potential import compute_charges, parse_potential
 from orbigenus.qseries import Windows
@@ -156,10 +155,9 @@ def test_widening_reports_margin():
 
 
 def test_sector_value_numeric_pole_at_origin():
-    group = grading_subgroup(QUINTIC)
     zero = PhaseVector.canonical([0] * 5)
     with pytest.raises(NearPoleError) as err:
-        sector_value_numeric(QUINTIC, group, zero, zero, 0.0, 1.3j)
+        sector_value_from_coords(compute_charges(QUINTIC), zero.entries, zero.entries, 0.0, 1.3j)
     assert err.value.variable == 0
 
 
@@ -175,11 +173,10 @@ def test_sector_value_representative_shift_invariance():
 
 
 def test_sector_cross_path_quintic():
-    group = grading_subgroup(QUINTIC)
     j = grading_element(QUINTIC)
     zero = PhaseVector.canonical([0] * 5)
     z, tau = 0.23 + 0.04j, 0.11 + 1.31j
-    numeric = sector_value_numeric(QUINTIC, group, j, zero, z, tau)
+    numeric = sector_value_from_coords(compute_charges(QUINTIC), j.entries, zero.entries, z, tau)
     windows = Windows.make(2, -8, 8)
     series = reference_sector_pair_series(
         QUINTIC, j.entries, zero.entries, windows, 5
@@ -279,11 +276,12 @@ def test_numeric_fused_matches_direct_double_sum():
     # fused evaluation, for a group where the character path is exercised
     z, tau = 0.23 + 0.04j, 0.11 + 1.31j
     group = sl_subgroup(CUBIC)
-    cbar = int(compute_charges(CUBIC).central_charge)
+    charges = compute_charges(CUBIC)
+    cbar = int(charges.central_charge)
     total = 0j
     for n in group.elements:
         for n1 in group.elements:
-            total += sector_value_numeric(CUBIC, group, n, n1, z, tau)
+            total += sector_value_from_coords(charges, n.entries, n1.entries, z, tau)
     total *= (-1) ** cbar / group.order
     fused = ell_genus_numeric(CUBIC, group, z, tau).value
     assert abs(total - fused) < 1e-9

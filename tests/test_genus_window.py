@@ -24,13 +24,14 @@ from orbigenus.genus import (
     ell_genus_series,
     jacobi_reach,
 )
-from orbigenus.potential import compute_charges, transpose_potential
+from orbigenus.potential import compute_charges, parse_potential, transpose_potential
 from orbigenus.symmetry import SymmetryGroup, dual_group, grading_subgroup, sl_subgroup
 
 F = Fraction
 
 MODELS = {"quintic": QUINTIC, "cubic": CUBIC, "two-squares": TWO_SQUARES,
           "k3-chain": K3_CHAIN, "loop-k3": LOOP_K3}
+K3_FERMAT = parse_potential("x1^4+x2^4+x3^4+x4^4")
 
 
 def group_of(potential, name):
@@ -77,6 +78,8 @@ def assert_one_pass_matches_wide(potential, group, qmax):
     assert series.denominator == pass_denominator(potential, group, qmax, series.ycap)
     reach = max((abs(ey) for (_, ey) in wide), default=F(0))
     assert series.boundary_margin == series.ycap - reach >= 1
+    # weight 0: the value at z = 0 is the constant Witten index
+    assert all(sum(series.q_slice(n).values()) == 0 for n in range(1, qmax + 1))
     return series
 
 
@@ -110,6 +113,21 @@ def genus_cases(draw):
 @given(genus_cases())
 def test_one_pass_matches_wide_window_on_generated_models(case):
     assert_one_pass_matches_wide(*case)
+
+
+@pytest.mark.parametrize("model,group_name,index", [
+    ("quintic", "J", -200), ("quintic", "SL", 200),
+    ("k3-chain", "J", 24), ("k3-chain", "SL", 24),
+    ("loop-k3", "J", 24), ("loop-k3", "SL", 24),
+    ("k3-fermat", "J", 24), ("k3-fermat", "SL", 24),
+    ("two-squares", "J", 2),
+    ("cubic", "J", 0),
+])
+def test_witten_index_at_q0(model, group_name, index):
+    """The q^0 coefficients sum to the Witten index, the genus at z = 0."""
+    potential = {**MODELS, "k3-fermat": K3_FERMAT}[model]
+    series = ell_genus_series(potential, group_of(potential, group_name), qmax=0)
+    assert sum(series.q_slice(0).values()) == index
 
 
 def test_narrow_start_widens_without_rerunning(monkeypatch):

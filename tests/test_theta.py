@@ -7,7 +7,6 @@ from orbigenus.theta import (
     ThetaParams,
     lattice_distance,
     theta_value,
-    truncation_bound,
 )
 from orbigenus.verify import JACOBI_LAWS, check_theta_identities, jacobi_laws
 
@@ -108,7 +107,7 @@ def test_truncation_stability():
     v1 = theta_value(nu, tau, ThetaParams(terms=p))
     v2 = theta_value(nu, tau, ThetaParams(terms=2 * p))
     assert abs(v1 - v2) < params.tolerance * 10
-    assert truncation_bound(tau, p) < 1e-14
+    assert math.exp(-2 * math.pi * tau.imag * p) < 1e-14  # |q|^P, the first dropped factor
 
 
 def test_lattice_distance():
