@@ -1,10 +1,11 @@
 """The contraction schedule of the twisted-sector double sum.
 
 ``_engine.double_sum`` sums, over (left, right) pairs of representative
-words of length d, a product of one transform per coordinate.  Its schedule
-contracts that sum one coordinate at a time, merging prefixes that have the
-same completions, and depends only on the words, the side modes, the moduli
-and the ring's Galois units; ``plan`` builds it once per such input.
+words of length d, a product of one transform per coordinate, one sum per
+class of left words.  Its schedule contracts that sum one coordinate at a
+time, merging prefixes that have the same completions, and depends only on
+the words, the side modes, the moduli and the ring's Galois units; ``plan``
+builds it once per such input.
 """
 
 from __future__ import annotations
@@ -14,17 +15,19 @@ from functools import lru_cache
 Vec = tuple[int, ...]
 
 
-def _layers(words: tuple[Vec, ...], d: int) -> tuple[list[dict], list[list]]:
-    """Minimal layered automaton of a set of words of length d.
+def _layers(classes: tuple[tuple[Vec, ...], ...], d: int) -> tuple[list[dict], list[list]]:
+    """Minimal layered automaton of disjoint classes of words of length d.
 
-    A state at level k is the set of completions of a length-k prefix, so
-    prefixes with the same completions share it.  Returns ``state_of``, per
-    level a map from each prefix to its state id (level d has the one
-    accepting state 0), and ``edges``, per level and state the sorted
-    (letter, next state) pairs.
+    A state at level k is the set of (completion, class) pairs of a length-k
+    prefix, so prefixes with the same completions into the same classes
+    share it.  Returns ``state_of``, per level a map from each prefix to its
+    state id (level d has one accepting state per class, state c for class
+    c), and ``edges``, per level and state the sorted (letter, next state)
+    pairs.
     """
-    state_of: list[dict] = [{} for _ in range(d)] + [dict.fromkeys(words, 0)]
-    edges: list[list] = [[] for _ in range(d)] + [[()]]
+    accept = {word: c for c, words in enumerate(classes) for word in words}
+    state_of: list[dict] = [{} for _ in range(d)] + [accept]
+    edges: list[list] = [[] for _ in range(d)] + [[()] * len(classes)]
     for k in range(d - 1, -1, -1):
         completions: dict[Vec, set] = {}
         for word, state in state_of[k + 1].items():
@@ -55,9 +58,11 @@ def _images(state_of: list[dict], edges: list[list], moduli, unit: int) -> list[
 
 
 @lru_cache(maxsize=32)
-def plan(reps_l, reps_r, mode_l: str, mode_r: str, moduli: tuple[int, ...], units: tuple[int, ...]):
-    """The schedule over the pairs of ``reps_l`` x ``reps_r``: (transform
-    keys, steps, number of states, final state).
+def plan(classes_l, reps_r, mode_l: str, mode_r: str, moduli: tuple[int, ...],
+         units: tuple[int, ...]):
+    """The schedule over the pairs of each class of ``classes_l`` x
+    ``reps_r``: (transform keys, steps, number of states, final states, one
+    per left class).
 
     Transform key i is (k, xl, xr), the transform of coordinate k at letters
     (xl, xr).  A state is a pair of left and right automaton states at one
@@ -74,10 +79,12 @@ def plan(reps_l, reps_r, mode_l: str, mode_r: str, moduli: tuple[int, ...], unit
     unit for each distinct image of that edge that lands on the kept target,
     so every edge of the whole automaton is counted once.  States are
     expanded depth first, each once all its inputs have arrived; state 0 is
-    the root, whose value is 1.
+    the root, whose value is 1.  The left classes share every state up to
+    the level where their completions part, and each must be closed under
+    the scaling by the units.
     """
     d = len(moduli)
-    auto_l, auto_r = _layers(reps_l, d), _layers(reps_r, d)
+    auto_l, auto_r = _layers(classes_l, d), _layers((reps_r,), d)
     scale_l, scale_r = mode_l == "T", mode_r == "D"
     sig = [(_images(*auto_l, moduli, u if scale_l else 1),
             _images(*auto_r, moduli, u if scale_r else 1)) for u in units]
@@ -126,7 +133,7 @@ def plan(reps_l, reps_r, mode_l: str, mode_r: str, moduli: tuple[int, ...], unit
                         key = keys.setdefault((k, xl, xr), len(keys))
                         expanded.append((key, tid, tuple(ks.values())))
 
-    final = ids[(d, 0, 0)]
+    finals = tuple(ids[(d, c, 0)] for c in range(len(classes_l)))
     steps = []
     stack = [0] if d else []  # with no variables the root is final
     while stack:
@@ -134,7 +141,13 @@ def plan(reps_l, reps_r, mode_l: str, mode_r: str, moduli: tuple[int, ...], unit
         steps.append((sid, tuple(out_edges[sid])))
         for _, target, _ in out_edges[sid]:
             inputs[target] -= 1
-            if not inputs[target] and target != final:
+            if not inputs[target] and target not in finals:
                 stack.append(target)
-    assert len(steps) == len(out_edges) - 1, "a state of the contraction was never reached"
-    return tuple(keys), tuple(steps), len(out_edges), final
+    assert len(steps) == len(out_edges) - len(finals), "a state of the contraction was never reached"
+    return tuple(keys), tuple(steps), len(out_edges), finals
+
+
+def product_count(steps) -> int:
+    """The ring products a schedule forms: one per edge out of a state other
+    than the root, whose value is 1."""
+    return sum(len(edges) for sid, edges in steps if sid)

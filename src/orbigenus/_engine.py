@@ -55,12 +55,15 @@ each sum is multiplied by the next coordinate's transform once:
     value(t) = sum over edges s -(xl, xr)-> t of value(s) * T_k(xl, xr).
 
 On a cyclic group no two prefixes share their completions and the
-contraction forms one chain of products per pair, as a pair loop would; a
-``check`` of the loop K3 with SL (|SL| = 32) forms 269 series products where
-the pair loop formed 1821.  For the exact ring the Galois automorphism
-zeta_N -> zeta_N^u, u a unit mod N, maps the sector product of (g, h) to a
-product of the same sum, so values are kept on one state of each orbit of
-the unit group and a product stands in for its whole orbit.  A product is
+contraction forms one chain of products per pair, as a pair loop would.
+Several classes of left representatives share one schedule, with one
+accepting state and one total per class: the genus sum folded by inversion
+(``genus._inverse_classes``) runs its two classes that way.  A ``check`` of
+the loop K3 with SL (|SL| = 32) forms 235 series products, its genus sums
+folded, where the pair loop formed 1821.  For the exact ring the Galois
+automorphism zeta_N -> zeta_N^u, u a unit mod N, maps the sector product of
+(g, h) to a product of the same sum, so values are kept on one state of each
+orbit of the unit group and a product stands in for its whole orbit.  A product is
 deposited on its state through one summed map per set of units, the sum of
 the substitutions zeta_N -> zeta_N^u, never through a shortcut that assumes
 the orbit sum rational, so a sum that breaks the symmetry still fails
@@ -79,7 +82,7 @@ from functools import lru_cache
 from math import gcd
 from operator import add, sub
 
-from ._contract import Vec, plan
+from ._contract import Vec, plan, product_count
 from .exactmath import _power_rows
 
 Series = dict[tuple[int, int], list[int]]
@@ -596,8 +599,19 @@ class _ExactRing:
         return {key: list(vec) for key, vec in acc.items() if any(vec)}
 
 
-def double_sum(ring, reps_l: list[Vec], reps_r: list[Vec], mode_l: str, mode_r: str):
-    """Sum over (left, right) representatives of the product over variables.
+def _schedule(ring, classes_l, reps_r, mode_l: str, mode_r: str):
+    return plan(tuple(tuple(map(tuple, reps)) for reps in classes_l), tuple(map(tuple, reps_r)),
+                mode_l, mode_r, ring.moduli, ring.units)
+
+
+def products(ring, classes_l: list[list[Vec]], reps_r: list[Vec], mode_l: str, mode_r: str) -> int:
+    """The ring products ``double_sum`` forms on the same arguments."""
+    return product_count(_schedule(ring, classes_l, reps_r, mode_l, mode_r)[1])
+
+
+def double_sum(ring, classes_l: list[list[Vec]], reps_r: list[Vec], mode_l: str, mode_r: str) -> list:
+    """Sum over (left, right) representatives of the product over variables,
+    one total per class of left representatives.
 
     Mode "D" iterates group-element coordinates, mode "T" annihilator
     characters.  Variable j of a pair (il, ir) contributes the ring's
@@ -623,8 +637,10 @@ def double_sum(ring, reps_l: list[Vec], reps_r: list[Vec], mode_l: str, mode_r: 
     (1 first) and the contraction's ``unit``, ``lift`` (a transform or an
     accumulator as a multiplicand), ``mul``, ``accumulate(acc, product, ks)``
     (acc None at first; the sum of sigma_k(product) over the units ks) and
-    ``finish`` (an accumulator as the result).  The representatives must be
-    closed under the scaling by each unit.
+    ``finish`` (an accumulator as the result).  The right representatives
+    and each left class must be closed under the scaling by each unit, and
+    no class may be empty.  Left prefixes share a state where their
+    completions into every class agree.
     """
     moduli = ring.moduli
     modes = (mode_l, mode_r)
@@ -645,8 +661,7 @@ def double_sum(ring, reps_l: list[Vec], reps_r: list[Vec], mode_l: str, mode_r: 
             memo[key] = val
         return val
 
-    keys, steps, states, final = plan(tuple(map(tuple, reps_l)), tuple(map(tuple, reps_r)),
-                                       mode_l, mode_r, moduli, ring.units)
+    keys, steps, states, finals = _schedule(ring, classes_l, reps_r, mode_l, mode_r)
     lifted = _class_memos(ring.charges, moduli)  # one multiplicand per class and twist pair
     table = []
     for j, il, ir in keys:
@@ -661,7 +676,7 @@ def double_sum(ring, reps_l: list[Vec], reps_r: list[Vec], mode_l: str, mode_r: 
         for t, target, ks in edges:
             product = ring.mul(value, table[t]) if sid else table[t]  # the root's value is 1
             acc[target] = ring.accumulate(acc[target], product, ks)
-    return ring.finish(acc[final])
+    return [ring.finish(acc[final]) for final in finals]
 
 
 # ---------------------------------------------------------------------------

@@ -117,6 +117,27 @@ def _info_payload(potential: Potential) -> dict:
     return payload
 
 
+def _check_out(out_path: str | None) -> None:
+    """Refuse an --out path that cannot be written before any work is done.
+
+    Nothing is created or changed: an existing file is opened for appending
+    and closed, a new one needs a writable directory.  ``_emit`` still
+    reports a write that fails later.
+    """
+    if not out_path:
+        return
+    if os.path.exists(out_path):
+        try:
+            with open(out_path, "a", encoding="utf-8"):
+                pass
+        except OSError as err:
+            raise InputError(f"cannot write --out {out_path}: {err}") from err
+        return
+    parent = os.path.dirname(os.path.abspath(out_path))
+    if not (os.path.isdir(parent) and os.access(parent, os.W_OK | os.X_OK)):
+        raise InputError(f"cannot write --out {out_path}: {parent} is not a writable directory")
+
+
 def _emit(payload, out_path: str | None) -> None:
     text = json.dumps(payload, sort_keys=True, indent=2) + "\n"
     if out_path:
@@ -262,6 +283,7 @@ def main(argv=None) -> int:
         "check": _cmd_check,
     }
     try:
+        _check_out(args.out)
         return handlers[args.command](args)
     except (PotentialSyntaxError, InvalidPotentialError, AdmissibilityError, InputError) as err:
         sys.stderr.write(f"error: {err}\n")

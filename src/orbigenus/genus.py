@@ -230,6 +230,41 @@ def _sum_setup(group: SymmetryGroup, twist: PhaseVector | None = None) -> _SumSe
     return _SumSetup(moduli, left, "D", reps, mode, twist.entries, side)
 
 
+def _inverse_classes(ring: _engine._ExactRing, setup: _SumSetup) -> list[list[tuple[int, ...]]]:
+    """The left classes of a whole-group sum on a strip centred at c/2.
+
+    theta_1 is odd, theta_1(tau, -v) = -theta_1(tau, v), and the factor of a
+    variable is a quotient of two theta_1 with the phase e(-z a / m_j), so
+    the factor at twists (-a, -b) and -z is the factor at (a, b) and z:
+    Z_{g^-1,h^-1}(tau, z) = Z_{g,h}(tau, -z).  Summed over h, which runs over
+    a set closed under inversion in either right mode, the left element
+    g^-1 gives S_{g^-1}(z) = S_g(-z).  The engine's y-exponents are the
+    genus's shifted up by c/2 (``_genus_rational_terms`` shifts them back),
+    so S_{g^-1} is S_g reflected about c/2, and on a strip centred there the
+    terms of one are the reflected terms of the other.  So the left side
+    splits into two classes, the self-inverse elements and one element of
+    each pair {g, g^-1}, the first in sorted order; the pair class is
+    counted twice, once reflected.  Neither class total moves under the
+    Galois units, which scale only a "D" right side, so each is rational on
+    its own.
+
+    The split pays only where its schedule forms fewer ring products: the
+    merged prefixes of a lattice can beat the halved left side, and a group
+    of exponent 2 has no pairs.  Otherwise the one class of the whole left
+    side is returned.
+    """
+    whole = [setup.left]
+    inverse = {rep: tuple(-x % m for x, m in zip(rep, setup.moduli)) for rep in setup.left}
+    kept = [rep for rep in setup.left if inverse[rep] > rep]
+    if not kept:
+        return whole
+    folded = [[rep for rep in setup.left if inverse[rep] == rep], kept]
+    args = (setup.right, setup.mode_l, setup.mode_r)
+    if _engine.products(ring, folded, *args) < _engine.products(ring, whole, *args):
+        return folded
+    return whole
+
+
 def _exact_sum(
     charges: tuple[Fraction, ...],
     group: SymmetryGroup,
@@ -244,19 +279,38 @@ def _exact_sum(
     as rational terms with y-exponent in [lo, hi].
 
     The sum runs on a context exact on [lo + shift, hi + shift]; every
-    stored q-exponent is non-negative (asserted).
+    stored q-exponent is non-negative (asserted).  Where that strip is
+    centred at c/2 = sum_j (1 - 2 q_j) / 2 and the left side runs over the
+    whole group in mode "D", the sum is folded by inversion
+    (``_inverse_classes``): each class total is rationalized on its own,
+    and the pair class is added twice, once reflected y -> lo + hi - y, the
+    image of the reflection about c/2.  A twisted sector's left side is one
+    element, and a "T" left side holds characters, not sectors: neither is
+    folded.
     """
     setup = _sum_setup(group, twist)
     st_lo, st_hi = lo + shift, hi + shift
     ctx = _build_context(charges, setup.moduli, qmax, st_lo, st_hi, setup.theta_max)
-    total = _engine.double_sum(_engine._ExactRing(ctx), setup.left, setup.right,
-                               setup.mode_l, setup.mode_r)
-    assert all(kq >= 0 for (kq, _) in total), "negative q-exponent in the double sum"
+    ring = _engine._ExactRing(ctx)
+    classes = [setup.left]
+    if twist is None and setup.mode_l == "D" and st_lo + st_hi == sum(1 - 2 * q for q in charges):
+        classes = _inverse_classes(ring, setup)
+    totals = _engine.double_sum(ring, classes, setup.right, setup.mode_l, setup.mode_r)
     d = ctx.denominator
     ky_lo, ky_hi, ky_shift = st_lo * d, st_hi * d, int(shift * d)
-    window = {(kq, ky - ky_shift): vec for (kq, ky), vec in total.items() if ky_lo <= ky <= ky_hi}
     weight = setup.side if twist is not None else setup.side**2
-    return _engine.rationalize(window, ctx, sign * weight / group.order)
+    parts = []
+    for total in totals:
+        assert all(kq >= 0 for (kq, _) in total), "negative q-exponent in the double sum"
+        window = {(kq, ky - ky_shift): vec for (kq, ky), vec in total.items() if ky_lo <= ky <= ky_hi}
+        parts.append(_engine.rationalize(window, ctx, sign * weight / group.order))
+    if len(parts) == 1:
+        return parts[0]
+    terms, pairs = parts
+    for (e_q, e_y), c in pairs.items():
+        for key in ((e_q, e_y), (e_q, lo + hi - e_y)):
+            terms[key] = terms.get(key, 0) + c
+    return {key: c for key, c in sorted(terms.items()) if c}
 
 
 def cone_supertrace_series(
@@ -521,7 +575,8 @@ class NumericGenus:
         while True:
             ring = _ThetaRing(self._charges, setup.moduli, self.group, z_cur, tau, self._phases)
             try:
-                total = _engine.double_sum(ring, setup.left, setup.right, setup.mode_l, setup.mode_r)
+                total, = _engine.double_sum(ring, [setup.left], setup.right,
+                                            setup.mode_l, setup.mode_r)
                 value = self._sign * (total * self._weight / self.group.order)
                 return EllValue(value, z_cur, tau, attempts)
             except NearPoleError:

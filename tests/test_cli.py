@@ -5,7 +5,7 @@ from pathlib import Path
 
 import pytest
 
-from orbigenus import oracle, verify
+from orbigenus import _engine, oracle, verify
 from orbigenus.cli import main
 from orbigenus.oracle import StateCapError
 
@@ -193,6 +193,30 @@ def test_file_error_is_bad_input(capsys, tmp_path, argv, message):
     assert code == 2
     assert out == ""
     assert err.startswith("error: ") and message in err
+
+
+@pytest.mark.parametrize("command", ["genus", "check"])
+def test_unwritable_out_fails_before_any_work(monkeypatch, capsys, tmp_path, command):
+    """An --out in a missing directory or on a directory exits 2 without
+    running the engine and leaves no new file; an existing file is kept as
+    it was until the result is written."""
+    def engine_called(*args):
+        raise AssertionError("the engine ran")
+
+    monkeypatch.setattr(_engine, "double_sum", engine_called)
+    for target in (tmp_path / "missing" / "x.json", tmp_path):
+        code, out, err = run_cli(capsys, command, "--potential", QUINTIC, "--qmax", "16",
+                                 "--out", str(target))
+        assert code == 2 and out == ""
+        assert err.startswith("error: cannot write --out")
+    assert list(tmp_path.iterdir()) == []
+
+    existing = tmp_path / "old.json"
+    existing.write_text("old")
+    monkeypatch.setattr(_engine, "double_sum", lambda *args: 1 / 0)
+    code, _, err = run_cli(capsys, "genus", "--potential", QUINTIC, "--out", str(existing))
+    assert code == 1 and "computation failed" in err
+    assert existing.read_text() == "old"
 
 
 def test_custom_group_generators(capsys):

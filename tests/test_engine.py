@@ -17,7 +17,6 @@ from helpers import (
     reference_variable_factor,
 )
 from orbigenus import _engine, genus
-from orbigenus._contract import plan
 from orbigenus.exactmath import _power_rows, euler_phi, lcm
 from orbigenus.genus import _build_context, ell_genus_series
 from orbigenus.potential import compute_charges, parse_potential
@@ -176,18 +175,24 @@ DEPOSIT_MODELS = {  # conductor: a model whose J and SL sums run at it
 def test_summed_deposit_map_is_sum_of_unit_maps(conductor):
     """The deposit of a product's orbit images uses one map per unit set,
     the literal sum of the substitutions x -> x^u: for every unit set the
-    contraction emits on the model's J and SL sums."""
+    contraction emits on the model's J and SL sums, with the whole left
+    side and with the left classes of the folded genus sum."""
     potential = DEPOSIT_MODELS[conductor]
     phi = euler_phi(conductor)
-    units = tuple(u for u in range(1, conductor + 1) if gcd(u, conductor) == 1)
+    charges = tuple(compute_charges(potential).q)
     unit_sets = set()
     for group in (grading_subgroup(potential), sl_subgroup(potential)):
         setup = genus._sum_setup(group)
         if lcm(*setup.moduli) != conductor:
             continue
-        steps = plan(tuple(map(tuple, setup.left)), tuple(map(tuple, setup.right)),
-                     setup.mode_l, setup.mode_r, setup.moduli, units)[1]
-        unit_sets.update(ks for _, edges in steps for _, _, ks in edges)
+        ctx = _build_context(charges, setup.moduli, Fraction(1), Fraction(-1), Fraction(1),
+                             setup.theta_max)
+        ring = _engine._ExactRing(ctx)
+        assert ring.units == tuple(u for u in range(1, conductor + 1) if gcd(u, conductor) == 1)
+        folded = genus._inverse_classes(ring, setup) if setup.mode_l == "D" else [setup.left]
+        for classes in ([setup.left], folded):
+            steps = _engine._schedule(ring, classes, setup.right, setup.mode_l, setup.mode_r)[1]
+            unit_sets.update(ks for _, edges in steps for _, _, ks in edges)
     assert unit_sets and any(len(ks) > 1 for ks in unit_sets)
 
     def dense(row):

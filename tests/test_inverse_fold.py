@@ -1,0 +1,150 @@
+"""The exact genus sum folded by inversion, ``genus._inverse_classes``.
+
+theta_1 is odd, so Z_{g^-1,h^-1}(tau, z) = Z_{g,h}(tau, -z), and the sum
+over h of a left element g^-1 is the sum of g reflected r -> -r; on the
+engine's exponents, shifted up by c/2, that is ky -> c d - ky.  These tests
+check that identity one left element at a time through ``double_sum``,
+without the folding code, and check the folded genus against the sum over
+the whole left side on every admissible group of six models.
+"""
+
+from fractions import Fraction
+
+import pytest
+from hypothesis import HealthCheck, assume, example, given, settings
+from hypothesis import strategies as st
+
+from helpers import CUBIC, K3_CHAIN, LOOP_K3, QUINTIC, cy_potentials
+from orbigenus import _engine, genus
+from orbigenus.exactmath import lcm
+from orbigenus.genus import jacobi_reach
+from orbigenus.potential import compute_charges, parse_potential
+from orbigenus.symmetry import admissible_subgroups, grading_subgroup, sl_subgroup
+
+F = Fraction
+K3_FERMAT = parse_potential("x1^4+x2^4+x3^4+x4^4")
+SEXTIC_CURVE = parse_potential("x1^6+x2^6+x3^6+x4^2")
+SEPTIC = parse_potential("+".join(f"x{i}^7" for i in range(1, 8)))
+
+
+def single_element_sums(potential, group, qmax, width):
+    """The engine total of each left element g, summed over the right side,
+    on the strip of half-width ``width`` centred at c/2: a map g -> its
+    terms (kq, ky) -> vector, and c d, the reflection's sum of exponents."""
+    charges = compute_charges(potential)
+    half = charges.central_charge / 2
+    setup = genus._sum_setup(group)
+    assert setup.mode_l == "D"
+    st_lo, st_hi = half - width, half + width
+    ctx = genus._build_context(tuple(charges.q), setup.moduli, qmax, st_lo, st_hi,
+                               setup.theta_max)
+    totals = _engine.double_sum(_engine._ExactRing(ctx), [[g] for g in setup.left],
+                                setup.right, setup.mode_l, setup.mode_r)
+    d = ctx.denominator
+    sums = {tuple(g): {(kq, ky): vec for (kq, ky), vec in total.items()
+                       if st_lo * d <= ky <= st_hi * d}
+            for g, total in zip(setup.left, totals)}
+    return sums, int(2 * half * d), setup.moduli
+
+
+def assert_inverse_is_reflection(potential, group, qmax, width):
+    """S_{g^-1}(n, r) = S_g(n, -r) for every left element; returns how many
+    elements are not their own inverse."""
+    sums, mirror, moduli = single_element_sums(potential, group, qmax, width)
+    pairs = 0
+    for g, terms in sums.items():
+        assert all(not any(vec[1:]) for vec in terms.values()), g  # each S_g is rational
+        inverse = tuple(-x % m for x, m in zip(g, moduli))
+        assert {(kq, mirror - ky): vec for (kq, ky), vec in terms.items()} == sums[inverse], g
+        pairs += inverse != g
+    return pairs
+
+
+REFERENCE_D_SUMS = [
+    pytest.param(QUINTIC, grading_subgroup(QUINTIC), id="quintic-J"),
+    pytest.param(K3_CHAIN, grading_subgroup(K3_CHAIN), id="k3chain-J"),
+    pytest.param(K3_CHAIN, sl_subgroup(K3_CHAIN), id="k3chain-SL"),
+    pytest.param(LOOP_K3, grading_subgroup(LOOP_K3), id="loopk3-J"),
+    pytest.param(LOOP_K3, sl_subgroup(LOOP_K3), id="loopk3-SL"),
+    pytest.param(K3_FERMAT, grading_subgroup(K3_FERMAT), id="k3fermat-J"),
+    pytest.param(CUBIC, grading_subgroup(CUBIC), id="cubic-J"),
+    pytest.param(SEXTIC_CURVE, grading_subgroup(SEXTIC_CURVE), id="sextic-curve-J"),
+    pytest.param(SEPTIC, grading_subgroup(SEPTIC), id="septic-J"),
+]
+
+
+@pytest.mark.parametrize("potential, group", REFERENCE_D_SUMS)
+def test_inverse_element_sum_is_reflected(potential, group):
+    """The identity behind the fold, on each reference "D" left side at q^2,
+    with the reflection taken about c/2 and not about 0."""
+    assert assert_inverse_is_reflection(potential, group, F(2), F(3)) > 0
+
+
+@st.composite
+def d_left_orbifolds(draw):
+    p = draw(cy_potentials(200))
+    group = (grading_subgroup if draw(st.booleans()) else sl_subgroup)(p)
+    setup = genus._sum_setup(group)
+    # an exponent above 2 leaves an element that is not its own inverse
+    assume(setup.mode_l == "D" and len(setup.left) <= 16 and 2 < lcm(*setup.moduli) <= 42)
+    return p, group
+
+
+@settings(max_examples=40, deadline=None,
+          suppress_health_check=[HealthCheck.filter_too_much, HealthCheck.too_slow])
+@given(d_left_orbifolds())
+@example((parse_potential("x1^2+x2^3+x3^7+x4^42"),
+          grading_subgroup(parse_potential("x1^2+x2^3+x3^7+x4^42"))))  # conductor 42
+def test_inverse_element_sum_is_reflected_on_generated_models(case):
+    potential, group = case
+    assert assert_inverse_is_reflection(potential, group, F(1), F(2)) > 0
+
+
+class CountingRing(_engine._ExactRing):
+    products = 0
+
+    def mul(self, a, b):
+        CountingRing.products += 1
+        return super().mul(a, b)
+
+
+FOLD_MODELS = [QUINTIC, K3_CHAIN, LOOP_K3, K3_FERMAT, CUBIC, SEXTIC_CURVE]
+
+
+@pytest.mark.parametrize("potential", FOLD_MODELS, ids=lambda p: p.text)
+def test_folded_genus_equals_unfolded_sum(monkeypatch, potential):
+    """On every admissible group at q^2: the same terms as the sum over the
+    whole left side, and never more ring products; J, which has pairs here,
+    forms strictly fewer.  A "T" left side holds characters and is not
+    folded, which a q^0 run shows; only "D" sums run twice at q^2."""
+    qmax = F(2)
+    ycap = jacobi_reach(compute_charges(potential).central_charge, qmax) + genus.CERTIFY_MARGIN
+    monkeypatch.setattr(_engine, "_ExactRing", CountingRing)
+    fold = genus._inverse_classes
+    folds = []
+
+    def spy(ring, setup):
+        classes = fold(ring, setup)
+        folds.append(len(classes) > 1)
+        return classes
+
+    def run(group):
+        CountingRing.products = 0
+        return genus._genus_rational_terms(potential, group, qmax, ycap), CountingRing.products
+
+    for group in admissible_subgroups(potential):
+        monkeypatch.setattr(genus, "_inverse_classes", spy)
+        if genus._sum_setup(group).mode_l == "T":
+            calls = len(folds)
+            genus._genus_rational_terms(potential, group, F(0), ycap)
+            assert len(folds) == calls, group
+            continue
+        folded, products = run(group)
+        monkeypatch.setattr(genus, "_inverse_classes", lambda ring, setup: [setup.left])
+        whole, whole_products = run(group)
+        assert folded == whole, group
+        assert list(folded) == sorted(folded)
+        assert products <= whole_products, group
+        if group == grading_subgroup(potential):
+            assert folds[-1] and products < whole_products
+    assert any(folds)
