@@ -609,6 +609,28 @@ def products(ring, classes_l: list[list[Vec]], reps_r: list[Vec], mode_l: str, m
     return product_count(_schedule(ring, classes_l, reps_r, mode_l, mode_r)[1])
 
 
+def _transform(ring, memo: dict, j: int, sides: tuple[str, str], il: int, ir: int):
+    """Variable j's transform at (il, ir) under the side modes ``sides`` (see
+    ``double_sum``), kept in ``memo``, the memo of j's class.
+
+    A module function, not a closure in ``double_sum``: a closure that calls
+    itself is a reference cycle, which would keep the ring and everything it
+    holds alive after the sum until the cyclic garbage collector runs."""
+    key = (sides, il, ir)
+    val = memo.get(key)
+    if val is None:
+        if sides[0] == "T":
+            inner = ("D", sides[1])
+            val = ring.character_sum(il, [_transform(ring, memo, j, inner, a, ir)
+                                          for a in range(ring.moduli[j])])
+        elif sides[1] == "T":
+            val = ring.twist_sum(j, il, ir)
+        else:
+            val = ring.factor(j, il, ir)
+        memo[key] = val
+    return val
+
+
 def double_sum(ring, classes_l: list[list[Vec]], reps_r: list[Vec], mode_l: str, mode_r: str) -> list:
     """Sum over (left, right) representatives of the product over variables,
     one total per class of left representatives.
@@ -645,28 +667,12 @@ def double_sum(ring, classes_l: list[list[Vec]], reps_r: list[Vec], mode_l: str,
     moduli = ring.moduli
     modes = (mode_l, mode_r)
     cache = _class_memos(ring.charges, moduli)
-
-    def transform(j: int, sides: tuple[str, str], il: int, ir: int):
-        memo = cache[j]
-        key = (sides, il, ir)
-        val = memo.get(key)
-        if val is None:
-            if sides[0] == "T":
-                inner = ("D", sides[1])
-                val = ring.character_sum(il, [transform(j, inner, a, ir) for a in range(moduli[j])])
-            elif sides[1] == "T":
-                val = ring.twist_sum(j, il, ir)
-            else:
-                val = ring.factor(j, il, ir)
-            memo[key] = val
-        return val
-
     keys, steps, states, finals = _schedule(ring, classes_l, reps_r, mode_l, mode_r)
     lifted = _class_memos(ring.charges, moduli)  # one multiplicand per class and twist pair
     table = []
     for j, il, ir in keys:
         if (il, ir) not in lifted[j]:
-            lifted[j][il, ir] = ring.lift(transform(j, modes, il, ir))
+            lifted[j][il, ir] = ring.lift(_transform(ring, cache[j], j, modes, il, ir))
         table.append(lifted[j][il, ir])
     acc = [None] * states
     acc[0] = ring.unit

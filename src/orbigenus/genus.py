@@ -26,7 +26,7 @@ from .exactmath import euler_phi, lcm
 from .potential import Charges, Potential, charge_tuple, compute_charges
 from .qseries import Windows
 from .symmetry import PhaseVector, SymmetryGroup, require_admissible
-from .theta import lattice_distance, theta_value
+from .theta import ThetaKernel, lattice_distance
 
 DEFAULT_QMAX = Fraction(2)
 # The reported y-window: a band of CERTIFY_MARGIN beyond the outermost term,
@@ -71,9 +71,12 @@ class NearPoleError(ArithmeticError):
         self.distance = distance
 
 
-@dataclass
+@dataclass(slots=True)
 class EllValue:
-    """Numeric genus value, with the evaluation point actually used."""
+    """Numeric genus value, with the evaluation point actually used.
+
+    Slotted: a sweep that keeps its values holds 64 bytes for each, not 105.
+    """
 
     value: complex
     z: complex
@@ -438,10 +441,12 @@ def ell_genus_series(
 # ---------------------------------------------------------------------------
 
 
-def _theta_ratio(qj, tn, tn1, z: complex, tau: complex, pole_eps: float, pole) -> complex:
+def _theta_ratio(theta: ThetaKernel, qj, tn, tn1, z: complex, pole_eps: float, pole) -> complex:
     """e(-z tn) T((1 - qj) z - tn tau - tn1) / T(qj z + tn tau + tn1), the factor
-    of one variable of charge qj at twists (tn, tn1); ``pole(distance)`` is
-    raised when the denominator argument lies within pole_eps of its zeros."""
+    of one variable of charge qj at twists (tn, tn1), with T from the kernel
+    ``theta`` at tau; ``pole(distance)`` is raised when the denominator
+    argument lies within pole_eps of its zeros."""
+    tau = theta.tau
     nu_den = float(qj) * z + float(tn) * tau + float(tn1)
     dist = lattice_distance(nu_den, tau)
     if dist < pole_eps:
@@ -449,8 +454,8 @@ def _theta_ratio(qj, tn, tn1, z: complex, tau: complex, pole_eps: float, pole) -
     nu_num = (1 - float(qj)) * z - float(tn) * tau - float(tn1)
     return (
         cmath.exp(-2j * math.pi * z * float(tn))
-        * theta_value(nu_num, tau)
-        / theta_value(nu_den, tau)
+        * theta.value(nu_num)
+        / theta.value(nu_den)
     )
 
 
@@ -468,10 +473,11 @@ def sector_value_from_coords(
     numerator and denominator signs together and leave the value unchanged.
     """
     qs = charge_tuple(charges)
+    theta = ThetaKernel(tau)
     out = 1.0 + 0j
     for j, (qj, tn, tn1) in enumerate(zip(qs, thetas_n, thetas_n1)):
         out *= _theta_ratio(
-            qj, tn, tn1, z, tau, pole_eps,
+            theta, qj, tn, tn1, z, pole_eps,
             lambda dist: NearPoleError(j, tuple(thetas_n), tuple(thetas_n1), dist),
         )
     return out
@@ -484,16 +490,17 @@ class _ThetaRing:
     are.  Its ``units`` are (1,): the Galois orbits of sector products hold
     for series coefficients, not for values at complex (z, tau).  Factor
     values are kept per class (q_j, m_j) and twist pair, so the right twist
-    sums of one left twist share them.  Twists enter as the floats a / m_j,
-    the float of Fraction(a, m_j); ``phases`` keeps the character weights,
-    which do not depend on (z, tau), and may be shared by the rings of one
-    model."""
+    sums of one left twist share them.  Every theta value of every factor
+    comes from the one kernel ``theta`` at tau, which the retries of one point
+    share, as tau does not change.  Twists enter as the floats a / m_j, the
+    float of Fraction(a, m_j); ``phases`` keeps the character weights, which
+    do not depend on (z, tau), and may be shared by the rings of one model."""
 
     charges: tuple[Fraction, ...]
     moduli: tuple[int, ...]
     group: SymmetryGroup
     z: complex
-    tau: complex
+    theta: ThetaKernel
     phases: dict = field(default_factory=dict)
     units = (1,)
     unit = 1.0 + 0j
@@ -509,7 +516,7 @@ class _ThetaRing:
         value = values.get((a, b))
         if value is None:
             value = values[a, b] = _theta_ratio(
-                self._q[j], a / m, b / m, self.z, self.tau, POLE_EPS,
+                self.theta, self._q[j], a / m, b / m, self.z, POLE_EPS,
                 lambda dist: NearPoleError(j, self.group.element_with(j, Fraction(a, m)).entries,
                                            self.group.element_with(j, Fraction(b, m)).entries, dist),
             )
@@ -567,13 +574,12 @@ class NumericGenus:
     def __call__(self, z: complex, tau: complex, retries: int = 3) -> EllValue:
         """The value at (z, tau), retried at z + ``PERTURBATION`` on a
         near-pole hit (see ``ell_genus_numeric``)."""
-        if tau.imag <= 0:
-            raise ValueError("tau must lie in the upper half-plane")
+        theta = ThetaKernel(tau)
         z_cur = complex(z)
         attempts = 0
         setup = self._setup
         while True:
-            ring = _ThetaRing(self._charges, setup.moduli, self.group, z_cur, tau, self._phases)
+            ring = _ThetaRing(self._charges, setup.moduli, self.group, z_cur, theta, self._phases)
             try:
                 total, = _engine.double_sum(ring, [setup.left], setup.right,
                                             setup.mode_l, setup.mode_r)

@@ -38,6 +38,7 @@ from orbigenus.genus import (
 )
 from orbigenus.potential import compute_charges, parse_potential, transpose_potential
 from orbigenus.symmetry import dual_group, grading_subgroup, sl_subgroup
+from orbigenus.theta import ThetaKernel
 
 F = Fraction
 SEPTIC = parse_potential("+".join(f"x{i}^7" for i in range(1, 8)))
@@ -187,7 +188,7 @@ def test_theta_transforms_match_explicit_character_sums(modes):
     moduli = group.coordinate_moduli()
     qs = tuple(compute_charges(CUBIC).q)
     il, ir = (1, 2, 0), (2, 0, 1)
-    ring = genus._ThetaRing(qs, moduli, group, Z, TAU)
+    ring = genus._ThetaRing(qs, moduli, group, Z, ThetaKernel(TAU))
     value, = _engine.double_sum(ring, [[il]], [ir], *modes)
 
     expected = 1.0
@@ -259,11 +260,12 @@ def test_theta_ring_factor_equals_theta_ratio(potential, group):
     bit for bit."""
     qs = tuple(compute_charges(potential).q)
     moduli = group.coordinate_moduli()
-    ring = genus._ThetaRing(qs, moduli, group, Z, TAU)
+    theta = ThetaKernel(TAU)
+    ring = genus._ThetaRing(qs, moduli, group, Z, theta)
     for j, (q, m) in enumerate(zip(qs, moduli)):
         for a in range(m):
             for b in range(m):
-                expected = genus._theta_ratio(q, F(a, m), F(b, m), Z, TAU, genus.POLE_EPS,
+                expected = genus._theta_ratio(theta, q, F(a, m), F(b, m), Z, genus.POLE_EPS,
                                               NearPoleError)
                 assert ring.factor(j, a, b) == expected, (j, a, b)
 
@@ -271,7 +273,7 @@ def test_theta_ring_factor_equals_theta_ratio(potential, group):
 def test_theta_twist_sum_matches_explicit_sum():
     qs = tuple(compute_charges(K3_DUAL).q)
     moduli = K3_DUAL_GROUP.coordinate_moduli()
-    ring = genus._ThetaRing(qs, moduli, K3_DUAL_GROUP, Z, TAU)
+    ring = genus._ThetaRing(qs, moduli, K3_DUAL_GROUP, Z, ThetaKernel(TAU))
     for j, (q, m) in enumerate(zip(qs, moduli)):
         for a in range(m):
             for i in range(m):

@@ -1,8 +1,10 @@
 import cmath
+import gc
 from fractions import Fraction
 
 import pytest
 
+from orbigenus import genus
 from orbigenus.genus import (
     NearPoleError,
     NumericGenus,
@@ -20,6 +22,7 @@ from orbigenus.symmetry import (
     grading_subgroup,
     sl_subgroup,
 )
+from orbigenus.theta import ThetaKernel, ThetaRangeError
 
 from helpers import (
     CUBIC,
@@ -229,6 +232,21 @@ def test_numeric_retry_reports_count():
         ell_genus_numeric(TWO_SQUARES, group, 0.0, 1.3j, retries=0)
 
 
+def test_numeric_retry_keeps_its_theta_kernel(monkeypatch):
+    # a retry moves z, not tau: every attempt at a point reads one kernel
+    built = []
+
+    class Counted(ThetaKernel):
+        def __init__(self, *args):
+            built.append(args)
+            super().__init__(*args)
+
+    monkeypatch.setattr(genus, "ThetaKernel", Counted)
+    group = grading_subgroup(TWO_SQUARES)
+    assert ell_genus_numeric(TWO_SQUARES, group, 0.0, 1.3j, retries=3).retries >= 1
+    assert built == [(1.3j,)]
+
+
 def test_numeric_pole_names_its_sector():
     # z = tau + 1 puts the (1/2, 1/2) sector's denominator z/2 + tau/2 + 1/2
     # on the lattice while the other sectors of J stay finite
@@ -238,6 +256,42 @@ def test_numeric_pole_names_its_sector():
     half = (F(1, 2), F(1, 2))
     assert (err.value.variable, err.value.n, err.value.n1) == (0, half, half)
     assert ell_genus_numeric(TWO_SQUARES, group, 1 + 1.3j, 1.3j).retries == 1
+
+
+@pytest.mark.parametrize("tau", [0.13 + 0.004j, -0.27 + 0.004j])
+@pytest.mark.parametrize("potential, name", [(K3_CHAIN, "J"), (QUINTIC, "SL")])
+def test_numeric_inversion_law_near_real_axis(potential, name, tau):
+    """phi(z/tau, -1/tau) = e(c z^2 / 2 tau) phi(z, tau) at Im tau = 0.004,
+    where each theta value takes 1375 product factors."""
+    group = (grading_subgroup if name == "J" else sl_subgroup)(potential)
+    evaluate = NumericGenus(potential, group)
+    c = int(compute_charges(potential).central_charge)
+    for z in (0.21 + 0.03j, 0.37 + 0.002j):
+        image = evaluate(z / tau, -1 / tau, retries=0).value
+        expected = cmath.exp(1j * cmath.pi * c * z * z / tau) * evaluate(z, tau, retries=0).value
+        assert abs(image - expected) <= 1e-9 * max(abs(image), abs(expected)), z
+
+
+def test_numeric_point_frees_its_theta_kernel():
+    """No theta table outlives its point: with the cyclic collector off, no
+    kernel is left once a call returns (a 1375-factor table at Im tau = 0.004)."""
+    evaluate = NumericGenus(K3_CHAIN, grading_subgroup(K3_CHAIN))
+    gc.collect()
+    gc.disable()
+    try:
+        evaluate(0.2 + 0.05j, 0.1 + 0.004j)
+        alive = sum(isinstance(x, ThetaKernel) for x in gc.get_objects())
+    finally:
+        gc.enable()
+    assert alive == 0
+
+
+def test_numeric_theta_out_of_range_is_typed():
+    # at Im(-1/tau) = 240 some theta arguments of the image point reach
+    # Im nu = -153.6, where e(nu) = e^(2 pi i nu) passes double range
+    tau, z = 1j / 240, 0.3 + 0.1j
+    with pytest.raises(ThetaRangeError, match="nu = .*, tau = "):
+        ell_genus_numeric(QUINTIC, sl_subgroup(QUINTIC), z / tau, -1 / tau, retries=0)
 
 
 # The genus at (0.2 + 0.05i, 0.1 + 1.2i), recorded before the evaluator was

@@ -4,7 +4,9 @@ import math
 import pytest
 
 from orbigenus.theta import (
+    MAX_TERMS,
     ThetaParams,
+    ThetaRangeError,
     lattice_distance,
     theta_value,
 )
@@ -130,3 +132,45 @@ def test_underflowed_q_keeps_leading_term(tau):
     value = theta_value(nu, tau)
     assert abs(value - expected) <= 1e-12 * abs(expected)
     assert abs(theta_value(nu, tau + 1) - value) <= 1e-12 * abs(value)
+
+
+@pytest.mark.parametrize("im_tau", [1.6, 0.1, 0.01, 0.004, 0.001])
+def test_matches_mpmath_jtheta(im_tau):
+    # T(nu, tau) is jtheta(1, pi nu, e^(i pi tau)); near the real axis the
+    # product is long (5498 factors at Im tau = 0.001), and a truncated one
+    # is off by far more than 1e-12
+    mpmath = pytest.importorskip("mpmath")
+    with mpmath.workdps(40):
+        for re_tau in (0.13, -0.27, 0.41):
+            tau = complex(re_tau, im_tau)
+            nome = mpmath.exp(1j * mpmath.pi * mpmath.mpc(tau))
+            for re_nu, frac in ((0.31, 0.98), (0.07, 0.5), (0.5, 0.0), (0.73, -0.5), (0.9, -0.98)):
+                nu = complex(re_nu, frac * im_tau)
+                expected = complex(mpmath.jtheta(1, mpmath.pi * mpmath.mpc(nu), nome))
+                value = theta_value(nu, tau)
+                assert abs(value - expected) <= 1e-12 * abs(expected), (nu, tau)
+
+
+def test_order_from_tolerance_up_to_ceiling():
+    params = ThetaParams()
+    assert params.resolve_terms(0.004j) == 1375
+    assert params.resolve_terms(0.001j) == 5498
+    assert params.resolve_terms(250j) == 8
+    for tau in (0.0005j, 1e-300j):
+        with pytest.raises(ThetaRangeError):
+            params.resolve_terms(tau)
+    with pytest.raises(ThetaRangeError):
+        ThetaParams(terms=MAX_TERMS + 1).resolve_terms(1j)
+
+
+@pytest.mark.parametrize("nu, tau", [
+    (0.3 + 0.5j, 0.0005j),  # more factors than MAX_TERMS
+    (0.3 + 150j, 240j),  # e(nu) underflows
+    (0.3 - 150j, 240j),  # e(nu) overflows
+    (0.3 + 0.9j, 0.001j),  # |T| is about e^2545
+])
+def test_out_of_range_raises_typed_error(nu, tau):
+    with pytest.raises(ThetaRangeError) as err:
+        theta_value(nu, tau)
+    assert isinstance(err.value, ArithmeticError)
+    assert f"nu = {nu}" in str(err.value) and f"tau = {tau}" in str(err.value)

@@ -218,7 +218,7 @@ def test_check_evaluates_each_point_once(monkeypatch, capsys):
 
     def counted(ring, *args):
         if isinstance(ring, genus._ThetaRing):
-            sums.append((ring.z, ring.tau))
+            sums.append((ring.z, ring.theta.tau))
         return double_sum(ring, *args)
 
     monkeypatch.setattr(_engine, "double_sum", counted)
