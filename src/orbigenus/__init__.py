@@ -53,7 +53,7 @@ from .symmetry import (
     grading_subgroup,
     sl_subgroup,
 )
-from .theta import ThetaParams, ThetaRangeError, theta_value
+from .theta import ThetaRangeError, theta_value
 from .verify import (
     HolomorphyReport,
     SectorPole,

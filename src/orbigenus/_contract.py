@@ -4,8 +4,9 @@
 words of length d, a product of one transform per coordinate, one sum per
 class of left words.  Its schedule contracts that sum one coordinate at a
 time, merging prefixes that have the same completions, and depends only on
-the words, the side modes, the moduli and the ring's Galois units; ``plan``
-builds it once per such input.
+the words, the side modes, the moduli and the ring's Galois units.  ``plan``
+keeps the 32 most recently used schedules, so one is built again only once
+32 other inputs have been planned since its last use.
 """
 
 from __future__ import annotations

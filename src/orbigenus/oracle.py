@@ -27,6 +27,7 @@ from .potential import Potential, charge_tuple, compute_charges
 if TYPE_CHECKING:
     from .symmetry import SymmetryGroup
 
+# Transitions either count may make before it raises ``StateCapError``.
 STATE_CAP = 10**7
 # States the table of ``zero_level_group_average`` may hold: about 0.3 kB
 # each, so the table stays near 100 MB.  The reference models hold at most
@@ -81,9 +82,7 @@ def _ywindow(ywindow) -> tuple[Fraction, Fraction]:
     return ymin, ymax
 
 
-def free_state_series(
-    charges, qmax: int, ywindow, cap: int = STATE_CAP
-) -> dict[tuple[Fraction, Fraction], Fraction]:
+def free_state_series(charges, qmax: int, ywindow) -> dict[tuple[Fraction, Fraction], Fraction]:
     """Supertrace of the free state space by direct mode enumeration.
 
     Equals the untwisted cone product formula coefficientwise on the shared
@@ -112,8 +111,8 @@ def free_state_series(
                 signed = count if (mode.bosonic or occ % 2 == 0) else -count
                 out[(y, q)] = signed if cur is None else cur + signed
                 work += 1
-                if work > cap:
-                    raise StateCapError(cap)
+                if work > STATE_CAP:
+                    raise StateCapError(STATE_CAP)
                 occ += 1
                 if not mode.bosonic and occ > 1:
                     break
@@ -148,7 +147,7 @@ def _pairing_rows(group: SymmetryGroup) -> list[tuple[tuple[int, ...], int]]:
 
 
 def zero_level_group_average(
-    potential: Potential, group: SymmetryGroup, ywindow, cap: int = STATE_CAP
+    potential: Potential, group: SymmetryGroup, ywindow
 ) -> dict[tuple[Fraction, Fraction], Fraction]:
     """Level-zero slice of the group-averaged supertrace, by lattice counting.
 
@@ -163,9 +162,9 @@ def zero_level_group_average(
     row h of the group (see ``_pairing_rows``), carrying the signed number of
     partial occupancy vectors that reach it.  Every mode has positive charge,
     so a state past floor(ymax * d) is dropped at once; at the end only the
-    states with every residue 0 and ky >= ymin * d count.  ``cap`` bounds the
-    number of transitions, one per (state, occupancy of the next variable),
-    and ``TABLE_CAP`` the number of states one table holds.
+    states with every residue 0 and ky >= ymin * d count.  ``STATE_CAP``
+    bounds the number of transitions, one per (state, occupancy of the next
+    variable), and ``TABLE_CAP`` the number of states one table holds.
     """
     charges = compute_charges(potential)
     qs = tuple(charges.q)
@@ -192,8 +191,8 @@ def zero_level_group_average(
                            tuple((r - x) % mod for r, x, mod in zip(boson, column, moduli)))
                     out[key] = out.get(key, 0) - count
                     work += 1
-                if work > cap:
-                    raise StateCapError(cap)
+                if work > STATE_CAP:
+                    raise StateCapError(STATE_CAP)
                 if len(out) > TABLE_CAP:
                     raise StateCapError(TABLE_CAP, "states held")
         states = {key: v for key, v in out.items() if v}

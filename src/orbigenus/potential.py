@@ -52,23 +52,28 @@ class Potential:
     """Invertible polynomial potential given by its exponent matrix."""
 
     matrix: IntMat
-    names: tuple[str, ...]
 
     @property
     def dimension(self) -> int:
         return len(self.matrix)
 
     @property
+    def names(self) -> tuple[str, ...]:
+        """The variable names x1..xd, by column."""
+        return tuple(f"x{j + 1}" for j in range(self.dimension))
+
+    @property
     def text(self) -> str:
         """Canonical monomial-sum form, monomial order as stored."""
+        names = self.names
         monomials = []
         for row in self.matrix:
             factors = []
             for j, e in enumerate(row):
                 if e == 1:
-                    factors.append(self.names[j])
+                    factors.append(names[j])
                 elif e > 1:
-                    factors.append(f"{self.names[j]}^{e}")
+                    factors.append(f"{names[j]}^{e}")
             monomials.append("*".join(factors))
         return "+".join(monomials)
 
@@ -110,7 +115,7 @@ def charge_tuple(charges) -> tuple[Fraction, ...]:
     return tuple(Fraction(q) for q in charges)
 
 
-def make_potential(matrix: Iterable[Iterable[int]], names: tuple[str, ...] | None = None) -> Potential:
+def make_potential(matrix: Iterable[Iterable[int]]) -> Potential:
     """Build and validate a Potential from an exponent matrix.
 
     Raises InvalidPotentialError unless every entry is an int (not a bool or
@@ -135,8 +140,7 @@ def make_potential(matrix: Iterable[Iterable[int]], names: tuple[str, ...] | Non
         raise InvalidPotentialError("negative exponents are not allowed")
     if mat_det(mat) == 0:
         raise InvalidPotentialError("exponent matrix is singular")
-    names = tuple(names) if names is not None else tuple(f"x{j + 1}" for j in range(d))
-    potential = Potential(mat, names)
+    potential = Potential(mat)
     decompose_atoms(potential)
     return potential
 
@@ -160,6 +164,8 @@ def parse_potential(text: str) -> Potential:
             data = json.loads(stripped)
         except json.JSONDecodeError as err:
             raise PotentialSyntaxError(f"bad JSON: {err.msg}", err.pos)
+        except RecursionError:
+            raise PotentialSyntaxError("bad JSON: nested too deeply", 0) from None
         if not isinstance(data, dict) or "monomials" not in data:
             raise PotentialSyntaxError('JSON form needs a "monomials" key', 0)
         return make_potential(data["monomials"])
@@ -178,7 +184,7 @@ def _parse_monomial_sum(text: str) -> Potential:
 
     def parse_int(p: int) -> tuple[int, int]:
         start = p
-        while p < n and text[p].isdigit():
+        while p < n and "0" <= text[p] <= "9":  # ASCII only: str.isdigit accepts "²"
             p += 1
         if p == start:
             raise PotentialSyntaxError("expected a positive integer", start)
@@ -336,7 +342,7 @@ def decompose_atoms(potential: Potential) -> AtomDecomposition:
 
 def transpose_potential(potential: Potential) -> Potential:
     """Dual potential: same variables, transposed exponent matrix."""
-    return Potential(mat_transpose(potential.matrix), potential.names)
+    return Potential(mat_transpose(potential.matrix))
 
 
 @lru_cache(maxsize=256)

@@ -19,8 +19,8 @@ builds a kernel for its one value; the numeric genus builds one per
 evaluation point and shares it among all its theta values.
 
 Tolerance rule.  P is the least order whose first dropped factor is below
-the tolerance, |q|^P < ``ThetaParams.tolerance`` (1e-15 by default):
-P = floor(log(tolerance) / log|q|) + 1 with log|q| = -2 pi Im t, at least
+the tolerance, |q|^P < ``TOLERANCE`` = 1e-15:
+P = floor(log(TOLERANCE) / log|q|) + 1 with log|q| = -2 pi Im t, at least
 8.  P grows as 1/Im t: 550 at Im t = 0.01, 1375 at 0.004, 5498 at 0.001.
 Against ``mpmath.jtheta`` the relative error is below 1e-12 (at most 2e-13
 measured) for Im t >= 0.001 and |Im v| <= Im t.
@@ -36,11 +36,12 @@ from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass
 
 TWO_PI_I = 2j * math.pi
+# The first dropped factor of the product is below this: |q|^P < TOLERANCE.
+TOLERANCE = 1e-15
 # The largest product order P a kernel builds: Im tau down to about 6.7e-4 at
-# the default tolerance.  Rounding grows with P; measured against mpmath the
+# TOLERANCE.  Rounding grows with P; measured against mpmath the
 # relative error is 2e-13 at P = 5498 (Im tau = 0.001) and 4e-13 at P = 7852
 # (Im tau = 7e-4), so beyond the ceiling it could pass 1e-12.
 MAX_TERMS = 8192
@@ -57,45 +58,21 @@ class ThetaRangeError(ArithmeticError):
         self.reason = reason
 
 
-@dataclass(frozen=True)
-class ThetaParams:
-    """Truncation control for the infinite product.
-
-    ``terms`` fixes the number of product factors; when None it is chosen per
-    evaluation so the dropped tail is below ``tolerance`` (|q|^P < tolerance).
-    Either way an order above ``MAX_TERMS`` raises ``ThetaRangeError``.
-    """
-
-    terms: int | None = None
-    tolerance: float = 1e-15
-
-    def resolve_terms(self, tau: complex) -> int:
-        """The product order P at tau."""
-        if self.terms is not None:
-            p = self.terms
-        else:
-            # log|q| = -2 pi Im tau, finite even where |q| itself underflows
-            bound = math.log(self.tolerance) / (-2 * math.pi * tau.imag)
-            p = max(8, int(bound) + 1) if bound < MAX_TERMS else MAX_TERMS + 1
-        if p > MAX_TERMS:
-            raise ThetaRangeError(None, tau, f"the product needs more than MAX_TERMS = "
-                                             f"{MAX_TERMS} factors")
-        return p
-
-
-DEFAULT_PARAMS = ThetaParams()
-
-
 class ThetaKernel:
     """theta_1 at one tau: the order ``terms``, the pairs (q^n, q^(2n)) and
     the v-free factor ``lead`` = i q^(1/8) prod (1 - q^n), built once, from
     which ``value`` evaluates T(nu, tau) at any nu."""
 
-    def __init__(self, tau: complex, params: ThetaParams | None = None):
+    def __init__(self, tau: complex):
         if tau.imag <= 0:
             raise ValueError(f"tau = {tau} must lie in the upper half-plane")
         self.tau = tau
-        self.terms = (params or DEFAULT_PARAMS).resolve_terms(tau)
+        # log|q| = -2 pi Im tau, finite even where |q| itself underflows
+        bound = math.log(TOLERANCE) / (-2 * math.pi * tau.imag)
+        if bound >= MAX_TERMS:
+            raise ThetaRangeError(None, tau, f"the product needs more than MAX_TERMS = "
+                                             f"{MAX_TERMS} factors")
+        self.terms = max(8, int(bound) + 1)
         q = cmath.exp(TWO_PI_I * tau)
         # q^(1/8) is the principal eighth root of q itself, so shifting tau by
         # one leaves the value literally unchanged
@@ -131,10 +108,10 @@ class ThetaKernel:
         return value
 
 
-def theta_value(nu: complex, tau: complex, params: ThetaParams | None = None) -> complex:
-    """Truncated triple-product value; deterministic for fixed params."""
+def theta_value(nu: complex, tau: complex) -> complex:
+    """Truncated triple-product value."""
     try:
-        kernel = ThetaKernel(tau, params)
+        kernel = ThetaKernel(tau)
     except ThetaRangeError as exc:
         raise ThetaRangeError(nu, tau, exc.reason) from None
     return kernel.value(nu)

@@ -25,6 +25,10 @@ CHECK_STDOUT = json.loads((DATA / "check_stdout.json").read_text())
 # `groups` on the five reference models and six squares, recorded from the
 # code that listed each group's elements to name and order it
 GROUPS_STDOUT = json.loads((DATA / "groups_stdout.json").read_text())
+# `info`, and `dual` with J and SL, on the five reference models, recorded
+# before the variable names were derived from the column index
+INFO_STDOUT = json.loads((DATA / "info_stdout.json").read_text())
+DUAL_STDOUT = json.loads((DATA / "dual_stdout.json").read_text())
 
 
 def run_cli(capsys, *argv):
@@ -75,6 +79,22 @@ def test_bad_json_potential_exit_code(capsys, monomials, message):
     assert code == 2
     assert out == ""
     assert err.startswith("error: ") and message in err
+
+
+def test_potential_with_superscript_exit_code(capsys):
+    code, out, err = run_cli(capsys, "info", "--potential", "x1\u00b2+x2^2")
+    assert code == 2
+    assert out == ""
+    assert err == "error: unexpected character '\u00b2' (at position 2)\n"
+
+
+def test_deeply_nested_json_potential_exit_code(capsys, tmp_path):
+    path = tmp_path / "deep.json"
+    path.write_text('{"monomials": ' + "[" * 200_000)
+    code, out, err = run_cli(capsys, "info", "--potential", str(path))
+    assert code == 2
+    assert out == ""
+    assert err == "error: bad JSON: nested too deeply (at position 0)\n"
 
 
 @pytest.mark.parametrize("command", ["info", "groups", "dual", "genus", "check"])
@@ -308,6 +328,13 @@ def test_genus_stdout_pinned(capsys, case):
 @pytest.mark.parametrize("case", GROUPS_STDOUT, ids=lambda c: c["potential"])
 def test_groups_stdout_pinned(capsys, case):
     code, out, _ = run_cli(capsys, "groups", "--potential", case["potential"])
+    assert code == case["exit"]
+    assert out == case["stdout"]
+
+
+@pytest.mark.parametrize("case", INFO_STDOUT + DUAL_STDOUT, ids=lambda c: " ".join(c["argv"]))
+def test_info_and_dual_stdout_pinned(capsys, case):
+    code, out, _ = run_cli(capsys, *case["argv"])
     assert code == case["exit"]
     assert out == case["stdout"]
 

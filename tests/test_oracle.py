@@ -149,9 +149,10 @@ def test_oracle_imports_nothing_from_the_engine():
         assert not {"orbigenus._engine", "orbigenus.genus"} & set(modules), modules
 
 
-def test_state_cap():
+def test_state_cap(monkeypatch):
+    monkeypatch.setattr(oracle_module, "STATE_CAP", 1000)
     with pytest.raises(StateCapError):
-        free_state_series([F(1, 5)] * 5, 3, (-40, 40), cap=1000)
+        free_state_series([F(1, 5)] * 5, 3, (-40, 40))
 
 
 def test_zero_level_two_squares_parity_filter():
@@ -256,10 +257,11 @@ def test_zero_level_matches_reference_on_models(potential, group):
         assert zero_level_group_average(potential, g, window) == expected
 
 
-def test_zero_level_state_cap():
+def test_zero_level_state_cap(monkeypatch):
+    monkeypatch.setattr(oracle_module, "STATE_CAP", 1000)
     group = sl_subgroup(QUINTIC)
     with pytest.raises(StateCapError):
-        zero_level_group_average(QUINTIC, group, (0, 3), cap=1000)
+        zero_level_group_average(QUINTIC, group, (0, 3))
 
 
 def test_pairing_rows_drop_trivial_rows():

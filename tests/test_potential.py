@@ -55,6 +55,22 @@ def test_parse_syntax_error_position():
     assert err.value.position == 5
 
 
+@pytest.mark.parametrize("text, position", [
+    ("x1\u00b2+x2^2", 2),  # superscript two
+    ("x\u00b9+x2^2", 1),  # superscript one as the index
+    ("x1^\u0663+x2^2", 3),  # Arabic-Indic three
+])
+def test_parse_reads_ascii_digits_only(text, position):
+    with pytest.raises(PotentialSyntaxError) as err:
+        parse_potential(text)
+    assert err.value.position == position
+
+
+def test_parse_deeply_nested_json():
+    with pytest.raises(PotentialSyntaxError, match="nested too deeply"):
+        parse_potential('{"monomials": ' + "[" * 200_000)
+
+
 def test_parse_missing_variable():
     with pytest.raises(InvalidPotentialError):
         parse_potential("x1^2+x3^2")
@@ -169,7 +185,7 @@ def test_charges_k3_chain():
 def test_charges_degenerate():
     # x1 + x2^2 is not invertible, so make_potential refuses it; built
     # directly, it reaches the charge guard
-    bad = Potential(((1, 0), (0, 2)), ("x1", "x2"))
+    bad = Potential(((1, 0), (0, 2)))
     with pytest.raises(DegenerateChargesError):
         compute_charges(bad)
     # the memo caches results only: the raise repeats
@@ -177,9 +193,8 @@ def test_charges_degenerate():
         compute_charges(bad)
 
 
-def test_charges_of_potential_with_listed_names():
-    p = make_potential([[2, 0], [0, 3]], names=["u", "v"])
-    assert p.names == ("u", "v")
+def test_charges_of_potential_from_matrix():
+    p = make_potential([[2, 0], [0, 3]])
     assert compute_charges(p).q == (F(1, 2), F(1, 3))
 
 

@@ -3,9 +3,9 @@ import math
 
 import pytest
 
+from orbigenus import theta
 from orbigenus.theta import (
-    MAX_TERMS,
-    ThetaParams,
+    ThetaKernel,
     ThetaRangeError,
     lattice_distance,
     theta_value,
@@ -102,13 +102,16 @@ def test_oddness():
             assert abs(theta_value(-nu, tau) + theta_value(nu, tau)) < 1e-12
 
 
-def test_truncation_stability():
+def test_truncation_stability(monkeypatch):
     nu, tau = 0.31 + 0.07j, 1.05j
-    params = ThetaParams()
-    p = params.resolve_terms(tau)
-    v1 = theta_value(nu, tau, ThetaParams(terms=p))
-    v2 = theta_value(nu, tau, ThetaParams(terms=2 * p))
-    assert abs(v1 - v2) < params.tolerance * 10
+    tolerance = theta.TOLERANCE
+    p = ThetaKernel(tau).terms
+    v1 = theta_value(nu, tau)
+    # a tolerance of |q|^(2P) asks for at least twice the factors
+    monkeypatch.setattr(theta, "TOLERANCE", math.exp(-2 * math.pi * tau.imag * 2 * p))
+    assert ThetaKernel(tau).terms >= 2 * p
+    v2 = theta_value(nu, tau)
+    assert abs(v1 - v2) < tolerance * 10
     assert math.exp(-2 * math.pi * tau.imag * p) < 1e-14  # |q|^P, the first dropped factor
 
 
@@ -152,15 +155,12 @@ def test_matches_mpmath_jtheta(im_tau):
 
 
 def test_order_from_tolerance_up_to_ceiling():
-    params = ThetaParams()
-    assert params.resolve_terms(0.004j) == 1375
-    assert params.resolve_terms(0.001j) == 5498
-    assert params.resolve_terms(250j) == 8
+    assert ThetaKernel(0.004j).terms == 1375
+    assert ThetaKernel(0.001j).terms == 5498
+    assert ThetaKernel(250j).terms == 8
     for tau in (0.0005j, 1e-300j):
         with pytest.raises(ThetaRangeError):
-            params.resolve_terms(tau)
-    with pytest.raises(ThetaRangeError):
-        ThetaParams(terms=MAX_TERMS + 1).resolve_terms(1j)
+            ThetaKernel(tau)
 
 
 @pytest.mark.parametrize("nu, tau", [
