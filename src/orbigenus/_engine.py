@@ -17,14 +17,25 @@ as in the sectors untwisted in time and the character sums over a right
 twist, phi for one and 2*phi-1 for neither.  The slot width is proven wide
 enough: an output slot sums at most min(nnz_a, nnz_b) products of
 coefficients, so bits(max|a| * max|b| * min(nnz_a, nnz_b)) plus a sign bit
-suffice.  Products are decoded once per output row, cut to the y-window and,
+suffice.  Products are decoded once per output row, cut to the window and,
 where the cell is wider than phi, reduced mod Phi_N; a product whose vectors
 are all rational gets width 1.
+
+The window is a trapezoid, not a rectangle: q-rows 0 .. qcap, y at least
+ylo, and on row kq at most the ceiling yhi[kq], which does not increase
+with kq (``SeriesContext``).  ``genus._build_context`` lowers the ceiling
+by the y a term can still lose in the q left to it, so nothing cut above
+it can fall back into the strip the sum is exact on.  Every series the
+double sum forms stays inside the window: the factors, their transforms,
+the partial products and the totals.
 
 The single-variable factors are built without general products: each
 fermionic binomial is a shift-and-add and each bosonic geometric tower a
 first-order recurrence along its step, in both cases cut to the window after
-every factor exactly as a term-by-term product would be.
+every factor exactly as a term-by-term product would be.  The recurrence
+walks each chain of a tower's step until it leaves the window; that is
+exact because the height of the ceiling above a chain moves one way only
+along it (``_times_geometric``).
 
 The right twist b of a factor enters only through the phase w^b, w = e(1/m_j),
 so each factor is built once per left twist a as a formal polynomial F_a(w)
@@ -102,16 +113,26 @@ class RationalityError(ArithmeticError):
 
 @dataclass
 class SeriesContext:
-    """Shared data for one genus computation."""
+    """Shared data for one genus computation.
+
+    Exponents are scaled by ``denominator``.  The work window is the
+    trapezoid of the terms (kq, ky) with kq <= qcap and
+    ylo <= ky <= yhi[kq]: ``yhi`` holds one ceiling per q-row 0 .. qcap and
+    does not increase with kq.  Every series the engine forms is cut to it.
+    """
 
     conductor: int
     phi: int
     denominator: int
     qcap: int
     ylo: int
-    yhi: int
+    yhi: tuple[int, ...]
     charges: tuple[Fraction, ...]
     moduli: tuple[int, ...]
+
+    def __post_init__(self):
+        assert len(self.yhi) == self.qcap + 1, "one ceiling per q-row"
+        assert all(a >= b for a, b in zip(self.yhi, self.yhi[1:])), "the ceiling rises"
 
 
 # Signed array typecodes by item size: slots of 1, 2, 4 or 8 bytes move between
@@ -233,10 +254,11 @@ def _mul_rows(a: _Rows, b: _Rows, ctx: SeriesContext) -> _Rows:
     product of two rows are one integer product.  Each output slot sums at
     most min(nnz_a, nnz_b) coefficient products, so slots of
     bits(peak_a * peak_b * min(nnz)) plus a sign bit keep every slot exact.
-    Products are accumulated per (kq, ky mod g), then each sum is decoded
-    once, cut to [ylo, yhi] and, where the cell is wider than phi, reduced
-    mod Phi_N.  The product's width is 1 when every decoded vector is zero
-    beyond slot 0, whatever the operands' widths.
+    A pair of rows whose lowest product term lies above its row's ceiling
+    is skipped.  Products are accumulated per (kq, ky mod g), then each sum
+    is decoded once, cut to [ylo, yhi[kq]] and, where the cell is wider
+    than phi, reduced mod Phi_N.  The product's width is 1 when every
+    decoded vector is zero beyond slot 0, whatever the operands' widths.
     """
     if not a.nnz or not b.nnz:
         return _Rows([], 0, 0, 1)  # a zero operand; its coefficients fix no slot width
@@ -253,6 +275,8 @@ def _mul_rows(a: _Rows, b: _Rows, ctx: SeriesContext) -> _Rows:
         for kq2, y2, n2, x2 in packed_b:
             if kq2 > room:
                 break
+            if y1 + y2 > yhi[kq1 + kq2]:
+                continue
             e, c = divmod(y1 + y2, g)
             top = e + n1 + n2 - 1
             key = (kq1 + kq2, c)
@@ -276,7 +300,7 @@ def _mul_rows(a: _Rows, b: _Rows, ctx: SeriesContext) -> _Rows:
         e, top, x = acc.pop((kq, c))  # each sum is freed once decoded
         base = e * g + c
         lo = max(0, -((base - ylo) // g))
-        hi = min(top - e, (yhi - base) // g + 1)
+        hi = min(top - e, (yhi[kq] - base) // g + 1)
         if lo >= hi:
             continue
         digits = _unpack(x, nbytes, (top - e) * cell, lo * cell, hi * cell)
@@ -337,7 +361,9 @@ def variable_factor(ctx: SeriesContext, j: int, a: int) -> Series:
     coefficient of w^(-i).
 
     The factor is built one binomial or geometric tower at a time, each
-    product cut to the window as it is formed; w acts by rotation.
+    product cut to the window, row by row, as it is formed; a binomial
+    whose monomial lies outside the window is left out, and so is each
+    tower term outside it.  w acts by rotation.
     """
     qj = ctx.charges[j]
     m = ctx.moduli[j]
@@ -349,10 +375,10 @@ def variable_factor(ctx: SeriesContext, j: int, a: int) -> Series:
     # (y^-1 q)^theta * (1 - zeta_bar y^(1-qj) q^(-theta)): non-negative q-powers
     series: Series = {}
     kq1, ky1 = _scaled_exponent(theta, d), _scaled_exponent(-theta, d)
-    if kq1 <= qcap and ylo <= ky1 <= yhi:
+    if kq1 <= qcap and ylo <= ky1 <= yhi[kq1]:
         series[(kq1, ky1)] = [1] + [0] * (m - 1)
     ky2 = _scaled_exponent(1 - qj - theta, d)
-    if ylo <= ky2 <= yhi:
+    if ylo <= ky2 <= yhi[0]:
         series[(0, ky2)] = _rotate([-1] + [0] * (m - 1), -1)
 
     # remaining fermionic factors (1 - zeta_bar y^(1-qj) q^(k-theta)) and
@@ -364,7 +390,7 @@ def variable_factor(ctx: SeriesContext, j: int, a: int) -> Series:
             if kq > qcap:
                 break
             ky = _scaled_exponent(y_exp, d)
-            if ylo <= ky <= yhi:
+            if ylo <= ky <= yhi[kq]:
                 series = _times_binomial(series, kq, ky, sign, ctx)
             k += 1
     # bosonic towers sum_s zeta^s (y^qj q^(k+theta))^s, k >= 0, and
@@ -379,8 +405,9 @@ def variable_factor(ctx: SeriesContext, j: int, a: int) -> Series:
             step_y = _scaled_exponent(sign * qj, d)
             kept = []
             s = 0
-            while s * step_q <= qcap and (s * step_y <= yhi if sign > 0 else s * step_y >= ylo):
-                if ylo <= s * step_y <= yhi:
+            while s * step_q <= qcap and (
+                    s * step_y <= yhi[s * step_q] if sign > 0 else s * step_y >= ylo):
+                if ylo <= s * step_y <= yhi[s * step_q]:
                     kept.append(s)
                 s += 1
             series = _times_geometric(series, step_q, step_y, sign, kept, m, ctx)
@@ -448,7 +475,7 @@ def _times_binomial(s: Series, kq: int, ky: int, k: int, ctx: SeriesContext) -> 
     out: Series = dict(s)
     for (q, y), v in s.items():
         key = (q + kq, y + ky)
-        if key[0] <= qcap and ylo <= key[1] <= yhi:
+        if key[0] <= qcap and ylo <= key[1] <= yhi[key[0]]:
             moved = _rotate(v, k)
             cur = out.get(key)
             out[key] = [-c for c in moved] if cur is None else list(map(sub, cur, moved))
@@ -463,10 +490,25 @@ def _times_geometric(
 
     ``kept`` is a run t0..t1.  Along each chain p, p + step, ... the product
     obeys P[p] = w^(t0 ratio) s[p - t0 step] + w^ratio P[p - step]
-    - w^((t1+1) ratio) s[p - (t1+1) step].  A chain is walked from its first
-    term through the window; P vanishes before it, and P[p - step] is zero
-    whenever p - step leaves the window, because s has no terms beyond the
-    window on that side.
+    - w^((t1+1) ratio) s[p - (t1+1) step].  A chain is walked from its
+    first term of s, moved on by t0 steps, until it leaves the window; P
+    vanishes before that start, as s has no earlier term on the chain.
+
+    The walk is exact when no point of the chain from the start on lies in
+    the window after one that does not.  The q-cap keeps that, as
+    step_q >= 0, and so does the floor ylo for a falling step; a rising
+    step starts at or above ylo, as t0 step_y >= 0 and s lies in the
+    window.  Under the ceiling, the height yhi[q] - y along a chain changes
+    at each step by the ceiling's drop over step_q rows less the tower's
+    fall -step_y.  The step bound asserted below says that change has one
+    sign on every row: the ceiling drops over each step at least as far as
+    the tower falls, or on every row at most as far.  In the first case
+    the height never rises, so a chain that leaves the ceiling never comes
+    back under it.  That is the case of every rising step, and of every
+    tower on the window of ``genus._build_context``, whose ceiling falls
+    at a rate no tower step exceeds.  In the second (a flat ceiling, say)
+    the height never falls, so the chain stays under the ceiling from its
+    start, which is under it because s[start - t0 step] is.
     """
     if not kept:
         return {}
@@ -476,6 +518,8 @@ def _times_geometric(
     back_q, back_y = t0 * step_q, t0 * step_y
     lag_q, lag_y = (t1 + 1) * step_q, (t1 + 1) * step_y
     qcap, ylo, yhi = ctx.qcap, ctx.ylo, ctx.yhi
+    drops = {yhi[q] - yhi[q + step_q] for q in range(qcap + 1 - step_q)}
+    assert min(drops) >= -step_y or max(drops) <= -step_y, "a chain may re-enter the window"
     order = sorted(s) if step_q else sorted(s, key=lambda term: term[1] * step_y)
     get = s.get
     out: Series = {}
@@ -484,7 +528,7 @@ def _times_geometric(
         if (q, y) in out:
             continue  # on the chain of an earlier term
         val = None
-        while q <= qcap and ylo <= y <= yhi:
+        while q <= qcap and ylo <= y <= yhi[q]:
             src = get((q - back_q, y - back_y))
             if val is None:
                 val = src[-head:] + src[:-head] if head else src

@@ -152,13 +152,20 @@ def _work_denominator(
 
 
 def _negative_capacity(
-    charges: tuple[Fraction, ...], theta_max: tuple[Fraction, ...], qmax: Fraction
-) -> Fraction:
-    """Upper bound on the total negative y-excursion inside the q-window.
+    charges: tuple[Fraction, ...], theta_max: tuple[Fraction, ...]
+) -> tuple[Fraction, Fraction]:
+    """(free, rate): every term of a product of single-variable factors,
+    at left twists theta_j <= theta_max_j, has -y <= free + q rate.
 
-    Cost accounting: the only q-free negative y comes from the fermionic
-    bracket term y^(1-q-theta) when q+theta > 1; every other unit of negative
-    y costs q-budget at rate at most max(1, q_j/(1-theta_j)).
+    Cost accounting, term by term of a factor: the only q-free negative y
+    comes from the fermionic bracket term y^(1-q_j-theta) when
+    q_j + theta > 1, at most free_j = max(0, q_j + theta_max_j - 1) and
+    summed into ``free``.  Every other unit of negative y costs q at a rate
+    of at most rate = max(1, q_j / (1 - theta_max_j)): the prefix
+    (y^-1 q)^theta and the binomials (1 - y^(q_j-1) q^(k+theta)) lose y no
+    faster than they gain q, and a bosonic step y^-q_j q^(k-theta), k >= 1,
+    loses q_j for k - theta >= 1 - theta_max_j.  No tower step falls
+    faster than ``rate``.
     """
     free = sum(
         (max(Fraction(0), q + t - 1) for q, t in zip(charges, theta_max)),
@@ -167,7 +174,7 @@ def _negative_capacity(
     rate = Fraction(1)
     for q, t in zip(charges, theta_max):
         rate = max(rate, q / (1 - t))
-    return free + qmax * rate
+    return free, rate
 
 
 def _build_context(
@@ -178,21 +185,38 @@ def _build_context(
     st_hi: Fraction,
     theta_max: tuple[Fraction, ...],
 ) -> SeriesContext:
-    """Context with a work window wide enough to be exact on [st_lo, st_hi]."""
+    """Context whose work window is exact on the strip [st_lo, st_hi].
+
+    The window is a trapezoid.  Its ceiling on q-row kq is the largest ky
+    with ky + rate kq <= (st_hi + free + qmax rate) d, the exact rational
+    test, with (free, rate) from ``_negative_capacity`` and d the exponent
+    denominator.  A term (kq, ky) of any partial product reaches the
+    strip only through the product of the factors still to come, at most
+    qcap - kq in q, whose y is at least -(free + (qmax - kq / d) rate) d;
+    so a term above the ceiling, whether a partial product, a factor's or
+    a single binomial's or tower's, cannot reach y <= st_hi d, and every
+    term kept on the strip is exact.  The ceiling falls at the rate no
+    tower step exceeds, which keeps the engine's tower recurrence exact
+    (``_engine._times_geometric``).  The floor stays flat at
+    -(free + qmax rate) d or st_lo d, whichever is lower: an untwisted
+    bosonic tower raises y at no cost in q, so no bound caps y from above
+    by the q spent, and no term falls below that floor.
+    """
     # every twist is a multiple of 1/m_j (an admissible group contains J, so
     # den(q_j) divides m_j): the factors hold roots of unity of order lcm(m_j)
     n = lcm(*moduli)
     d = _work_denominator(charges, moduli, qmax, st_lo, st_hi)
-    cap = _negative_capacity(charges, theta_max, qmax)
-    ylo = floor((-cap) * d)
-    yhi = ceil((st_hi + cap) * d)
+    free, rate = _negative_capacity(charges, theta_max)
+    cap = free + qmax * rate
+    top = (st_hi + cap) * d
+    qcap = int(qmax * d)
     return SeriesContext(
         conductor=n,
         phi=euler_phi(n),
         denominator=d,
-        qcap=int(qmax * d),
-        ylo=min(ylo, floor(st_lo * d)),
-        yhi=yhi,
+        qcap=qcap,
+        ylo=min(floor(-cap * d), floor(st_lo * d)),
+        yhi=tuple(floor(top - rate * kq) for kq in range(qcap + 1)),
         charges=charges,
         moduli=moduli,
     )

@@ -78,6 +78,21 @@ def cy_potentials(draw, max_det):
     return p
 
 
+@st.composite
+def d_left_orbifolds(draw):
+    """A generated CY model with J or SL whose double sum runs its left side
+    over at most 16 group elements (mode "D") at a conductor in 3 .. 42."""
+    from orbigenus.genus import _sum_setup
+    from orbigenus.symmetry import grading_subgroup, sl_subgroup
+
+    p = draw(cy_potentials(200))
+    group = (grading_subgroup if draw(st.booleans()) else sl_subgroup)(p)
+    setup = _sum_setup(group)
+    # an exponent above 2 leaves an element that is not its own inverse
+    assume(setup.mode_l == "D" and len(setup.left) <= 16 and 2 < lcm(*setup.moduli) <= 42)
+    return p, group
+
+
 @lru_cache(maxsize=None)
 def genus_series_cached(text, group_gens, qmax, ycap):
     from orbigenus.genus import ell_genus_series
@@ -108,12 +123,15 @@ def reference_vec_mul(u, v, conductor):
 
 
 def reference_series_mul(a, b, ctx):
-    """Every term pair multiplied and cut to the window, zero vectors dropped."""
+    """Every term pair multiplied and cut to the window, zero vectors dropped.
+
+    The window of ``ctx`` holds q-rows 0 .. qcap, y from ylo up to the
+    ceiling yhi[kq] of the row."""
     out = {}
     for (kq1, ky1), v1 in a.items():
         for (kq2, ky2), v2 in b.items():
             kq, ky = kq1 + kq2, ky1 + ky2
-            if kq > ctx.qcap or not ctx.ylo <= ky <= ctx.yhi:
+            if kq > ctx.qcap or not ctx.ylo <= ky <= ctx.yhi[kq]:
                 continue
             prod = reference_vec_mul(v1, v2, ctx.conductor)
             cur = out.setdefault((kq, ky), [0] * len(prod))
@@ -148,29 +166,30 @@ def reference_variable_factor(ctx, j, a, b):
     # (y^-1 q)^theta * (1 - zeta_bar y^(1-qj) q^(-theta))
     series = {}
     kq1, ky1 = scaled(theta), scaled(-theta)
-    if kq1 <= qcap and ylo <= ky1 <= yhi:
+    if kq1 <= qcap and ylo <= ky1 <= yhi[kq1]:
         series[(kq1, ky1)] = root(0)
     ky2 = scaled(1 - qj - theta)
-    if ylo <= ky2 <= yhi:
+    if ylo <= ky2 <= yhi[0]:
         series[(0, ky2)] = neg(root(-ib))
     polys = []
-    # fermionic binomials, the monomial kept only inside the y-window
+    # fermionic binomials, the monomial kept only inside the window
     for sign, y_exp, coeff in ((-1, 1 - qj, neg(root(-ib))), (1, qj - 1, neg(root(ib)))):
         k = 1
         while scaled(k + sign * theta) <= qcap:
             poly = {(0, 0): root(0)}
-            if ylo <= scaled(y_exp) <= yhi:
-                poly[(scaled(k + sign * theta), scaled(y_exp))] = coeff
+            kq = scaled(k + sign * theta)
+            if ylo <= scaled(y_exp) <= yhi[kq]:
+                poly[(kq, scaled(y_exp))] = coeff
             polys.append(poly)
             k += 1
-    # bosonic towers: terms until q or the far y-edge is passed, those inside
-    # the y-window kept
+    # bosonic towers: terms until q or the far y-edge of their row is
+    # passed, those inside the window kept
     k = 0
     while scaled(k + theta) <= qcap:
         step_q, step_y = scaled(k + theta), scaled(qj)
         geom = {}
         s = 0
-        while s * step_q <= qcap and s * step_y <= yhi:
+        while s * step_q <= qcap and s * step_y <= yhi[s * step_q]:
             if s * step_y >= ylo:
                 geom[(s * step_q, s * step_y)] = root(s * ib)
             s += 1
@@ -182,7 +201,7 @@ def reference_variable_factor(ctx, j, a, b):
         geom = {}
         s = 0
         while s * step_q <= qcap and s * step_y >= ylo:
-            if s * step_y <= yhi:
+            if s * step_y <= yhi[s * step_q]:
                 geom[(s * step_q, s * step_y)] = root(-s * ib)
             s += 1
         polys.append(geom)
@@ -196,8 +215,9 @@ def reference_sector_pair_series(potential, thetas_n, thetas_n1, windows, conduc
     """One (n, n1) sector term: the product over the variables of
     ``reference_variable_factor``, multiplied with ``reference_series_mul``.
 
-    The product runs on a window of its own, padded by the largest negative
-    y-excursion the q-window allows, and is then restricted to ``windows``.
+    The product runs on a rectangular window of its own, padded by the
+    largest negative y-excursion the q-window allows, and is then
+    restricted to ``windows``.
     Returns {(e_q, e_y): coefficient vector over the power basis of zeta_N}
     with N = ``conductor``, which every twist denominator must divide.
     """
@@ -213,12 +233,13 @@ def reference_sector_pair_series(potential, thetas_n, thetas_n1, windows, conduc
         windows.ymax.denominator,
         *(q.denominator for q in qs),
     )
+    qcap = int(windows.qmax * d)
     ctx = SimpleNamespace(
         conductor=conductor,
         denominator=d,
-        qcap=int(windows.qmax * d),
+        qcap=qcap,
         ylo=math.floor((min(windows.ymin, 0) - pad) * d),
-        yhi=math.ceil((windows.ymax + pad) * d),
+        yhi=(math.ceil((windows.ymax + pad) * d),) * (qcap + 1),
         charges=qs,
         moduli=(conductor,) * len(qs),
     )

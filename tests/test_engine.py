@@ -4,7 +4,7 @@ recurrence-built factors against the term-pair reference arithmetic in
 
 from dataclasses import replace
 from fractions import Fraction
-from math import gcd
+from math import floor, gcd
 
 import pytest
 from hypothesis import HealthCheck, given, settings
@@ -25,14 +25,15 @@ from orbigenus.symmetry import grading_subgroup, sl_subgroup
 CONDUCTORS = (1, 4, 5, 8, 12, 16)  # phi = 1, 2, 4, 4, 4, 8
 
 
-def make_context(conductor, qcap, ylo, yhi):
+def make_context(conductor, ylo, yhi):
+    """A context on q-rows 0 .. len(yhi) - 1, row kq cut to [ylo, yhi[kq]]."""
     return _engine.SeriesContext(
         conductor=conductor,
         phi=euler_phi(conductor),
         denominator=1,
-        qcap=qcap,
+        qcap=len(yhi) - 1,
         ylo=ylo,
-        yhi=yhi,
+        yhi=tuple(yhi),
         charges=(),
         moduli=(),
     )
@@ -65,12 +66,26 @@ coefficients = st.one_of(
 
 
 @st.composite
+def ceilings(draw, qcap, ylo):
+    """Non-increasing row ceilings from a first row in [ylo, 12]: flat,
+    falling by random steps, or falling below ylo before row qcap."""
+    kind = draw(st.sampled_from(["flat", "steep", "below"]))
+    drop = st.just(0) if kind == "flat" else st.integers(0, 8)
+    rows = [draw(st.integers(ylo, 12))]
+    for _ in range(qcap):
+        rows.append(rows[-1] - draw(drop))
+    if kind == "below" and qcap:
+        r = draw(st.integers(1, qcap))
+        rows[r:] = [min(y, ylo - 1 - i) for i, y in enumerate(rows[r:])]
+    return rows
+
+
+@st.composite
 def windows(draw):
     conductor = draw(st.sampled_from(CONDUCTORS))
     qcap = draw(st.integers(0, 5))
     ylo = draw(st.integers(-12, 0))
-    yhi = draw(st.integers(ylo, 12))
-    return make_context(conductor, qcap, ylo, yhi)
+    return make_context(conductor, ylo, draw(ceilings(qcap, ylo)))
 
 
 @st.composite
@@ -82,7 +97,7 @@ def series(draw, ctx, max_terms=12):
     offset = draw(st.integers(0, step - 1))
     kq = st.one_of(st.sampled_from([0, ctx.qcap]), st.integers(0, ctx.qcap + 1))
     ky = st.one_of(
-        st.sampled_from([ctx.ylo, ctx.yhi]), st.integers(ctx.ylo - 4, ctx.yhi + 4)
+        st.sampled_from([ctx.ylo, *ctx.yhi]), st.integers(ctx.ylo - 4, ctx.yhi[0] + 4)
     ).map(lambda y: y - (y - offset) % step)
     small = draw(st.booleans())
     coeff = st.integers(-3, 3) if small else coefficients
@@ -118,7 +133,7 @@ def test_series_mul_empty_and_single_terms(data):
 def test_series_mul_reaches_slot_bound(conductor, c, c2, terms):
     """Aligned rows whose central coefficient equals the slot-width bound
     max|a| * max|b| * min(nnz), at and around byte and word boundaries."""
-    ctx = make_context(conductor, 2, -10, 10)
+    ctx = make_context(conductor, -10, (10,) * 3)
     a = {(0, y): [c] + [0] * (ctx.phi - 1) for y in range(terms)}
     b = {(1, y): [c2] + [0] * (ctx.phi - 1) for y in range(terms)}
     product = ring_mul(a, b, ctx)
@@ -130,7 +145,7 @@ def test_series_mul_reaches_slot_bound(conductor, c, c2, terms):
 def test_series_mul_reaches_slot_bound_in_wide_cells(c, c2, terms):
     """The same bound for zeta times rational rows at N = 5, packed in
     cells of 2*phi-1 slots: the central coefficient lands in slot 2."""
-    ctx = make_context(5, 2, -10, 10)
+    ctx = make_context(5, -10, (10,) * 3)
     a = {(0, y): [0, c, 0, 0] for y in range(terms)}
     b = {(1, y): [0, c2, 0, 0] for y in range(terms)}
     product = ring_mul(a, b, ctx)
@@ -140,7 +155,7 @@ def test_series_mul_reaches_slot_bound_in_wide_cells(c, c2, terms):
 
 def test_series_mul_dense_sublattice_rows():
     """Full rows on the even sublattice against odd-coset rows, N = 12."""
-    ctx = make_context(12, 4, -20, 20)
+    ctx = make_context(12, -20, (20,) * 5)
     a = {(q, y): [y - q, 2**70, -3, q * y] for q in range(5) for y in range(-10, 11, 2)}
     b = {(q, y): [-(2**40), q, y, 1] for q in range(3) for y in range(-9, 10, 2)}
     assert ring_mul(a, b, ctx) == reference_series_mul(a, b, ctx)
@@ -150,7 +165,7 @@ def test_series_mul_dense_sublattice_rows():
 def test_series_mul_rational_by_accident(conductor):
     """zeta^k A times zeta^-k B, A and B rational, at every k: operands of
     width phi (for k != 0) whose product is rational, so it has width 1."""
-    ctx = make_context(conductor, 3, -6, 6)
+    ctx = make_context(conductor, -6, (6,) * 4)
     roots = _power_rows(conductor)
     for k in range(conductor):
         up, down = roots[k], roots[-k % conductor]
@@ -229,9 +244,32 @@ def test_variable_factor_cut_windows(potential, ylo, yhi):
     moduli = grading_subgroup(potential).coordinate_moduli()
     theta_max = tuple(Fraction(m - 1, m) for m in moduli)
     ctx = _build_context(charges, moduli, Fraction(2), Fraction(-1), Fraction(1), theta_max)
-    ctx = replace(ctx, ylo=ylo, yhi=yhi)
+    ctx = replace(ctx, ylo=ylo, yhi=(yhi,) * (ctx.qcap + 1))
+    assert_factors_match_reference(ctx)
+
+
+@settings(max_examples=30, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(potential=st.sampled_from([QUINTIC, K3_CHAIN]), data=st.data())
+def test_variable_factor_sloped_ceilings(potential, data):
+    """Ceilings floor(top - rate kq), the shape of ``_build_context``'s:
+    flat, falling slower than some towers or faster than all, and falling
+    below ylo before row qcap."""
+    charges = tuple(compute_charges(potential).q)
+    moduli = grading_subgroup(potential).coordinate_moduli()
+    theta_max = tuple(Fraction(m - 1, m) for m in moduli)
+    ctx = _build_context(charges, moduli, Fraction(2), Fraction(-1), Fraction(1), theta_max)
+    d = ctx.denominator
+    ylo = data.draw(st.integers(-3 * d, 0), label="ylo")
+    top = data.draw(st.integers(ylo, 3 * d), label="top")
+    rate = data.draw(st.one_of(st.just(Fraction(0)), st.fractions(0, 4, max_denominator=7)),
+                     label="rate")
+    yhi = tuple(floor(top - rate * kq) for kq in range(ctx.qcap + 1))
+    assert_factors_match_reference(replace(ctx, ylo=ylo, yhi=yhi))
+
+
+def assert_factors_match_reference(ctx):
     ring = _engine._ExactRing(ctx)
-    for j, m in enumerate(moduli):
+    for j, m in enumerate(ctx.moduli):
         for a in range(m):
             for b in range(m):
                 expected = reference_variable_factor(ctx, j, a, b)
@@ -248,9 +286,4 @@ def test_variable_factor_matches_seed_construction(potential, group):
     qmax = Fraction(3)
     theta_max = tuple(Fraction(m - 1, m) for m in moduli)
     ctx = _build_context(charges, moduli, qmax, Fraction(-3), Fraction(5), theta_max)
-    ring = _engine._ExactRing(ctx)
-    for j, m in enumerate(moduli):
-        for a in range(m):
-            for b in range(m):
-                expected = reference_variable_factor(ctx, j, a, b)
-                assert ring.factor(j, a, b) == expected, (j, a, b)
+    assert_factors_match_reference(ctx)

@@ -4,15 +4,27 @@ The genus is a weak Jacobi form of index m = cbar/2, so its q^n y^r
 coefficient vanishes unless r^2 <= m^2 + 4nm.  ``ell_genus_series`` sizes a
 single double sum from that bound and reads the reported window off it; these
 tests compare it with a pass at the window the widening schedule ends on.
+They also compare the sum on its work window, whose ceiling falls row by row
+in q, with the same sum on a rectangle of the row-0 height.
 """
 
+from dataclasses import replace
 from fractions import Fraction
+from math import ceil
 
 import pytest
 from hypothesis import HealthCheck, assume, example, given, settings
 from hypothesis import strategies as st
 
-from helpers import CUBIC, K3_CHAIN, LOOP_K3, QUINTIC, TWO_SQUARES, cy_potentials
+from helpers import (
+    CUBIC,
+    K3_CHAIN,
+    LOOP_K3,
+    QUINTIC,
+    TWO_SQUARES,
+    cy_potentials,
+    d_left_orbifolds,
+)
 from orbigenus import JacobiBoundError, genus
 from orbigenus.cli import main
 from orbigenus.exactmath import lcm
@@ -271,3 +283,44 @@ def test_uncertified_window_names_the_last_window_tried(monkeypatch, capsys, max
     assert captured.out == ""
     assert captured.err == (
         f"computation failed: no vanishing boundary band of width 1 up to ycap={window}\n")
+
+
+def rectangular_terms(potential, group, qmax):
+    """``_genus_rational_terms`` at qmax on the strip of ``ell_genus_series``,
+    once on the trapezoid of ``_build_context`` and once on a rectangle:
+    every row's ceiling at the constant ceil((st_hi + free + qmax rate) d)
+    of the row-0 bound."""
+    ycap = jacobi_reach(compute_charges(potential).central_charge, qmax) + genus.CERTIFY_MARGIN
+    build = genus._build_context
+
+    def rectangle(charges, moduli, qmax, st_lo, st_hi, theta_max):
+        ctx = build(charges, moduli, qmax, st_lo, st_hi, theta_max)
+        free, rate = genus._negative_capacity(charges, theta_max)
+        top = ceil((st_hi + free + qmax * rate) * ctx.denominator)
+        assert ctx.yhi[0] <= top and ctx.yhi[-1] < top
+        return replace(ctx, yhi=(top,) * (ctx.qcap + 1))
+
+    trapezoid = _genus_rational_terms(potential, group, qmax, ycap)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(genus, "_build_context", rectangle)
+        flat = _genus_rational_terms(potential, group, qmax, ycap)
+    return trapezoid, flat
+
+
+@pytest.mark.parametrize("group", ["J", "SL"])
+@pytest.mark.parametrize("name", sorted(MODELS))
+def test_trapezoid_equals_rectangle_on_the_strip(name, group):
+    """The per-row ceiling cuts nothing that reaches the strip: the genus
+    sum at q^2, folded where it folds, is the rectangle's term for term."""
+    potential = MODELS[name]
+    trapezoid, flat = rectangular_terms(potential, group_of(potential, group), F(2))
+    assert trapezoid == flat
+
+
+@settings(max_examples=20, deadline=None,
+          suppress_health_check=[HealthCheck.filter_too_much, HealthCheck.too_slow])
+@given(d_left_orbifolds())
+def test_trapezoid_equals_rectangle_on_generated_models(case):
+    potential, group = case
+    trapezoid, flat = rectangular_terms(potential, group, F(1))
+    assert trapezoid == flat

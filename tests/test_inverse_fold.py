@@ -11,12 +11,10 @@ the whole left side on every admissible group of six models.
 from fractions import Fraction
 
 import pytest
-from hypothesis import HealthCheck, assume, example, given, settings
-from hypothesis import strategies as st
+from hypothesis import HealthCheck, example, given, settings
 
-from helpers import CUBIC, K3_CHAIN, LOOP_K3, QUINTIC, cy_potentials
+from helpers import CUBIC, K3_CHAIN, LOOP_K3, QUINTIC, d_left_orbifolds
 from orbigenus import _engine, genus
-from orbigenus.exactmath import lcm
 from orbigenus.genus import jacobi_reach
 from orbigenus.potential import compute_charges, parse_potential
 from orbigenus.symmetry import admissible_subgroups, grading_subgroup, sl_subgroup
@@ -78,16 +76,6 @@ def test_inverse_element_sum_is_reflected(potential, group):
     """The identity behind the fold, on each reference "D" left side at q^2,
     with the reflection taken about c/2 and not about 0."""
     assert assert_inverse_is_reflection(potential, group, F(2), F(3)) > 0
-
-
-@st.composite
-def d_left_orbifolds(draw):
-    p = draw(cy_potentials(200))
-    group = (grading_subgroup if draw(st.booleans()) else sl_subgroup)(p)
-    setup = genus._sum_setup(group)
-    # an exponent above 2 leaves an element that is not its own inverse
-    assume(setup.mode_l == "D" and len(setup.left) <= 16 and 2 < lcm(*setup.moduli) <= 42)
-    return p, group
 
 
 @settings(max_examples=40, deadline=None,
