@@ -4,9 +4,9 @@
 words of length d, a product of one transform per coordinate, one sum per
 class of left words.  Its schedule contracts that sum one coordinate at a
 time, merging prefixes that have the same completions, and depends only on
-the words, the side modes, the moduli and the ring's Galois units.  ``plan``
-keeps the 32 most recently used schedules, so one is built again only once
-32 other inputs have been planned since its last use.
+the words, the side modes, the moduli and the ring's Galois units.  Each
+sum is planned once; ``plan`` keeps the 32 most recently used schedules, so
+one is built again only once 32 others have been planned since its last use.
 """
 
 from __future__ import annotations
@@ -148,7 +148,9 @@ def plan(classes_l, reps_r, mode_l: str, mode_r: str, moduli: tuple[int, ...],
     return tuple(keys), tuple(steps), len(out_edges), finals
 
 
-def product_count(steps) -> int:
-    """The ring products a schedule forms: one per edge out of a state other
-    than the root, whose value is 1."""
-    return sum(len(edges) for sid, edges in steps if sid)
+def unit_free_products(classes_l, reps_r) -> int:
+    """The products of the contraction of ``classes_l`` x ``reps_r`` with no
+    Galois units: sum over k >= 1 of the two sides' edges out of level k."""
+    d = len(reps_r[0])
+    edges_l, edges_r = (_layers(classes, d)[1] for classes in (classes_l, (reps_r,)))
+    return sum(sum(map(len, edges_l[k])) * sum(map(len, edges_r[k])) for k in range(1, d))

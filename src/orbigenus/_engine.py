@@ -69,9 +69,11 @@ On a cyclic group no two prefixes share their completions and the
 contraction forms one chain of products per pair, as a pair loop would.
 Several classes of left representatives share one schedule, with one
 accepting state and one total per class: the genus sum folded by inversion
-(``genus._inverse_classes``) runs its two classes that way.  A ``check`` of
-the loop K3 with SL (|SL| = 32) forms 235 series products, its genus sums
-folded, where the pair loop formed 1821.  For the exact ring the Galois
+(``genus._inverse_classes``) runs its two classes that way, where their
+automata, with no Galois units, count fewer products than the whole left
+side's (``_contract.unit_free_products``).  A ``check`` of the loop K3 with
+SL (|SL| = 32) forms 235 series products, its genus sums folded, where the
+pair loop formed 1821.  For the exact ring the Galois
 automorphism zeta_N -> zeta_N^u, u a unit mod N, maps the sector product of
 (g, h) to a product of the same sum, so values are kept on one state of each
 orbit of the unit group and a product stands in for its whole orbit.  A product is
@@ -93,7 +95,7 @@ from functools import lru_cache
 from math import gcd
 from operator import add, sub
 
-from ._contract import Vec, plan, product_count
+from ._contract import Vec, plan
 from .exactmath import _power_rows
 
 Series = dict[tuple[int, int], list[int]]
@@ -643,16 +645,6 @@ class _ExactRing:
         return {key: list(vec) for key, vec in acc.items() if any(vec)}
 
 
-def _schedule(ring, classes_l, reps_r, mode_l: str, mode_r: str):
-    return plan(tuple(tuple(map(tuple, reps)) for reps in classes_l), tuple(map(tuple, reps_r)),
-                mode_l, mode_r, ring.moduli, ring.units)
-
-
-def products(ring, classes_l: list[list[Vec]], reps_r: list[Vec], mode_l: str, mode_r: str) -> int:
-    """The ring products ``double_sum`` forms on the same arguments."""
-    return product_count(_schedule(ring, classes_l, reps_r, mode_l, mode_r)[1])
-
-
 def _transform(ring, memo: dict, j: int, sides: tuple[str, str], il: int, ir: int):
     """Variable j's transform at (il, ir) under the side modes ``sides`` (see
     ``double_sum``), kept in ``memo``, the memo of j's class.
@@ -711,7 +703,8 @@ def double_sum(ring, classes_l: list[list[Vec]], reps_r: list[Vec], mode_l: str,
     moduli = ring.moduli
     modes = (mode_l, mode_r)
     cache = _class_memos(ring.charges, moduli)
-    keys, steps, states, finals = _schedule(ring, classes_l, reps_r, mode_l, mode_r)
+    keys, steps, states, finals = plan(tuple(tuple(map(tuple, reps)) for reps in classes_l),
+                                       tuple(map(tuple, reps_r)), mode_l, mode_r, moduli, ring.units)
     lifted = _class_memos(ring.charges, moduli)  # one multiplicand per class and twist pair
     table = []
     for j, il, ir in keys:

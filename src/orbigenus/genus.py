@@ -20,7 +20,7 @@ from fractions import Fraction
 from math import ceil, floor, prod
 from typing import NamedTuple
 
-from . import _engine
+from . import _contract, _engine
 from ._engine import RationalityError, SeriesContext
 from .exactmath import euler_phi, lcm
 from .potential import Charges, Potential, charge_tuple, compute_charges
@@ -257,7 +257,7 @@ def _sum_setup(group: SymmetryGroup, twist: PhaseVector | None = None) -> _SumSe
     return _SumSetup(moduli, left, "D", reps, mode, twist.entries, side)
 
 
-def _inverse_classes(ring: _engine._ExactRing, setup: _SumSetup) -> list[list[tuple[int, ...]]]:
+def _inverse_classes(setup: _SumSetup) -> list[list[tuple[int, ...]]]:
     """The left classes of a whole-group sum on a strip centred at c/2.
 
     theta_1 is odd, theta_1(tau, -v) = -theta_1(tau, v), and the factor of a
@@ -275,10 +275,15 @@ def _inverse_classes(ring: _engine._ExactRing, setup: _SumSetup) -> list[list[tu
     Galois units, which scale only a "D" right side, so each is rational on
     its own.
 
-    The split pays only where its schedule forms fewer ring products: the
-    merged prefixes of a lattice can beat the halved left side, and a group
-    of exponent 2 has no pairs.  Otherwise the one class of the whole left
-    side is returned.
+    The split does not always pay: the merged prefixes of a lattice can
+    beat the halved left side, and a group of exponent 2 has no pairs.  So
+    the whole left side is kept, one class, unless the split's automata count
+    fewer products with no Galois units (``_contract.unit_free_products``,
+    no schedule built).  The units are left out, so the rule can misjudge a
+    near tie (12 of the sextic Fermat's 9,377 such groups, by 8 products),
+    but it declines the K3 Fermat's 0,0,1/2,1/2;0,1/2,1/4,1/4;1/4,1/4,1/4,1/4
+    (75 products folded, 72 whole) and x1^6+x2^3+x3^3+x4^6's
+    0,0,1/3,2/3;1/6,1/3,0,1/2 (88 against 72).
     """
     whole = [setup.left]
     inverse = {rep: tuple(-x % m for x, m in zip(rep, setup.moduli)) for rep in setup.left}
@@ -286,10 +291,8 @@ def _inverse_classes(ring: _engine._ExactRing, setup: _SumSetup) -> list[list[tu
     if not kept:
         return whole
     folded = [[rep for rep in setup.left if inverse[rep] == rep], kept]
-    args = (setup.right, setup.mode_l, setup.mode_r)
-    if _engine.products(ring, folded, *args) < _engine.products(ring, whole, *args):
-        return folded
-    return whole
+    products = _contract.unit_free_products
+    return folded if products(folded, setup.right) < products(whole, setup.right) else whole
 
 
 def _exact_sum(
@@ -317,12 +320,12 @@ def _exact_sum(
     """
     setup = _sum_setup(group, twist)
     st_lo, st_hi = lo + shift, hi + shift
-    ctx = _build_context(charges, setup.moduli, qmax, st_lo, st_hi, setup.theta_max)
-    ring = _engine._ExactRing(ctx)
     classes = [setup.left]
     if twist is None and setup.mode_l == "D" and st_lo + st_hi == sum(1 - 2 * q for q in charges):
-        classes = _inverse_classes(ring, setup)
-    totals = _engine.double_sum(ring, classes, setup.right, setup.mode_l, setup.mode_r)
+        classes = _inverse_classes(setup)
+    ctx = _build_context(charges, setup.moduli, qmax, st_lo, st_hi, setup.theta_max)
+    totals = _engine.double_sum(_engine._ExactRing(ctx), classes, setup.right,
+                                setup.mode_l, setup.mode_r)
     d = ctx.denominator
     ky_lo, ky_hi, ky_shift = st_lo * d, st_hi * d, int(shift * d)
     weight = setup.side if twist is not None else setup.side**2

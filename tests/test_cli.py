@@ -17,7 +17,9 @@ DATA = Path(__file__).parent / "data"
 # denominators enter D, and a negative --ywin; recorded from the code that
 # reran the double sum on every widening step, except the narrow --ywin 2
 # (that code cut it at the gap in the y-support at |y| = 3/2; it now matches
-# --ywin 4) and the negative window (rejected as bad input, exit 2)
+# --ywin 4) and the negative window (rejected as bad input, exit 2); the
+# last two are "D" groups with inverse pairs that the genus sum does not fold,
+# recorded while the fold was decided by counting two trial schedules
 GENUS_STDOUT = json.loads((DATA / "genus_stdout.json").read_text())
 # the benchmark's five check cases at seed 1, recorded before the exact and
 # numeric paths shared one double-sum driver

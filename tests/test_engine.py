@@ -16,7 +16,7 @@ from helpers import (
     reference_series_mul,
     reference_variable_factor,
 )
-from orbigenus import _engine, genus
+from orbigenus import _contract, _engine, genus
 from orbigenus.exactmath import _power_rows, euler_phi, lcm
 from orbigenus.genus import _build_context, ell_genus_series
 from orbigenus.potential import compute_charges, parse_potential
@@ -204,9 +204,10 @@ def test_summed_deposit_map_is_sum_of_unit_maps(conductor):
                              setup.theta_max)
         ring = _engine._ExactRing(ctx)
         assert ring.units == tuple(u for u in range(1, conductor + 1) if gcd(u, conductor) == 1)
-        folded = genus._inverse_classes(ring, setup) if setup.mode_l == "D" else [setup.left]
+        folded = genus._inverse_classes(setup) if setup.mode_l == "D" else [setup.left]
         for classes in ([setup.left], folded):
-            steps = _engine._schedule(ring, classes, setup.right, setup.mode_l, setup.mode_r)[1]
+            steps = _contract.plan(tuple(map(tuple, classes)), tuple(setup.right), setup.mode_l,
+                                   setup.mode_r, setup.moduli, ring.units)[1]
             unit_sets.update(ks for _, edges in steps for _, _, ks in edges)
     assert unit_sets and any(len(ks) > 1 for ks in unit_sets)
 

@@ -5,24 +5,35 @@ over h of a left element g^-1 is the sum of g reflected r -> -r; on the
 engine's exponents, shifted up by c/2, that is ky -> c d - ky.  These tests
 check that identity one left element at a time through ``double_sum``,
 without the folding code, and check the folded genus against the sum over
-the whole left side on every admissible group of six models.
+the whole left side on every admissible group of six models.  The choice
+to fold is read off the automata: each exact sum builds one plan, and the
+chosen classes never form more products than the other candidate's.
 """
 
 from fractions import Fraction
+from math import gcd
 
 import pytest
 from hypothesis import HealthCheck, example, given, settings
 
-from helpers import CUBIC, K3_CHAIN, LOOP_K3, QUINTIC, d_left_orbifolds
-from orbigenus import _engine, genus
+from helpers import CUBIC, K3_CHAIN, LOOP_K3, QUINTIC, TWO_SQUARES, d_left_orbifolds
+from orbigenus import _contract, _engine, genus
+from orbigenus.exactmath import lcm
 from orbigenus.genus import jacobi_reach
 from orbigenus.potential import compute_charges, parse_potential
-from orbigenus.symmetry import admissible_subgroups, grading_subgroup, sl_subgroup
+from orbigenus.symmetry import SymmetryGroup, admissible_subgroups, grading_subgroup, sl_subgroup
 
 F = Fraction
 K3_FERMAT = parse_potential("x1^4+x2^4+x3^4+x4^4")
 SEXTIC_CURVE = parse_potential("x1^6+x2^6+x3^6+x4^2")
 SEPTIC = parse_potential("+".join(f"x{i}^7" for i in range(1, 8)))
+MIXED = parse_potential("x1^6+x2^3+x3^3+x4^6")
+K3_FERMAT_UNFOLDED = SymmetryGroup.from_generator_strings(
+    ["0,0,1/2,1/2", "0,1/2,1/4,1/4", "1/4,1/4,1/4,1/4"], 4)
+MIXED_UNFOLDED = SymmetryGroup.from_generator_strings(["0,0,1/3,2/3", "1/6,1/3,0,1/2"], 4)
+# "D" groups with inverse pairs on which the fold forms more products:
+# (group, folded products, whole products)
+UNFOLDED = {K3_FERMAT: (K3_FERMAT_UNFOLDED, 75, 72), MIXED: (MIXED_UNFOLDED, 88, 72)}
 
 
 def single_element_sums(potential, group, qmax, width):
@@ -111,8 +122,8 @@ def test_folded_genus_equals_unfolded_sum(monkeypatch, potential):
     fold = genus._inverse_classes
     folds = []
 
-    def spy(ring, setup):
-        classes = fold(ring, setup)
+    def spy(setup):
+        classes = fold(setup)
         folds.append(len(classes) > 1)
         return classes
 
@@ -128,7 +139,7 @@ def test_folded_genus_equals_unfolded_sum(monkeypatch, potential):
             assert len(folds) == calls, group
             continue
         folded, products = run(group)
-        monkeypatch.setattr(genus, "_inverse_classes", lambda ring, setup: [setup.left])
+        monkeypatch.setattr(genus, "_inverse_classes", lambda setup: [setup.left])
         whole, whole_products = run(group)
         assert folded == whole, group
         assert list(folded) == sorted(folded)
@@ -136,3 +147,59 @@ def test_folded_genus_equals_unfolded_sum(monkeypatch, potential):
         if group == grading_subgroup(potential):
             assert folds[-1] and products < whole_products
     assert any(folds)
+
+
+@pytest.mark.parametrize("potential, group, folded", [
+    pytest.param(QUINTIC, grading_subgroup(QUINTIC), True, id="quintic-J"),
+    pytest.param(K3_FERMAT, K3_FERMAT_UNFOLDED, False, id="k3fermat-order-16"),
+    pytest.param(TWO_SQUARES, grading_subgroup(TWO_SQUARES), False, id="two-squares-J"),
+])
+def test_each_exact_sum_plans_once(monkeypatch, potential, group, folded):
+    """The fold is decided from the automata, so an exact genus sum builds
+    one contraction plan whether it folds, keeps the whole left side where
+    the fold costs more, or has no inverse pairs."""
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+        return _contract.plan(*args)
+
+    _contract.plan.cache_clear()
+    monkeypatch.setattr(_engine, "plan", counted)
+    genus._genus_rational_terms(potential, group, F(1), F(3))
+    assert len(calls) == 1
+    assert len(calls[0][0]) == (2 if folded else 1)
+
+
+def plan_products(classes, setup):
+    """The ring products of the exact ring's schedule: one per edge out of a
+    state other than the root, whose value is 1."""
+    n = lcm(*setup.moduli)
+    units = tuple(u for u in range(1, n + 1) if gcd(u, n) == 1)
+    steps = _contract.plan(tuple(map(tuple, classes)), tuple(setup.right), setup.mode_l,
+                           setup.mode_r, setup.moduli, units)[1]
+    return sum(len(edges) for sid, edges in steps if sid)
+
+
+@pytest.mark.parametrize("potential", FOLD_MODELS + [MIXED], ids=lambda p: p.text)
+def test_fold_rule_never_picks_the_costlier_schedule(potential):
+    """On every "D" admissible group with inverse pairs, the classes
+    ``_inverse_classes`` picks from the automata form no more products than
+    the other candidate's schedule; plans only, no series."""
+    checked = []
+    for group in admissible_subgroups(potential):
+        setup = genus._sum_setup(group)
+        if setup.mode_l != "D":
+            continue
+        inverse = {rep: tuple(-x % m for x, m in zip(rep, setup.moduli)) for rep in setup.left}
+        if all(inverse[rep] == rep for rep in setup.left):
+            continue
+        whole = plan_products([setup.left], setup)
+        folded = plan_products([[rep for rep in setup.left if inverse[rep] == rep],
+                                [rep for rep in setup.left if inverse[rep] > rep]], setup)
+        chosen, other = (folded, whole) if len(genus._inverse_classes(setup)) == 2 else (whole, folded)
+        assert chosen <= other, group
+        checked.append((group, folded, whole))
+    assert checked
+    if potential in UNFOLDED:
+        assert UNFOLDED[potential] in checked
