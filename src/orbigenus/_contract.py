@@ -148,9 +148,19 @@ def plan(classes_l, reps_r, mode_l: str, mode_r: str, moduli: tuple[int, ...],
     return tuple(keys), tuple(steps), len(out_edges), finals
 
 
-def unit_free_products(classes_l, reps_r) -> int:
-    """The products of the contraction of ``classes_l`` x ``reps_r`` with no
-    Galois units: sum over k >= 1 of the two sides' edges out of level k."""
-    d = len(reps_r[0])
-    edges_l, edges_r = (_layers(classes, d)[1] for classes in (classes_l, (reps_r,)))
-    return sum(sum(map(len, edges_l[k])) * sum(map(len, edges_r[k])) for k in range(1, d))
+def fewest_products(candidates, reps_r, moduli: tuple[int, ...], units: tuple[int, ...]):
+    """The first of ``candidates`` (lists of classes of left words) whose
+    ``plan`` against ``reps_r``, both sides "D", forms fewest products: one
+    per edge orbit out of each level k >= 1, the left edges (which the units
+    fix) times the unit orbits of the right edges, each found at its least."""
+    d = len(moduli)
+    state_of, edges = _layers((reps_r,), d)
+    sig = [(u, _images(state_of, edges, moduli, u)) for u in units]
+    orbits = [sum(all((img[k][s], u * x % moduli[k], img[k + 1][t]) >= (s, x, t) for u, img in sig)
+                  for s, out in enumerate(edges[k]) for x, t in out) for k in range(d)]
+
+    def products(classes):
+        edges_l = _layers(classes, d)[1]
+        return sum(sum(map(len, edges_l[k])) * orbits[k] for k in range(1, d))
+
+    return min(candidates, key=products)

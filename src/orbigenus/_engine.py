@@ -70,10 +70,10 @@ contraction forms one chain of products per pair, as a pair loop would.
 Several classes of left representatives share one schedule, with one
 accepting state and one total per class: the genus sum folded by inversion
 (``genus._inverse_classes``) runs its two classes that way, where their
-automata, with no Galois units, count fewer products than the whole left
-side's (``_contract.unit_free_products``).  A ``check`` of the loop K3 with
-SL (|SL| = 32) forms 235 series products, its genus sums folded, where the
-pair loop formed 1821.  For the exact ring the Galois
+schedule, counted from the automata and the Galois units, forms fewer
+products than the whole left side's (``_contract.fewest_products``).  A
+``check`` of the loop K3 with SL (|SL| = 32) forms 235 series products, its
+genus sums folded, where the pair loop formed 1821.  For the exact ring the Galois
 automorphism zeta_N -> zeta_N^u, u a unit mod N, maps the sector product of
 (g, h) to a product of the same sum, so values are kept on one state of each
 orbit of the unit group and a product stands in for its whole orbit.  A product is
@@ -560,6 +560,11 @@ def _class_memos(charges, moduli) -> list[dict]:
     return [classes.setdefault(key, {}) for key in zip(charges, moduli)]
 
 
+def galois_units(n: int) -> tuple[int, ...]:
+    """The units u mod n, ascending: zeta_n -> zeta_n^u is the Galois group."""
+    return tuple(k for k in range(1, n + 1) if gcd(k, n) == 1)
+
+
 class _ExactRing:
     """Exact series coefficients for ``double_sum``: integer vectors over the
     power basis of zeta_N on the context window.
@@ -583,8 +588,7 @@ class _ExactRing:
 
     @property
     def units(self) -> tuple[int, ...]:
-        n = self.ctx.conductor
-        return tuple(k for k in range(1, n + 1) if gcd(k, n) == 1)
+        return galois_units(self.ctx.conductor)
 
     def _formal_factor(self, j: int, a: int) -> Series:
         a %= self.moduli[j]

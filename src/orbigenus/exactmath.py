@@ -1,11 +1,12 @@
-"""Exact arithmetic kernels: rational matrices, Smith normal form, cyclotomic reduction.
+"""Exact arithmetic kernels: integer matrices, Smith forms, cyclotomic reduction.
 
 Everything in this module is immutable after construction and every function is
 pure, so concurrent use on shared values is safe.  Rational scalars are plain
-``fractions.Fraction``; integer matrices are tuples of tuples.  An element of
-Z[zeta_N] is a coefficient vector over the power basis 1, z, ..., z^(phi(N)-1)
-of a fixed primitive N-th root of unity; ``_power_rows`` holds x^k reduced
-modulo the N-th cyclotomic polynomial, so equality is coefficient equality.
+``fractions.Fraction``; integer matrices are tuples of tuples, and every
+elimination here runs on integers.  An element of Z[zeta_N] is a coefficient
+vector over the power basis 1, z, ..., z^(phi(N)-1) of a fixed primitive N-th
+root of unity; ``_power_rows`` holds x^k reduced modulo the N-th cyclotomic
+polynomial, so equality is coefficient equality.
 """
 
 from __future__ import annotations
@@ -14,7 +15,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from math import gcd
-from typing import Iterable, Sequence
+from typing import Sequence
 
 IntMat = tuple[tuple[int, ...], ...]
 RatMat = tuple[tuple[Fraction, ...], ...]
@@ -24,26 +25,8 @@ class SingularMatrixError(ValueError):
     """Raised when a matrix required to be invertible has determinant zero."""
 
 
-def int_matrix(rows: Iterable[Iterable[int]]) -> IntMat:
-    """Freeze an iterable of integer rows into an IntMat."""
-    mat = tuple(tuple(int(x) for x in row) for row in rows)
-    if mat and any(len(r) != len(mat[0]) for r in mat):
-        raise ValueError("ragged matrix")
-    return mat
-
-
 def mat_transpose(a: IntMat) -> IntMat:
     return tuple(zip(*a)) if a else ()
-
-
-def mat_mul(a: Sequence[Sequence], b: Sequence[Sequence]):
-    """Matrix product, exact over int/Fraction entries."""
-    if not a or not b:
-        return ()
-    cols = list(zip(*b))
-    return tuple(
-        tuple(sum(x * y for x, y in zip(row, col)) for col in cols) for row in a
-    )
 
 
 def mat_det(a: IntMat) -> int:
@@ -73,27 +56,29 @@ def mat_det(a: IntMat) -> int:
 
 
 def invert_rational_matrix(a: IntMat) -> RatMat:
-    """Exact inverse of a square integer matrix via Gauss-Jordan over Q.
-
+    """Exact inverse of a square integer matrix by fraction-free Gauss-Jordan:
+    clearing a column sets a row r of [a | I] to p r - f (pivot row), divided
+    by its gcd, so rows stay integral and row i ends as c (e_i | c a^-1_i).
     Raises SingularMatrixError when det(a) = 0.
     """
     n = len(a)
     if any(len(r) != n for r in a):
         raise ValueError("inverse of non-square matrix")
-    work = [[Fraction(x) for x in row] + [Fraction(int(i == j)) for j in range(n)]
-            for i, row in enumerate(a)]
+    work = [list(row) + [int(i == j) for j in range(n)] for i, row in enumerate(a)]
     for col in range(n):
-        pivot_row = next((r for r in range(col, n) if work[r][col] != 0), None)
+        pivot_row = next((r for r in range(col, n) if work[r][col]), None)
         if pivot_row is None:
             raise SingularMatrixError("matrix is singular")
         work[col], work[pivot_row] = work[pivot_row], work[col]
-        pivot = work[col][col]
-        work[col] = [x / pivot for x in work[col]]
-        for r in range(n):
-            if r != col and work[r][col] != 0:
-                factor = work[r][col]
-                work[r] = [x - factor * y for x, y in zip(work[r], work[col])]
-    return tuple(tuple(row[n:]) for row in work)
+        pivot = work[col]
+        p = pivot[col]
+        for r, row in enumerate(work):
+            f = row[col]
+            if f and r != col:
+                row = [p * x - f * y for x, y in zip(row, pivot)]
+                g = gcd(*row)
+                work[r] = [x // g for x in row]
+    return tuple(tuple(Fraction(x, row[i]) for x in row[n:]) for i, row in enumerate(work))
 
 
 def solve_rational(a: IntMat, rhs: Sequence[int | Fraction]) -> tuple[Fraction, ...]:
@@ -130,30 +115,21 @@ def smith_normal_form(a: IntMat) -> SnfResult:
     Returns factors d_1 | d_2 | ... (non-negative, divisibility chain) and
     unimodular left/right transforms U, V with U*a*V diagonal.
     """
-    factors, u, v = _smith(a, True)
-    return SnfResult(factors, tuple(map(tuple, u)), tuple(map(tuple, v)))
-
-
-def _smith(a: IntMat, transforms: bool) -> tuple[tuple[int, ...], list | None, list | None]:
-    """The Smith factors of ``a`` and, when ``transforms`` is set, the
-    unimodular U and V of ``smith_normal_form``; otherwise U and V are None
-    and only ``a`` is eliminated."""
     nrows = len(a)
     ncols = len(a[0]) if nrows else 0
     m = [list(row) for row in a]
-    u = [[int(i == j) for j in range(nrows)] for i in range(nrows)] if transforms else None
-    v = [[int(i == j) for j in range(ncols)] for i in range(ncols)] if transforms else None
-    row_mats, col_mats = ((m, u), (m, v)) if transforms else ((m,), (m,))
+    u = [[int(i == j) for j in range(nrows)] for i in range(nrows)]
+    v = [[int(i == j) for j in range(ncols)] for i in range(ncols)]
 
     def row_combine(i1, i2, c11, c12, c21, c22):
-        for mat in row_mats:
+        for mat in (m, u):
             r1, r2 = mat[i1], mat[i2]
             mat[i1] = [c11 * x + c12 * y for x, y in zip(r1, r2)]
             mat[i2] = [c21 * x + c22 * y for x, y in zip(r1, r2)]
 
     def col_combine(j1, j2, c11, c12, c21, c22):
         # new col j1 = c11*col j1 + c12*col j2; new col j2 = c21*col j1 + c22*col j2
-        for mat in col_mats:
+        for mat in (m, v):
             for row in mat:
                 x, y = row[j1], row[j2]
                 row[j1] = c11 * x + c12 * y
@@ -217,11 +193,50 @@ def _smith(a: IntMat, transforms: bool) -> tuple[tuple[int, ...], list | None, l
         if m[t][t] < 0:
             # Negating a single row keeps |det| = 1; fold the sign into U.
             m[t] = [-x for x in m[t]]
-            if transforms:
-                u[t] = [-x for x in u[t]]
+            u[t] = [-x for x in u[t]]
 
     factors = tuple(m[i][i] if i < ncols else 0 for i in range(rank))
-    return factors, u, v
+    return SnfResult(factors, tuple(map(tuple, u)), tuple(map(tuple, v)))
+
+
+def smith_valuations(a: IntMat, p: int, e: int) -> list[int]:
+    """The p-adic valuations below e of the Smith factors of ``a``, ascending.
+
+    Eliminated mod p^e by rows: at level v every entry left is divisible by
+    p^v, and an entry p^v u, u a unit, is a pivot of one factor of valuation
+    v; its row times u^-1 clears its column.  Column operations would change
+    only the pivot row, so that row is dropped instead.
+    """
+    q = p**e
+    rows = [r for r in ([x % q for x in row] for row in a) if any(r)]
+    out = []
+    for v in range(e):
+        step = p**v
+        while at := next(((r, c) for r, row in enumerate(rows) for c, x in enumerate(row)
+                          if x % (step * p)), None):
+            r, c = at
+            pivot = rows.pop(r)
+            inverse = pow(pivot[c] // step, -1, q)
+            for i, row in enumerate(rows):
+                if row[c]:
+                    f = row[c] // step * inverse
+                    rows[i] = [(x - f * y) % q for x, y in zip(row, pivot)]
+            out.append(v)
+    return out
+
+
+def prime_powers(n: int) -> list[tuple[int, int]]:
+    """(p, e) for each prime power p^e exactly dividing n >= 1, p ascending."""
+    out, p = [], 2
+    while n > 1:
+        p = p if p * p <= n else n
+        e = 0
+        while n % p == 0:
+            n, e = n // p, e + 1
+        if e:
+            out.append((p, e))
+        p += 1
+    return out
 
 
 # ---------------------------------------------------------------------------

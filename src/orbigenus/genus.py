@@ -277,13 +277,13 @@ def _inverse_classes(setup: _SumSetup) -> list[list[tuple[int, ...]]]:
 
     The split does not always pay: the merged prefixes of a lattice can
     beat the halved left side, and a group of exponent 2 has no pairs.  So
-    the whole left side is kept, one class, unless the split's automata count
-    fewer products with no Galois units (``_contract.unit_free_products``,
-    no schedule built).  The units are left out, so the rule can misjudge a
-    near tie (12 of the sextic Fermat's 9,377 such groups, by 8 products),
-    but it declines the K3 Fermat's 0,0,1/2,1/2;0,1/2,1/4,1/4;1/4,1/4,1/4,1/4
-    (75 products folded, 72 whole) and x1^6+x2^3+x3^3+x4^6's
-    0,0,1/3,2/3;1/6,1/3,0,1/2 (88 against 72).
+    the whole left side is kept, one class, unless the split's schedule forms
+    fewer products, counted from the automata and the exact ring's Galois
+    units mod lcm(m_j) (``_contract.fewest_products``, no schedule built).  It
+    declines the K3 Fermat's 0,0,1/2,1/2;0,1/2,1/4,1/4;1/4,1/4,1/4,1/4
+    (75 products folded, 72 whole), x1^6+x2^3+x3^3+x4^6's
+    0,0,1/3,2/3;1/6,1/3,0,1/2 (88 against 72) and 12 groups of the sextic
+    Fermat, where the fold forms 8 products more.
     """
     whole = [setup.left]
     inverse = {rep: tuple(-x % m for x, m in zip(rep, setup.moduli)) for rep in setup.left}
@@ -291,8 +291,8 @@ def _inverse_classes(setup: _SumSetup) -> list[list[tuple[int, ...]]]:
     if not kept:
         return whole
     folded = [[rep for rep in setup.left if inverse[rep] == rep], kept]
-    products = _contract.unit_free_products
-    return folded if products(folded, setup.right) < products(whole, setup.right) else whole
+    units = _engine.galois_units(lcm(*setup.moduli))
+    return _contract.fewest_products([whole, folded], setup.right, setup.moduli, units)
 
 
 def _exact_sum(

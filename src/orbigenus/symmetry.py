@@ -10,8 +10,10 @@ equality and hashing read H without listing any element:
 
     |G| = m^d / prod_i H_ii,    v in G  iff  m*v reduces to 0 down the rows of H.
 
-The invariant factors come from the Smith normal form of H, and the canonical
-generators are the rows of H with H_ii < m.  Elements and their
+Every kernel on H runs on integers: the invariant factors come from one
+elimination of H mod p^e per prime power p^e exactly dividing m, the dual
+lattice m H^-1 from back-substitution, and the canonical generators are the
+rows of H with H_ii < m.  Elements and their
 per-coordinate scaled forms are listed only where something sums over them,
 by walking the lattice in lexicographic order, and the size cap applies only
 there.
@@ -31,20 +33,19 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property
+from functools import cached_property, lru_cache
 from math import gcd, prod
 from operator import mul
 from typing import Iterable, Iterator, Sequence
 
 from .exactmath import (
-    _smith,
     _xgcd,
-    int_matrix,
     invert_rational_matrix,
     lcm,
     mat_det,
-    mat_mul,
+    prime_powers,
     smith_normal_form,
+    smith_valuations,
 )
 from .potential import Potential, compute_charges
 
@@ -304,13 +305,16 @@ class SymmetryGroup:
     def structure(self) -> tuple[int, ...]:
         """Invariant factors, in divisibility order.
 
-        With Smith factors d_1 | ... | d_d of the lattice, the group is the
-        direct sum of Z/(m/d_i); reading the chain backwards keeps the order.
-        Only the factors are needed, so the transforms are not built.
+        With Smith factors s_i of the lattice, each dividing m, the group is
+        the sum of Z/(m/s_i); for p^e exactly dividing m its p-part is the sum
+        of Z/p^(e - v), v the valuations below e of the s_i, and the i-th
+        largest p-parts multiply to the i-th largest invariant factor.
         """
-        m = self.exponent
-        factors = (m // f for f in reversed(_smith(self.hnf, False)[0]))
-        return tuple(f for f in factors if f > 1)
+        factors = [1] * self.dimension
+        for p, e in prime_powers(self.exponent):
+            for i, v in enumerate(smith_valuations(self.hnf, p, e)):
+                factors[i] *= p ** (e - v)
+        return tuple(f for f in reversed(factors) if f > 1)
 
     def coordinate_moduli(self) -> tuple[int, ...]:
         """Per-coordinate denominator bound over the whole group."""
@@ -336,11 +340,16 @@ class SymmetryGroup:
         """Basis of {w in Z^d : w.g integral for every g in the group}.
 
         The lattice L/m has basis rows H/m, so its dual has the columns of
-        m H^-1 as a basis; they are integral because L/m contains Z^d.
+        X = m H^-1 as a basis; they are integral because L/m contains Z^d.
+        H is upper triangular, so H X = m I gives the rows of X from the last
+        up, row i = (m e_i - sum_(k > i) H_ik X_k) / H_ii, each division exact.
         """
-        m = self.exponent
-        inverse = invert_rational_matrix(self.hnf)
-        return [tuple(int(m * x) for x in column) for column in zip(*inverse)]
+        m, d = self.exponent, self.dimension
+        x = [()] * d
+        for i, row in reversed(list(enumerate(self.hnf))):
+            x[i] = [(m * (i == j) - sum(row[k] * x[k][j] for k in range(i + 1, d))) // row[i]
+                    for j in range(d)]
+        return list(zip(*x))
 
     def annihilator_elements(self) -> list[Row]:
         """Sorted ann(G) inside prod_j Z/m_j, m_j the coordinate moduli:
@@ -403,8 +412,9 @@ def _integral_image(matrix, row: Sequence[int], m: int) -> bool:
     return all(sum(a * x for a, x in zip(arow, row)) % m == 0 for arow in matrix)
 
 
+@lru_cache(maxsize=256)
 def aut_group(potential: Potential) -> SymmetryGroup:
-    """All diagonal phase symmetries; generated by the columns of A^-1."""
+    """All diagonal phase symmetries, generated by the columns of A^-1; one per potential."""
     inv = invert_rational_matrix(potential.matrix)
     group = SymmetryGroup.generate(
         [PhaseVector.canonical(col) for col in zip(*inv)], potential.dimension
@@ -463,21 +473,22 @@ def require_admissible(potential: Potential, group: SymmetryGroup) -> None:
 def admissible_subgroups(potential: Potential) -> list[SymmetryGroup]:
     """All groups between <J> and SL, one per subgroup of SL/<J>.
 
-    With B the Hermite basis of SL, the lattice of <J> is R.B; the Smith form
-    U R V = D puts SL/<J> in the coordinates x.V, where it is the direct sum of
-    the Z/D_ii, and Smith coordinate i lifts to row i of V^-1 B.  Each subgroup
-    of that direct sum, in Hermite form, lifts to the group its rows and J span.
+    With B and C the Hermite bases of SL and <J>, C = R.B with R = C (m B^-1)
+    / m; the Smith form U R V = D puts SL/<J> in the coordinates x.V, where it
+    is the direct sum of the Z/D_ii, and Smith coordinate i lifts to row i of
+    V^-1 B = D^-1 U R B = D^-1 U C, all exact.  Each subgroup of that direct
+    sum, in Hermite form, lifts to the group its rows and J span.
     """
     _require_cy(potential)
     d = potential.dimension
     sl = sl_subgroup(potential)
     m = sl.exponent
-    box = (m,) * d
     j = _scale(grading_element(potential), m)
-    relation = mat_mul(_hnf([j], box), invert_rational_matrix(sl.hnf))
-    snf = smith_normal_form(int_matrix(relation))
-    lifts = int_matrix(mat_mul(invert_rational_matrix(snf.right), sl.hnf))
-    smith = [(f, row) for f, row in zip(snf.factors, lifts) if f > 1]
+    cyclic, dual = _hnf([j], (m,) * d), sl._dual_rows()
+    relation = [[sum(map(mul, row, column)) // m for column in dual] for row in cyclic]
+    snf = smith_normal_form(relation)
+    smith = [(f, [sum(map(mul, urow, column)) // f for column in zip(*cyclic)])
+             for f, urow in zip(snf.factors, snf.left) if f > 1]
     columns = list(zip(*(row for _, row in smith)))
     groups = []
     for lattice in _subgroup_lattices([f for f, _ in smith]):

@@ -5,9 +5,10 @@ from pathlib import Path
 
 import pytest
 
-from orbigenus import _engine, oracle, verify
+from orbigenus import _engine, oracle, symmetry, verify
 from orbigenus.cli import main
 from orbigenus.oracle import StateCapError
+from orbigenus.potential import parse_potential
 
 QUINTIC = "x1^5+x2^5+x3^5+x4^5+x5^5"
 SEPTIC = "+".join(f"x{i}^7" for i in range(1, 8))
@@ -339,6 +340,27 @@ def test_info_and_dual_stdout_pinned(capsys, case):
     code, out, _ = run_cli(capsys, *case["argv"])
     assert code == case["exit"]
     assert out == case["stdout"]
+
+
+def test_one_aut_group_per_potential(capsys, monkeypatch):
+    """Aut(W) is built once per potential: in `dual --group SL`, SL, the
+    subgroup test and the dual group all read the one group."""
+    potential = parse_potential(QUINTIC)
+    assert symmetry.aut_group(potential) is symmetry.aut_group(potential)
+    built = []
+    generate = symmetry.SymmetryGroup.generate.__func__
+
+    def spy(cls, generators, dimension):
+        built.append(generate(cls, generators, dimension))
+        return built[-1]
+
+    monkeypatch.setattr(symmetry.SymmetryGroup, "generate", classmethod(spy))
+    symmetry.aut_group.cache_clear()
+    code, out, _ = run_cli(capsys, "dual", "--potential", QUINTIC, "--group", "SL")
+    assert code == 0 and json.loads(out)["dual_group"]["order"] == 5
+    aut = symmetry.aut_group(potential)
+    assert aut.order == 3125
+    assert sum(group == aut for group in built) == 1
 
 
 @pytest.mark.parametrize("argv", [

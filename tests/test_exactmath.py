@@ -3,23 +3,32 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from orbigenus.exactmath import (
     SingularMatrixError,
     _power_rows,
-    _smith,
     cyclotomic_polynomial,
     euler_phi,
-    int_matrix,
     invert_rational_matrix,
     mat_det,
-    mat_mul,
+    prime_powers,
     smith_normal_form,
+    smith_valuations,
 )
 
 from helpers import reference_vec_mul
 
 F = Fraction
+
+
+def int_matrix(rows):
+    return tuple(tuple(row) for row in rows)
+
+
+def mat_mul(a, b):
+    return tuple(tuple(sum(x * y for x, y in zip(row, col)) for col in zip(*b)) for row in a)
 
 
 def test_invert_scalar_matrix():
@@ -52,6 +61,46 @@ def test_invert_round_trip_random():
             continue
         prod = mat_mul(a, invert_rational_matrix(a))
         assert prod == tuple(tuple(F(int(i == j)) for j in range(n)) for i in range(n))
+
+
+@st.composite
+def square_matrices(draw):
+    n = draw(st.integers(1, 8))
+    return int_matrix(draw(st.lists(st.lists(st.integers(-60, 60), min_size=n, max_size=n),
+                                    min_size=n, max_size=n)))
+
+
+@settings(max_examples=60, deadline=None)
+@given(square_matrices())
+def test_inverse_times_matrix_is_identity(a):
+    n = len(a)
+    if mat_det(a) == 0:
+        with pytest.raises(SingularMatrixError):
+            invert_rational_matrix(a)
+        return
+    assert mat_mul(invert_rational_matrix(a), a) == tuple(
+        tuple(F(int(i == j)) for j in range(n)) for i in range(n))
+
+
+@settings(max_examples=40, deadline=None)
+@given(square_matrices(), st.data())
+def test_invert_dependent_rows_raises(a, data):
+    """A row replaced by a combination of the others makes the matrix singular."""
+    n = len(a)
+    i = data.draw(st.integers(0, n - 1))
+    coeffs = data.draw(st.lists(st.integers(-3, 3), min_size=n, max_size=n))
+    others = [(c, row) for k, (c, row) in enumerate(zip(coeffs, a)) if k != i]
+    combo = [sum(c * row[j] for c, row in others) for j in range(n)]
+    singular = int_matrix(combo if k == i else row for k, row in enumerate(a))
+    with pytest.raises(SingularMatrixError):
+        invert_rational_matrix(singular)
+
+
+def test_invert_ragged_raises():
+    with pytest.raises(ValueError):
+        invert_rational_matrix(((1, 2), (3,)))
+    with pytest.raises(ValueError):
+        invert_rational_matrix(((1, 2, 3), (4, 5, 6)))
 
 
 def test_snf_scalar_matrix():
@@ -93,14 +142,39 @@ def test_snf_transforms_random():
             assert prod == abs(mat_det(a))
 
 
-def test_snf_factors_only_matches_full_form():
-    """The elimination without transforms, which ``SymmetryGroup.structure``
-    runs, reaches the same factors and builds no U or V."""
+def valuation(n: int, p: int) -> int:
+    v = 0
+    while n % p == 0:
+        n, v = n // p, v + 1
+    return v
+
+
+def test_smith_valuations_match_full_form():
+    """The elimination mod p^e, which ``SymmetryGroup.structure`` runs,
+    reaches the full form's factors: taking e above every valuation of a
+    nonzero factor, at 2 and at each prime of the factors, the valuations
+    rebuild every factor, a zero one as valuation e."""
     rng = random.Random(17)
     for _ in range(200):
         rows, cols = rng.randint(1, 6), rng.randint(1, 6)
         a = int_matrix([[rng.randint(-12, 12) for _ in range(cols)] for _ in range(rows)])
-        assert _smith(a, False) == (smith_normal_form(a).factors, None, None)
+        expected = smith_normal_form(a).factors
+        nonzero = [f for f in expected if f]
+        primes = {2} | {p for f in nonzero for p, _ in prime_powers(f)}
+        rebuilt = [1] * len(expected)
+        for p in primes:
+            e = 1 + max((valuation(f, p) for f in nonzero), default=0)
+            found = smith_valuations(a, p, e)
+            for i, v in enumerate(found + [e] * (len(expected) - len(found))):
+                rebuilt[i] = 0 if v == e else rebuilt[i] * p**v
+        assert tuple(rebuilt) == expected, a
+
+
+def test_prime_powers():
+    assert prime_powers(1) == []
+    assert prime_powers(72) == [(2, 3), (3, 2)]
+    assert prime_powers(97) == [(97, 1)]
+    assert prime_powers(2 * 49 * 11) == [(2, 1), (7, 2), (11, 1)]
 
 
 def test_cyclotomic_polynomials():

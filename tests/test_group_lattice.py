@@ -27,7 +27,8 @@ from helpers import (
     reference_structure,
 )
 from orbigenus import symmetry
-from orbigenus.exactmath import mat_det
+from orbigenus.exactmath import invert_rational_matrix, mat_det
+from orbigenus.exactmath import smith_normal_form as exact_smith_normal_form
 from orbigenus.potential import parse_potential
 from orbigenus.symmetry import (
     PhaseVector,
@@ -126,6 +127,35 @@ def test_aut_structure_is_smith_form_of_exponent_matrix(p):
     snf = smith_normal_form(Matrix(p.matrix), domain=ZZ)
     factors = [abs(snf[i, i]) for i in range(p.dimension)]
     assert aut_group(p).structure == tuple(f for f in factors if f > 1)
+
+
+@st.composite
+def lattices(draw):
+    """A group as a lattice containing m Z^d, m one of a few exponents with
+    repeated and mixed primes, spanned by random rows besides m Z^d."""
+    m = draw(st.sampled_from([4, 8, 9, 12, 36, 72]))
+    d = draw(st.integers(1, 5))
+    rows = draw(st.lists(st.lists(st.integers(0, m - 1), min_size=d, max_size=d), max_size=5))
+    return SymmetryGroup(d, m, symmetry._hnf(rows, (m,) * d))
+
+
+@settings(max_examples=150, deadline=None)
+@given(lattices())
+def test_structure_is_smith_form_of_lattice(group):
+    """The invariant factors read mod each prime power of m equal m / s_i,
+    s_i the Smith factors of the Hermite basis, in divisibility order."""
+    m = group.exponent
+    factors = (m // s for s in reversed(exact_smith_normal_form(group.hnf).factors))
+    assert group.structure == tuple(f for f in factors if f > 1)
+    assert prod(group.structure) == group.order
+
+
+@settings(max_examples=150, deadline=None)
+@given(lattices())
+def test_dual_rows_are_columns_of_scaled_inverse(group):
+    m = group.exponent
+    scaled = [[m * x for x in column] for column in zip(*invert_rational_matrix(group.hnf))]
+    assert [list(row) for row in group._dual_rows()] == scaled
 
 
 def test_element_with_rejects_absent_coordinate():
