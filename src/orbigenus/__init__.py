@@ -8,10 +8,8 @@ and the duality of mirror models.
 
 from .exactmath import (
     SingularMatrixError,
-    SnfResult,
     cyclotomic_polynomial,
     invert_rational_matrix,
-    smith_normal_form,
 )
 from .genus import (
     EllValue,

@@ -1,4 +1,4 @@
-"""Exact arithmetic kernels: integer matrices, Smith forms, cyclotomic reduction.
+"""Exact arithmetic kernels: integer matrices, Smith valuations, cyclotomic reduction.
 
 Everything in this module is immutable after construction and every function is
 pure, so concurrent use on shared values is safe.  Rational scalars are plain
@@ -11,7 +11,6 @@ polynomial, so equality is coefficient equality.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from math import gcd
@@ -98,105 +97,6 @@ def _xgcd(a: int, b: int) -> tuple[int, int, int]:
         old_x, x = x, old_x - q * x
         old_y, y = y, old_y - q * y
     return old_r, old_x, old_y
-
-
-@dataclass(frozen=True)
-class SnfResult:
-    """Smith normal form data: left * a * right = diag(factors)."""
-
-    factors: tuple[int, ...]
-    left: IntMat
-    right: IntMat
-
-
-def smith_normal_form(a: IntMat) -> SnfResult:
-    """Smith normal form over Z with unimodular transforms.
-
-    Returns factors d_1 | d_2 | ... (non-negative, divisibility chain) and
-    unimodular left/right transforms U, V with U*a*V diagonal.
-    """
-    nrows = len(a)
-    ncols = len(a[0]) if nrows else 0
-    m = [list(row) for row in a]
-    u = [[int(i == j) for j in range(nrows)] for i in range(nrows)]
-    v = [[int(i == j) for j in range(ncols)] for i in range(ncols)]
-
-    def row_combine(i1, i2, c11, c12, c21, c22):
-        for mat in (m, u):
-            r1, r2 = mat[i1], mat[i2]
-            mat[i1] = [c11 * x + c12 * y for x, y in zip(r1, r2)]
-            mat[i2] = [c21 * x + c22 * y for x, y in zip(r1, r2)]
-
-    def col_combine(j1, j2, c11, c12, c21, c22):
-        # new col j1 = c11*col j1 + c12*col j2; new col j2 = c21*col j1 + c22*col j2
-        for mat in (m, v):
-            for row in mat:
-                x, y = row[j1], row[j2]
-                row[j1] = c11 * x + c12 * y
-                row[j2] = c21 * x + c22 * y
-
-    rank = min(nrows, ncols)
-    for t in range(rank):
-        # Move a nonzero entry of minimal magnitude into the pivot slot.
-        pivot = None
-        for i in range(t, nrows):
-            for j in range(t, ncols):
-                if m[i][j] != 0 and (pivot is None or abs(m[i][j]) < abs(m[pivot[0]][pivot[1]])):
-                    pivot = (i, j)
-        if pivot is None:
-            break
-        if pivot[0] != t:
-            row_combine(t, pivot[0], 0, 1, 1, 0)
-        if pivot[1] != t:
-            col_combine(t, pivot[1], 0, 1, 1, 0)
-
-        while True:
-            # Clear column t below the pivot.
-            dirty = False
-            for i in range(t + 1, nrows):
-                if m[i][t] == 0:
-                    continue
-                p, q = m[t][t], m[i][t]
-                if q % p == 0:
-                    row_combine(t, i, 1, 0, -(q // p), 1)
-                else:
-                    g, x, y = _xgcd(p, q)
-                    row_combine(t, i, x, y, -(q // g), p // g)
-                    dirty = True
-            for j in range(t + 1, ncols):
-                if m[t][j] == 0:
-                    continue
-                p, q = m[t][t], m[t][j]
-                if q % p == 0:
-                    col_combine(t, j, 1, 0, -(q // p), 1)
-                else:
-                    g, x, y = _xgcd(p, q)
-                    col_combine(t, j, x, y, -(q // g), p // g)
-                    dirty = True
-            if dirty:
-                continue
-            if any(m[i][t] for i in range(t + 1, nrows)):
-                continue
-            # Enforce divisibility of the remaining block by the pivot.
-            offender = None
-            for i in range(t + 1, nrows):
-                for j in range(t + 1, ncols):
-                    if m[i][j] % m[t][t] != 0:
-                        offender = i
-                        break
-                if offender is not None:
-                    break
-            if offender is None:
-                break
-            row_combine(t, offender, 1, 1, 0, 1)
-
-        if m[t][t] < 0:
-            # Negating a single row keeps |det| = 1; fold the sign into U.
-            m[t] = [-x for x in m[t]]
-            u[t] = [-x for x in u[t]]
-
-    factors = tuple(m[i][i] if i < ncols else 0 for i in range(rank))
-    return SnfResult(factors, tuple(map(tuple, u)), tuple(map(tuple, v)))
 
 
 def smith_valuations(a: IntMat, p: int, e: int) -> list[int]:

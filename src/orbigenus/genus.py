@@ -102,10 +102,6 @@ class GenusSeries:
     def coefficient(self, e_q, e_y) -> Fraction:
         return self.terms.get((Fraction(e_q), Fraction(e_y)), Fraction(0))
 
-    def q_slice(self, e_q) -> dict[Fraction, Fraction]:
-        eq = Fraction(e_q)
-        return {ey: c for (q, ey), c in self.terms.items() if q == eq}
-
     def evaluate(self, z: complex, tau: complex) -> complex:
         """Value at (y, q) = (e^(2 pi i z), e^(2 pi i tau)), fractional powers
         read off the (z, tau) branch."""

@@ -26,7 +26,9 @@ lattice description (arXiv:0906.0796) of the Berglund-Huebsch duality:
     G^T    = A^-T {w in Z^d : w.g in Z for all g in G} / Z^d
     ann(G) = {s in prod_j Z/m_j : sum_j s_j g_j integral for all g in G}
 
-with m_j the coordinate moduli of G, so |ann(G)| = prod_j m_j / |G|.
+with m_j the coordinate moduli of G, so |ann(G)| = prod_j m_j / |G|.  The
+admissible groups <J> <= G <= SL are the lattices between the Hermite bases
+of <J> and SL, listed as Hermite bases relative to that of SL.
 """
 
 from __future__ import annotations
@@ -44,7 +46,6 @@ from .exactmath import (
     lcm,
     mat_det,
     prime_powers,
-    smith_normal_form,
     smith_valuations,
 )
 from .potential import Potential, compute_charges
@@ -199,16 +200,16 @@ def _check_cap(size: int) -> None:
         raise GroupSizeError(f"listing {size} elements exceeds the cap of {GROUP_SIZE_CAP}")
 
 
-def _subgroup_lattices(factors: Sequence[int]) -> Iterator[list[list[int]]]:
-    """Every subgroup of Z/n_0 + ... + Z/n_(r-1), as the Hermite normal form of
-    its preimage in Z^r.
+def _superlattices(relation: Sequence[Sequence[int]]) -> Iterator[list[list[int]]]:
+    """Every lattice between the row span of R = relation and Z^r, as its
+    Hermite normal form; R is upper triangular with a positive diagonal.
 
     Rows are built from the last one up.  Row i is (0.., h, e_(i+1).., e_(r-1))
-    with h | n_i and 0 <= e_k < H_kk; the preimage must contain n_i e_i, that
-    is (n_i / h) row_i must reduce to n_i e_i down the rows below, and each
-    e_k is kept only if it lets that reduction clear column k.
+    with h | R_ii and 0 <= e_k < H_kk; the lattice must contain R_i, that is
+    (R_ii / h) row_i - R_i must reduce to 0 down the rows below, and each e_k
+    is kept only if it lets that reduction clear column k.
     """
-    r = len(factors)
+    r = len(relation)
 
     def complete(i: int, tail: list[list[int]], row: list[int], carry: list[int]):
         k = i + len(row)
@@ -217,7 +218,7 @@ def _subgroup_lattices(factors: Sequence[int]) -> Iterator[list[list[int]]]:
             return
         below = tail[k - i - 1]
         hk = below[k]
-        c = factors[i] // row[0]
+        c = relation[i][i] // row[0]
         for e in range(hk):
             v = c * e + carry[k]
             if v % hk == 0:
@@ -229,10 +230,11 @@ def _subgroup_lattices(factors: Sequence[int]) -> Iterator[list[list[int]]]:
         if i == r:
             yield []
             return
+        n = relation[i][i]
         for tail in rows_from(i + 1):
-            for h in range(1, factors[i] + 1):
-                if factors[i] % h == 0:
-                    yield from complete(i, tail, [h], [0] * r)
+            for h in range(1, n + 1):
+                if n % h == 0:
+                    yield from complete(i, tail, [h], [-x for x in relation[i]])
 
     return rows_from(0)
 
@@ -471,13 +473,15 @@ def require_admissible(potential: Potential, group: SymmetryGroup) -> None:
 
 
 def admissible_subgroups(potential: Potential) -> list[SymmetryGroup]:
-    """All groups between <J> and SL, one per subgroup of SL/<J>.
+    """All groups between <J> and SL, one per lattice between their Hermite bases.
 
-    With B and C the Hermite bases of SL and <J>, C = R.B with R = C (m B^-1)
-    / m; the Smith form U R V = D puts SL/<J> in the coordinates x.V, where it
-    is the direct sum of the Z/D_ii, and Smith coordinate i lifts to row i of
-    V^-1 B = D^-1 U R B = D^-1 U C, all exact.  Each subgroup of that direct
-    sum, in Hermite form, lifts to the group its rows and J span.
+    With B and C the Hermite bases of SL and <J>, C = R.B, R = C (m B^-1) / m
+    integral and upper triangular, in Hermite form since R Z^d holds m Z^d;
+    the groups are the H.B, H the Hermite basis of a lattice between R Z^d
+    and Z^d.  A row of R with R_ii = 1 is alone in column i and lies in every
+    such lattice, so coordinate i is left out.  A row of H with H_ii = R_ii is
+    R_i modulo the rows below it, and R_i.B = C_i lies in the span of J and
+    m Z^d, so each group is spanned by J and the other rows.
     """
     _require_cy(potential)
     d = potential.dimension
@@ -485,14 +489,15 @@ def admissible_subgroups(potential: Potential) -> list[SymmetryGroup]:
     m = sl.exponent
     j = _scale(grading_element(potential), m)
     cyclic, dual = _hnf([j], (m,) * d), sl._dual_rows()
-    relation = [[sum(map(mul, row, column)) // m for column in dual] for row in cyclic]
-    snf = smith_normal_form(relation)
-    smith = [(f, [sum(map(mul, urow, column)) // f for column in zip(*cyclic)])
-             for f, urow in zip(snf.factors, snf.left) if f > 1]
-    columns = list(zip(*(row for _, row in smith)))
+    relation = _hnf([[sum(map(mul, row, column)) // m for column in dual] for row in cyclic],
+                    (m,) * d)
+    keep = [i for i, row in enumerate(relation) if row[i] > 1]
+    relation = [[relation[i][k] for k in keep] for i in keep]
+    columns = list(zip(*(sl.hnf[i] for i in keep)))
     groups = []
-    for lattice in _subgroup_lattices([f for f, _ in smith]):
-        rows = [[sum(map(mul, coeffs, column)) for column in columns] for coeffs in lattice]
+    for lattice in _superlattices(relation):
+        rows = [[sum(map(mul, coeffs, column)) for column in columns]
+                for i, coeffs in enumerate(lattice) if coeffs[i] < relation[i][i]]
         groups.append(SymmetryGroup._span(rows + [j], m, d))
     groups.sort(key=lambda g: (g.order, _rows_up(g, m)))
     return groups

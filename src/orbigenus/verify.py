@@ -105,25 +105,22 @@ def _zero_types(qs, t) -> dict[tuple[int, int], Fraction]:
 
 def _first_pole(types_a, types_b) -> tuple[Fraction, Fraction, int] | None:
     """(a, b, order) of the first point where more denominator than numerator
-    factors vanish, or None when the ratio is holomorphic."""
+    factors vanish, or None when the ratio is holomorphic.
+
+    The ratio is prod_j T((1 - q_j) z - tn_j tau - tn1_j) / T(q_j z + tn_j tau
+    + tn1_j), and T has simple zeros exactly on Z tau + Z, so at z = a*tau + b
+    a factor vanishes iff both its tau and its constant coordinate are
+    integral: the a-coordinate sees only tn and the b-coordinate only tn1.
+    Every zero set is periodic under L(Z tau + Z), L the lcm of the charge
+    denominators, so one period of each coordinate, grouped by zero masks
+    (``_zero_types``), decides the ratio.
+    """
     for (den_a, num_a), a in types_a.items():
         for (den_b, num_b), b in types_b.items():
             order = (den_a & den_b).bit_count() - (num_a & num_b).bit_count()
             if order > 0:
                 return a, b, order
     return None
-
-
-def sector_pole(qs, tn, tn1) -> tuple[Fraction, Fraction, int] | None:
-    """A pole in z of prod_j T((1 - q_j) z - tn_j tau - tn1_j) / T(q_j z + tn_j tau + tn1_j).
-
-    T has simple zeros exactly on Z tau + Z, so at z = a*tau + b a factor
-    vanishes iff both its tau and its constant coordinate are integral: the
-    a-coordinate sees only tn and the b-coordinate only tn1.  Every zero set
-    is periodic under L(Z tau + Z), L the lcm of the charge denominators, so
-    one period of each coordinate, grouped by zero masks, decides the ratio.
-    """
-    return _first_pole(_zero_types(qs, tn), _zero_types(qs, tn1))
 
 
 def holomorphy_certificate(potential: Potential, group: SymmetryGroup) -> HolomorphyReport:

@@ -3,7 +3,8 @@ ones, the term-pair reference arithmetic for the exact engine's
 integer-vector series and a slow sector builder on it, list-based reference
 group algebra kept off the lattice code, the one-vector-at-a-time zero-level
 lattice count, a point-by-point zero count of one atom's sector theta
-ratio and the Jacobian ring count behind the Witten index.  Nothing here
+ratio next to ``verify``'s pole rule on it, the q-slices of a series and the
+Jacobian ring count behind the Witten index.  Nothing here
 imports the engine or ``genus`` at module level."""
 
 import itertools
@@ -101,6 +102,11 @@ def genus_series_cached(text, group_gens, qmax, ycap):
     p = parse_potential(text)
     group = SymmetryGroup.from_generator_strings(group_gens, p.dimension)
     return ell_genus_series(p, group, qmax=qmax, ycap=ycap)
+
+
+def q_slice(series, e_q):
+    """The coefficients of q^e_q in a ``GenusSeries``, keyed by y-exponent."""
+    return {ey: c for (eq, ey), c in series.terms.items() if eq == e_q}
 
 
 # ---------------------------------------------------------------------------
@@ -517,6 +523,14 @@ def reference_sector_zero_orders(qs, tn, tn1):
             if den:
                 orders[(a, b)] = den - num
     return orders
+
+
+def sector_pole(qs, tn, tn1):
+    """``verify``'s pole rule on one atom's sector theta ratio: (a, b, order)
+    of the first pole at z = a tau + b, or None when the ratio is holomorphic."""
+    from orbigenus.verify import _first_pole, _zero_types
+
+    return _first_pole(_zero_types(qs, tn), _zero_types(qs, tn1))
 
 
 # ---------------------------------------------------------------------------

@@ -31,6 +31,7 @@ from helpers import (
     QUINTIC,
     TWO_SQUARES,
     genus_series_cached,
+    q_slice,
     reference_jacobian_middle_dimension,
 )
 
@@ -173,7 +174,7 @@ def test_criterion_8_weight_zero_limit():
     # weight 0: at z = 0 the genus is the constant Witten index, so the q^0
     # coefficients sum to chi and every higher q-slice sums to 0
     series = ell_genus_series(QUINTIC, grading_subgroup(QUINTIC), qmax=3)
-    sums = [sum(series.q_slice(n).values()) for n in range(4)]
+    sums = [sum(q_slice(series, n).values()) for n in range(4)]
     middle = reference_jacobian_middle_dimension([5, 5, 5, 5, 5])
     expected = 2 * (1 - middle)
     ok = expected == -200 and sums == [expected, 0, 0, 0]

@@ -5,6 +5,8 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from sympy import ZZ, Matrix
+from sympy.matrices.normalforms import smith_normal_form
 
 from orbigenus.exactmath import (
     SingularMatrixError,
@@ -14,7 +16,6 @@ from orbigenus.exactmath import (
     invert_rational_matrix,
     mat_det,
     prime_powers,
-    smith_normal_form,
     smith_valuations,
 )
 
@@ -103,45 +104,6 @@ def test_invert_ragged_raises():
         invert_rational_matrix(((1, 2, 3), (4, 5, 6)))
 
 
-def test_snf_scalar_matrix():
-    a = int_matrix([[5 if i == j else 0 for j in range(5)] for i in range(5)])
-    assert smith_normal_form(a).factors == (5, 5, 5, 5, 5)
-
-
-@pytest.mark.parametrize(
-    "mat,factors",
-    [([[2, 1], [1, 2]], (1, 3)), ([[3, 1], [0, 4]], (1, 12))],
-)
-def test_snf_small_examples(mat, factors):
-    res = smith_normal_form(int_matrix(mat))
-    assert res.factors == factors
-
-
-def test_snf_transforms_random():
-    rng = random.Random(13)
-    for _ in range(30):
-        rows = rng.randint(1, 4)
-        cols = rng.randint(1, 4)
-        a = int_matrix([[rng.randint(-9, 9) for _ in range(cols)] for _ in range(rows)])
-        res = smith_normal_form(a)
-        assert mat_det(res.left) in (1, -1)
-        assert mat_det(res.right) in (1, -1)
-        d = mat_mul(mat_mul(res.left, a), res.right)
-        for i in range(rows):
-            for j in range(cols):
-                expected = res.factors[i] if i == j and i < len(res.factors) else 0
-                assert d[i][j] == expected
-        # divisibility chain
-        nonzero = [f for f in res.factors if f]
-        for x, y in zip(nonzero, nonzero[1:]):
-            assert y % x == 0
-        if rows == cols:
-            prod = 1
-            for f in res.factors:
-                prod *= f
-            assert prod == abs(mat_det(a))
-
-
 def valuation(n: int, p: int) -> int:
     v = 0
     while n % p == 0:
@@ -151,14 +113,15 @@ def valuation(n: int, p: int) -> int:
 
 def test_smith_valuations_match_full_form():
     """The elimination mod p^e, which ``SymmetryGroup.structure`` runs,
-    reaches the full form's factors: taking e above every valuation of a
+    reaches sympy's Smith factors: taking e above every valuation of a
     nonzero factor, at 2 and at each prime of the factors, the valuations
     rebuild every factor, a zero one as valuation e."""
     rng = random.Random(17)
     for _ in range(200):
         rows, cols = rng.randint(1, 6), rng.randint(1, 6)
         a = int_matrix([[rng.randint(-12, 12) for _ in range(cols)] for _ in range(rows)])
-        expected = smith_normal_form(a).factors
+        snf = smith_normal_form(Matrix(a), domain=ZZ)
+        expected = tuple(abs(snf[i, i]) for i in range(min(rows, cols)))
         nonzero = [f for f in expected if f]
         primes = {2} | {p for f in nonzero for p, _ in prime_powers(f)}
         rebuilt = [1] * len(expected)

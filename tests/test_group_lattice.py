@@ -28,7 +28,6 @@ from helpers import (
 )
 from orbigenus import symmetry
 from orbigenus.exactmath import invert_rational_matrix, mat_det
-from orbigenus.exactmath import smith_normal_form as exact_smith_normal_form
 from orbigenus.potential import parse_potential
 from orbigenus.symmetry import (
     PhaseVector,
@@ -145,7 +144,8 @@ def test_structure_is_smith_form_of_lattice(group):
     """The invariant factors read mod each prime power of m equal m / s_i,
     s_i the Smith factors of the Hermite basis, in divisibility order."""
     m = group.exponent
-    factors = (m // s for s in reversed(exact_smith_normal_form(group.hnf).factors))
+    snf = smith_normal_form(Matrix(group.hnf), domain=ZZ)
+    factors = (m // abs(snf[i, i]) for i in reversed(range(group.dimension)))
     assert group.structure == tuple(f for f in factors if f > 1)
     assert prod(group.structure) == group.order
 
@@ -156,6 +156,33 @@ def test_dual_rows_are_columns_of_scaled_inverse(group):
     m = group.exponent
     scaled = [[m * x for x in column] for column in zip(*invert_rational_matrix(group.hnf))]
     assert [list(row) for row in group._dual_rows()] == scaled
+
+
+@st.composite
+def relations(draw):
+    """An upper triangular integer matrix with a positive diagonal."""
+    r = draw(st.integers(1, 3))
+    return [[draw(st.integers(1, 12)) if k == i else draw(st.integers(-20, 20)) if k > i else 0
+             for k in range(r)] for i in range(r)]
+
+
+@settings(max_examples=150, deadline=None)
+@given(relations())
+def test_superlattices_are_the_lattices_containing_the_relation(relation):
+    """Each yielded basis is in Hermite form and contains every row of R, no
+    two are equal, and there are as many as subgroups of Z^r / R Z^r, counted
+    on the diagonal of R's Smith factors."""
+    r = len(relation)
+    bases = [tuple(map(tuple, h)) for h in symmetry._superlattices(relation)]
+    for h in bases:
+        for i, row in enumerate(h):
+            assert not any(row[:i]) and relation[i][i] % row[i] == 0
+            assert all(0 <= row[k] < h[k][k] for k in range(i + 1, r))
+        assert not any(any(symmetry._reduce(h, rrow)) for rrow in relation)
+    assert len(set(bases)) == len(bases)
+    snf = smith_normal_form(Matrix(relation), domain=ZZ)
+    diagonal = [[abs(snf[i, i]) * (i == k) for k in range(r)] for i in range(r)]
+    assert len(bases) == sum(1 for _ in symmetry._superlattices(diagonal))
 
 
 def test_element_with_rejects_absent_coordinate():

@@ -21,7 +21,6 @@ from orbigenus.verify import (
     check_spectral_flow,
     check_star_substitution,
     holomorphy_certificate,
-    sector_pole,
 )
 
 from helpers import (
@@ -35,6 +34,7 @@ from helpers import (
     potential_from_atoms,
     reference_jacobian_middle_dimension,
     reference_sector_zero_orders,
+    sector_pole,
 )
 
 F = Fraction
