@@ -23,7 +23,7 @@ from .genus import (
     ell_genus_series,
     sector_supertrace_series,
 )
-from .oracle import ModeSpec, StateCapError, free_state_series, zero_level_group_average
+from .oracle import ModeSpec, StateCapError, untwisted_states
 from .potential import (
     Atom,
     AtomDecomposition,

@@ -346,8 +346,8 @@ def cone_supertrace_series(
 
     This is the double sum over the trivial group: every modulus 1, so the
     one (0, 0) pair is the product of the single-variable factors of
-    ``_engine.variable_factor`` at zero twist.  ``oracle.free_state_series``
-    counts the same supertrace state by state.
+    ``_engine.variable_factor`` at zero twist.  ``oracle.untwisted_states``
+    over the trivial group counts the same supertrace state by state.
     """
     qs = charge_tuple(charges)
     return _exact_sum(qs, SymmetryGroup.trivial(len(qs)), windows.qmax, windows.ymin, windows.ymax)

@@ -29,7 +29,7 @@ from .genus import (
     ell_genus_series,
     sector_supertrace_series,
 )
-from .oracle import free_state_series, zero_level_group_average
+from .oracle import untwisted_states
 from .potential import Atom, Potential, compute_charges, decompose_atoms, transpose_potential
 from .qseries import Windows
 from .symmetry import PhaseVector, SymmetryGroup, dual_group, require_admissible
@@ -196,16 +196,17 @@ def check_mirror(potential: Potential, group: SymmetryGroup, qmax=1, ycap=None) 
 
 
 def check_oracle(potential: Potential, group: SymmetryGroup, qmax: Fraction) -> list[Verdict]:
-    """The state counts of ``oracle`` against the engine's untwisted sector
-    of the trivial group (free states) and of the group (zero level), exact
-    on a window small enough for the brute-force enumeration."""
+    """The state count of ``oracle`` against the engine's untwisted sector,
+    exact on a window small enough for the count: over the trivial group
+    through ``qmax`` (free states), and over the group at level 0."""
     charges = compute_charges(potential)
     ymax = min(default_y_cap(potential, qmax), Fraction(3))
-    free = free_state_series(charges, int(qmax), (-ymax, ymax))
+    trivial = SymmetryGroup.trivial(potential.dimension)
+    free = untwisted_states(charges, trivial, int(qmax), (-ymax, ymax))
     cone = cone_supertrace_series(charges, Windows.make(qmax, -ymax, ymax))
     zero = PhaseVector.canonical([0] * potential.dimension)
     sector = sector_supertrace_series(potential, group, zero, Windows.make(0, 0, ymax))
-    lattice = zero_level_group_average(potential, group, (0, ymax))
+    lattice = untwisted_states(charges, group, 0, (0, ymax))
     return [
         Verdict("oracle-free-states", "pass" if free == cone else "fail", "exact"),
         Verdict("oracle-zero-level", "pass" if sector == lattice else "fail", "exact"),

@@ -313,7 +313,7 @@ def test_check_oracle_state_cap_exit_code(capsys, monkeypatch):
     def capped(*args, **kwargs):
         raise StateCapError(10)
 
-    monkeypatch.setattr(verify, "zero_level_group_average", capped)
+    monkeypatch.setattr(verify, "untwisted_states", capped)
     code, out, err = run_cli(capsys, "check", "--potential", QUINTIC, "--set", "oracle")
     assert code == 1
     assert out == ""

@@ -9,13 +9,7 @@ from hypothesis import strategies as st
 from orbigenus import oracle as oracle_module
 from orbigenus.exactmath import lcm, mat_det
 from orbigenus.genus import cone_supertrace_series, sector_supertrace_series
-from orbigenus.oracle import (
-    StateCapError,
-    _pairing_rows,
-    free_state_series,
-    modes_for_charges,
-    zero_level_group_average,
-)
+from orbigenus.oracle import StateCapError, _pairing_rows, modes_for_charges, untwisted_states
 from orbigenus.potential import compute_charges, parse_potential
 from orbigenus.qseries import Windows
 from orbigenus.symmetry import (
@@ -29,6 +23,7 @@ from orbigenus.symmetry import (
 from helpers import (
     ATOMS,
     CUBIC,
+    K3_CHAIN,
     LOOP_K3,
     QUINTIC,
     TWO_SQUARES,
@@ -53,12 +48,12 @@ def test_mode_table():
 def test_free_states_single_half_charge():
     # q = 1/2, level 0: states are b-tower times optional psi; the q^0 slice
     # telescopes to 1 within any window
-    s = free_state_series([F(1, 2)], 0, (-2, 2))
+    s = untwisted_states([F(1, 2)], SymmetryGroup.trivial(1), 0, (-2, 2))
     assert s == {(F(0), F(0)): F(1)}
 
 
 def test_free_states_single_fifth_charge():
-    s = free_state_series([F(1, 5)], 0, (0, Fraction(99, 100)))
+    s = untwisted_states([F(1, 5)], SymmetryGroup.trivial(1), 0, (0, Fraction(99, 100)))
     assert s == {
         (F(0), F(0)): F(1),
         (F(0), F(1, 5)): F(1),
@@ -68,7 +63,7 @@ def test_free_states_single_fifth_charge():
 
 
 def test_free_states_empty_potential():
-    s = free_state_series([], 2, (-1, 1))
+    s = untwisted_states([], SymmetryGroup.trivial(0), 2, (-1, 1))
     assert s == {(F(0), F(0)): F(1)}
 
 
@@ -77,7 +72,7 @@ def test_free_states_empty_potential():
 )
 def test_free_states_match_cone_product(charges):
     windows = Windows.make(2, -3, 3)
-    oracle = free_state_series(list(charges), 2, (-3, 3))
+    oracle = untwisted_states(charges, SymmetryGroup.trivial(len(charges)), 2, (-3, 3))
     product = cone_supertrace_series(charges, windows)
     assert oracle == product
 
@@ -99,15 +94,17 @@ def test_free_states_on_windows_either_side_of_zero(charges, qmax, ends):
     # partial sums start at y = 0, so a window above 0 must keep the states
     # that pass below it; the narrow slice equals the wide one restricted
     ymin, ymax = ends
-    narrow = free_state_series(charges, qmax, (ymin, ymax))
-    wide = free_state_series(charges, qmax, (-4, 6))
+    trivial = SymmetryGroup.trivial(len(charges))
+    narrow = untwisted_states(charges, trivial, qmax, (ymin, ymax))
+    wide = untwisted_states(charges, trivial, qmax, (-4, 6))
     assert narrow == {key: c for key, c in wide.items() if ymin <= key[1] <= ymax}
     assert narrow == cone_supertrace_series(charges, Windows.make(qmax, ymin, ymax))
 
 
 def test_free_states_above_zero_pins():
-    assert free_state_series([F(1, 7)], 1, (F(3, 2), 2)) == {(F(1), F(11, 7)): F(-1)}
-    assert len(free_state_series([F(4, 7), F(1, 7)], 0, (2, F(11, 2)))) == 12
+    one, two = SymmetryGroup.trivial(1), SymmetryGroup.trivial(2)
+    assert untwisted_states([F(1, 7)], one, 1, (F(3, 2), 2)) == {(F(1), F(11, 7)): F(-1)}
+    assert len(untwisted_states([F(4, 7), F(1, 7)], two, 0, (2, F(11, 2)))) == 12
 
 
 def _runtime_imports(tree):
@@ -152,12 +149,12 @@ def test_oracle_imports_nothing_from_the_engine():
 def test_state_cap(monkeypatch):
     monkeypatch.setattr(oracle_module, "STATE_CAP", 1000)
     with pytest.raises(StateCapError):
-        free_state_series([F(1, 5)] * 5, 3, (-40, 40))
+        untwisted_states([F(1, 5)] * 5, SymmetryGroup.trivial(5), 3, (-40, 40))
 
 
 def test_zero_level_two_squares_parity_filter():
     g = grading_subgroup(TWO_SQUARES)
-    terms = zero_level_group_average(TWO_SQUARES, g, (0, 2))
+    terms = untwisted_states(compute_charges(TWO_SQUARES), g, 0, (0, 2))
     # only even total occupancy survives; odd y-levels cancel
     assert terms[(F(0), F(0))] == 1
     assert (F(0), F(1, 2)) not in terms
@@ -166,19 +163,9 @@ def test_zero_level_two_squares_parity_filter():
 
 def test_zero_level_quintic_single_mode_filtered():
     g = grading_subgroup(QUINTIC)
-    terms = zero_level_group_average(QUINTIC, g, (0, 1))
+    terms = untwisted_states(compute_charges(QUINTIC), g, 0, (0, 1))
     assert (F(0), F(1, 5)) not in terms  # single mode pairs to 1/5, filtered out
     assert terms[(F(0), F(1))] == 101
-
-
-def test_zero_level_trivial_group_matches_free_states():
-    from orbigenus.symmetry import SymmetryGroup
-
-    # lattice membership is unconstrained for the trivial group
-    g = SymmetryGroup.trivial(2)
-    s = zero_level_group_average(TWO_SQUARES, g, (0, 3))
-    free = free_state_series([F(1, 2), F(1, 2)], 0, (0, 3))
-    assert s == free
 
 
 @pytest.mark.parametrize(
@@ -190,7 +177,7 @@ def test_zero_level_matches_untwisted_sector(potential, name):
     ymax = 3
     zero = PhaseVector.canonical([0] * potential.dimension)
     sector = sector_supertrace_series(potential, group, zero, Windows.make(1, 0, ymax))
-    oracle = zero_level_group_average(potential, group, (0, ymax))
+    oracle = untwisted_states(compute_charges(potential), group, 0, (0, ymax))
     sector_q0 = {key: val for key, val in sector.items() if key[0] == 0}
     assert sector_q0 == oracle
 
@@ -243,7 +230,7 @@ def oracle_cases(draw):
 def test_zero_level_matches_one_vector_reference(case):
     p, group, window = case
     expected = reference_zero_level(p, group, window)
-    assert zero_level_group_average(p, group, window) == expected
+    assert untwisted_states(compute_charges(p), group, 0, window) == expected
 
 
 @pytest.mark.parametrize(
@@ -254,14 +241,14 @@ def test_zero_level_matches_reference_on_models(potential, group):
     g = sl_subgroup(potential) if group == "SL" else grading_subgroup(potential)
     for window in ((0, 2), (F(1, 2), 2)):
         expected = reference_zero_level(potential, g, window)
-        assert zero_level_group_average(potential, g, window) == expected
+        assert untwisted_states(compute_charges(potential), g, 0, window) == expected
 
 
 def test_zero_level_state_cap(monkeypatch):
     monkeypatch.setattr(oracle_module, "STATE_CAP", 1000)
     group = sl_subgroup(QUINTIC)
     with pytest.raises(StateCapError):
-        zero_level_group_average(QUINTIC, group, (0, 3))
+        untwisted_states(compute_charges(QUINTIC), group, 0, (0, 3))
 
 
 def test_pairing_rows_drop_trivial_rows():
@@ -274,12 +261,27 @@ def test_pairing_rows_drop_trivial_rows():
         assert len(rows) == sum(row[i] != group.exponent for i, row in enumerate(group.hnf))
 
 
+@pytest.mark.parametrize(
+    "potential",
+    [TWO_SQUARES, CUBIC, QUINTIC, K3_CHAIN, LOOP_K3],
+    ids=["two_squares", "cubic", "quintic", "k3_chain", "loop_k3"],
+)
+@pytest.mark.parametrize("kind", ["J", "SL"])
+def test_first_level_matches_untwisted_sector(potential, kind):
+    # at q^1 the a and phi modes enter: a pairs with the group through the
+    # opposite phase of b, phi through the opposite phase of psi
+    group = grading_subgroup(potential) if kind == "J" else sl_subgroup(potential)
+    zero = PhaseVector.canonical([0] * potential.dimension)
+    sector = sector_supertrace_series(potential, group, zero, Windows.make(1, 0, 2))
+    assert untwisted_states(compute_charges(potential), group, 1, (0, 2)) == sector
+
+
 def test_zero_level_octic_matches_untwisted_sector():
     # |Aut| = 8^8; each state carries one residue mod 8, so the count stays small
     octic = parse_potential("+".join(f"x{i}^8" for i in range(1, 9)))
     group = grading_subgroup(octic)
     zero = PhaseVector.canonical([0] * 8)
     sector = sector_supertrace_series(octic, group, zero, Windows.make(0, 0, 2))
-    oracle = zero_level_group_average(octic, group, (0, 2))
+    oracle = untwisted_states(compute_charges(octic), group, 0, (0, 2))
     assert oracle == sector
     assert oracle
