@@ -156,15 +156,12 @@ def _fraction(text: str) -> Fraction:
         raise InputError(f"bad rational {text!r}: {err}") from err
 
 
-def _windows(args, default_qmax: Fraction | None) -> tuple[Fraction | None, Fraction | None]:
-    """--qmax (at least 0) and --ywin (positive); None where unset."""
+def _qmax(args, default_qmax: Fraction | None) -> Fraction | None:
+    """--qmax (at least 0), or default_qmax where unset."""
     qmax = _fraction(args.qmax) if args.qmax else default_qmax
     if qmax is not None and qmax < 0:
         raise InputError(f"--qmax must be at least 0, got {args.qmax}")
-    ycap = _fraction(args.ywin) if args.ywin else None
-    if ycap is not None and ycap <= 0:
-        raise InputError(f"--ywin must be positive, got {args.ywin}")
-    return qmax, ycap
+    return qmax
 
 
 def _cmd_info(args) -> int:
@@ -200,7 +197,10 @@ def _cmd_dual(args) -> int:
 def _cmd_genus(args) -> int:
     potential = _load_potential(args.potential)
     group = _load_group(args.group, potential)
-    qmax, ycap = _windows(args, None)
+    qmax = _qmax(args, None)
+    ycap = _fraction(args.ywin) if args.ywin else None
+    if ycap is not None and ycap <= 0:
+        raise InputError(f"--ywin must be positive, got {args.ywin}")
     series = ell_genus_series(potential, group, qmax=qmax, ycap=ycap)
     _emit(series.to_json_dict(), args.out)
     return 0
@@ -219,13 +219,13 @@ def _cmd_check(args) -> int:
         raise InputError(f"--samples must be at least 1, got {args.samples}")
     if args.tol is not None and not (math.isfinite(args.tol) and args.tol > 0):
         raise InputError(f"--tol must be a finite positive number, got {args.tol}")
-    qmax, ycap = _windows(args, Fraction(1))
+    qmax = _qmax(args, Fraction(1))
     verdicts = []
     for name in selected:
         if name == "holo":
             verdicts.append(check_holomorphy(potential, group))
         elif name == "mirror":
-            verdicts.append(check_mirror(potential, group, qmax=qmax, ycap=ycap))
+            verdicts.append(check_mirror(potential, group, qmax=qmax))
         elif name == "oracle":
             verdicts.extend(check_oracle(potential, group, qmax))
         else:
@@ -253,12 +253,12 @@ def build_parser() -> argparse.ArgumentParser:
                          help='generators "a/b,...;c/d,..." or the aliases J / SL (default J)')
     windowed = argparse.ArgumentParser(add_help=False, parents=[grouped])
     windowed.add_argument("--qmax", default=None, help="q-order truncation (rational)")
-    windowed.add_argument("--ywin", default=None, help="y-window half width (rational)")
 
     sub.add_parser("info", parents=[common], help="potential data and symmetry overview")
     sub.add_parser("groups", parents=[common], help="enumerate admissible groups")
     sub.add_parser("dual", parents=[grouped], help="dual potential and dual group")
-    sub.add_parser("genus", parents=[windowed], help="exact genus expansion as JSON")
+    genus = sub.add_parser("genus", parents=[windowed], help="exact genus expansion as JSON")
+    genus.add_argument("--ywin", default=None, help="reported y-window half width (rational)")
     check = sub.add_parser("check", parents=[windowed], help="run verification checks")
     check.add_argument("--tol", type=float, default=None, help="numeric tolerance")
     check.add_argument("--samples", type=int, default=5, help="sample count for numeric checks")

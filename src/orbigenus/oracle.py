@@ -116,10 +116,11 @@ def untwisted_states(
     if ymin > ymax:
         raise ValueError("empty y-window")
     d = lcm(*(q.denominator for q in qs)) if qs else 1
-    # every partial sum starts at y = 0; the negative modes cost level, so
-    # none falls more than pad below 0 or rises more than pad above its
-    # final charge.  At level 0 every mode has positive charge and pad = 0
-    pad = len(qs) * qmax * d
+    # every partial sum starts at y = 0; only a and phi lower it, by less
+    # than one unit of y per unit of level (q_i, 1 - q_i), so no partial sum
+    # falls qmax or more below 0 or rises qmax or more above its final
+    # charge.  At level 0 every mode has positive charge and pad = 0
+    pad = qmax * d
     lo = min(int(ymin * d), 0) - pad
     hi = int(ymax * d) + pad
     rows = _pairing_rows(group)

@@ -170,29 +170,26 @@ def check_holomorphy(potential: Potential, group: SymmetryGroup) -> Verdict:
 # ---------------------------------------------------------------------------
 
 
-def check_mirror(potential: Potential, group: SymmetryGroup, qmax=1, ycap=None) -> Verdict:
+def check_mirror(potential: Potential, group: SymmetryGroup, qmax=1) -> Verdict:
     """Genus of (W, G) against the genus of the transposed model with the
-    dual group, with the parity sign, coefficient by coefficient.  (Star and
-    flow at the same samples imply the numeric mirror law.)"""
+    dual group, with the parity sign, on every term either series computed
+    (both share cbar and qmax, so one work window).  (Star and flow at the
+    same samples imply the numeric mirror law.)"""
     require_admissible(potential, group)
     dual_potential = transpose_potential(potential)
     dual = dual_group(potential, group)
     sign = (-1) ** int(compute_charges(potential).central_charge)
-    a = ell_genus_series(potential, group, qmax=qmax, ycap=ycap)
-    b = ell_genus_series(dual_potential, dual, qmax=qmax, ycap=ycap)
-    qcap = min(a.qmax, b.qmax)
-    ywin = min(a.ycap, b.ycap)
+    a = ell_genus_series(potential, group, qmax=qmax)
+    b = ell_genus_series(dual_potential, dual, qmax=qmax)
+    keys = sorted(set(a.terms) | set(b.terms))
     mismatches = []
-    for key in sorted(set(a.terms) | set(b.terms)):
-        eq, ey = key
-        if eq > qcap or abs(ey) > ywin:
-            continue
+    for key in keys:
         va, vb = a.terms.get(key, Fraction(0)), sign * b.terms.get(key, Fraction(0))
         if va != vb:
-            mismatches.append({"q": str(eq), "y": str(ey), "lhs": str(va), "rhs": str(vb)})
+            mismatches.append({"q": str(key[0]), "y": str(key[1]), "lhs": str(va), "rhs": str(vb)})
     status = "pass" if not mismatches else "fail"
     return Verdict("mirror", status, "exact", mismatches[:10] or
-                   [{"compared_terms": len(set(a.terms) | set(b.terms)), "sign": sign}])
+                   [{"compared_terms": len(keys), "sign": sign}])
 
 
 def check_oracle(potential: Potential, group: SymmetryGroup, qmax: Fraction) -> list[Verdict]:

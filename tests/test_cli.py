@@ -366,7 +366,6 @@ def test_one_aut_group_per_potential(capsys, monkeypatch):
 @pytest.mark.parametrize("argv", [
     ("genus", "--qmax", "1", "--ywin", "0"),
     ("genus", "--qmax", "-1"),
-    ("check", "--ywin=-1/2", "--set", "mirror"),
     ("check", "--qmax", "-1", "--set", "mirror"),
 ], ids=" ".join)
 def test_bad_window_exit_code(capsys, argv):
@@ -424,6 +423,8 @@ def test_check_stdout_pinned(capsys, case):
     ("dual", "--qmax", "-3"),
     ("genus", "--seed", "1"),
     ("genus", "--set", "holo"),
+    ("check", "--ywin", "4"),
+    ("check", "--ywin=-1/2"),
 ], ids=" ".join)
 def test_option_of_another_subcommand_is_bad_input(capsys, argv):
     """Each subcommand accepts only the options it reads."""

@@ -85,7 +85,7 @@ HALVES = st.integers(-6, 10).map(lambda k: F(k, 2))
 @settings(max_examples=60, deadline=None)
 @given(
     charges=st.lists(CHARGES, min_size=1, max_size=3),
-    qmax=st.integers(0, 1),
+    qmax=st.integers(0, 2),
     ends=st.tuples(HALVES, HALVES).map(sorted),
 )
 @example(charges=[F(1, 7)], qmax=1, ends=[F(3, 2), F(2)])

@@ -1,3 +1,4 @@
+import dataclasses
 import inspect
 import random
 from fractions import Fraction
@@ -186,14 +187,36 @@ def test_jacobi_quintic():
 
 
 def test_mirror_series_quintic():
-    verdict = check_mirror(QUINTIC, grading_subgroup(QUINTIC), qmax=1, ycap=4)
+    verdict = check_mirror(QUINTIC, grading_subgroup(QUINTIC), qmax=1)
     assert verdict.status == "pass"
     assert verdict.max_residual == "exact"
 
 
 def test_mirror_series_cubic_and_k3():
-    assert check_mirror(CUBIC, grading_subgroup(CUBIC), qmax=2, ycap=4).status == "pass"
-    assert check_mirror(K3_CHAIN, grading_subgroup(K3_CHAIN), qmax=1, ycap=4).status == "pass"
+    assert check_mirror(CUBIC, grading_subgroup(CUBIC), qmax=2).status == "pass"
+    assert check_mirror(K3_CHAIN, grading_subgroup(K3_CHAIN), qmax=1).status == "pass"
+
+
+def test_mirror_compares_every_computed_term(monkeypatch):
+    """A dual series that lost its |y| >= 2 terms, and reports the window
+    that ycap=1/10 gives at its reach of 1/2, fails on the first lost term:
+    no reported window hides a term either series computed."""
+    series = genus.ell_genus_series
+    j = grading_subgroup(QUINTIC)
+    narrow = F(1, 10) + genus.WIDEN_STEP
+    assert narrow < F(5, 2)
+
+    def corrupted(potential, group, qmax=None, ycap=None):
+        out = series(potential, group, qmax=qmax, ycap=ycap)
+        if group == j:
+            return out
+        terms = {key: c for key, c in out.terms.items() if abs(key[1]) < 2}
+        return dataclasses.replace(out, terms=terms, ycap=narrow, boundary_margin=narrow - F(1, 2))
+
+    monkeypatch.setattr(verify, "ell_genus_series", corrupted)
+    verdict = check_mirror(QUINTIC, j, qmax=1)
+    assert verdict.status == "fail"
+    assert verdict.details[0] == {"q": "1", "y": "-5/2", "lhs": "100", "rhs": "0"}
 
 
 def test_star_substitution():
