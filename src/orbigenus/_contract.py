@@ -71,7 +71,8 @@ def plan(classes_l, reps_r, mode_l: str, mode_r: str, moduli: tuple[int, ...],
     maps the transform at (xl, xr) to the transform at the letters scaled by
     u on a "T" left side and on a "D" right side, so it maps the value of a
     state to the value of its scaled image.  Values live on the least state
-    of each orbit.
+    of each orbit; with a "D" left and a "T" right side no unit scales
+    either, and every state is its own orbit.
 
     Each step is a kept state with its edges (transform index, target, ks):
     the product of the state's value with the transform reaches the kept
@@ -87,6 +88,8 @@ def plan(classes_l, reps_r, mode_l: str, mode_r: str, moduli: tuple[int, ...],
     d = len(moduli)
     auto_l, auto_r = _layers(classes_l, d), _layers((reps_r,), d)
     scale_l, scale_r = mode_l == "T", mode_r == "D"
+    if not (scale_l or scale_r):
+        units = (1,)  # every image is the state itself
     sig = [(_images(*auto_l, moduli, u if scale_l else 1),
             _images(*auto_r, moduli, u if scale_r else 1)) for u in units]
 
@@ -148,14 +151,17 @@ def plan(classes_l, reps_r, mode_l: str, mode_r: str, moduli: tuple[int, ...],
     return tuple(keys), tuple(steps), len(out_edges), finals
 
 
-def fewest_products(candidates, reps_r, moduli: tuple[int, ...], units: tuple[int, ...]):
+def fewest_products(candidates, reps_r, mode_r: str, moduli: tuple[int, ...],
+                    units: tuple[int, ...]):
     """The first of ``candidates`` (lists of classes of left words) whose
-    ``plan`` against ``reps_r``, both sides "D", forms fewest products: one
-    per edge orbit out of each level k >= 1, the left edges (which the units
-    fix) times the unit orbits of the right edges, each found at its least."""
+    ``plan`` against ``reps_r`` in ``mode_r``, left side "D", forms fewest
+    products: one per edge orbit out of each level k >= 1, the left edges
+    (which the units fix) times the unit orbits of the right edges, each
+    found at its least.  No unit scales a "T" right side, so there every
+    right edge is its own orbit."""
     d = len(moduli)
     state_of, edges = _layers((reps_r,), d)
-    sig = [(u, _images(state_of, edges, moduli, u)) for u in units]
+    sig = [(u, _images(state_of, edges, moduli, u)) for u in (units if mode_r == "D" else (1,))]
     orbits = [sum(all((img[k][s], u * x % moduli[k], img[k + 1][t]) >= (s, x, t) for u, img in sig)
                   for s, out in enumerate(edges[k]) for x, t in out) for k in range(d)]
 

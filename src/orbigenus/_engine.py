@@ -46,13 +46,19 @@ Phi_N, and a character sum over the right twist is read off one slot:
     sum_b e(i b / m_j) F_a(w^b) = m_j [w^(-i)] F_a.
 
 The double group sum is evaluated per side either directly over the group
-elements or, when the annihilator of the group inside prod_j Z/m_j is
-smaller, through the character-sum identity
+elements ("D") or over the annihilator of the group inside prod_j Z/m_j
+("T"), through the character-sum identity
 
     sum_{t in G} X(t) = (|G| / prod_j m_j) sum_{s in ann(G)} sum_t e(s.t) X(t),
 
-which factorizes over coordinates and collapses |G|^2 sector products to
-|ann(G)|^2 of them.
+which factorizes over coordinates.  ``genus._sum_setup`` picks the modes
+from the group sizes.  A same-mode sum runs both sides over the smaller of
+G and ann(G), min(|G|, |ann G|)^2 pairs in Galois orbits of up to phi(N);
+the exact genus sum pairs group elements with characters ("D" x "T") where
+the two sizes are within a factor phi(N) of each other.  Every transform of
+that pairing is the rational series m_j [w^-i] F_a, so each of its
+|G| |ann G| products is a one-slot Kronecker product, with no reduction
+mod Phi_N, and its total is rational by construction.
 
 ``double_sum`` is the one driver of that sum for both evaluation paths: it
 runs over a coefficient ring, the exact series ring here (``_ExactRing``) or
@@ -72,15 +78,17 @@ accepting state and one total per class: the genus sum folded by inversion
 (``genus._inverse_classes``) runs its two classes that way, where their
 schedule, counted from the automata and the Galois units, forms fewer
 products than the whole left side's (``_contract.fewest_products``).  A
-``check`` of the loop K3 with SL (|SL| = 32) forms 235 series products, its
-genus sums folded, where the pair loop formed 1821.  For the exact ring the Galois
+``check --qmax 1`` of the loop K3 with SL (|SL| = |ann SL| = 32, its genus
+sums "D" x "T" and folded) forms 291 series products, where one chain of
+products per pair forms 1863.  For the exact ring the Galois
 automorphism zeta_N -> zeta_N^u, u a unit mod N, maps the sector product of
-(g, h) to a product of the same sum, so values are kept on one state of each
-orbit of the unit group and a product stands in for its whole orbit.  A product is
-deposited on its state through one summed map per set of units, the sum of
-the substitutions zeta_N -> zeta_N^u, never through a shortcut that assumes
-the orbit sum rational, so a sum that breaks the symmetry still fails
-``rationalize``.
+(g, h) to a product of the same sum, so on a same-mode sum values are kept
+on one state of each orbit of the unit group and a product stands in for its
+whole orbit.  A product is deposited on its state through one summed map
+per set of units, the sum of the substitutions zeta_N -> zeta_N^u, never
+through a shortcut that assumes the orbit sum rational, so a same-mode sum
+that breaks the symmetry still fails ``rationalize``; a "D" x "T" total is
+rational by construction, and that check guards only same-mode sums.
 
 Everything here is standard library only.
 """
@@ -639,6 +647,10 @@ class _ExactRing:
             return product  # shared; copied when a second product arrives
         if not isinstance(acc, dict):
             acc = {} if acc is None else {key: list(vec) for key, vec in acc.items()}
+        if ks == (1,):  # sigma_1 is the identity
+            for key, vec in product.items():
+                _add_term(acc, key, vec)
+            return acc
         rows, phi = _summed_substitution(self.ctx.conductor, ks), self.ctx.phi
         for key, vec in product.items():
             _add_term(acc, key, _substitute(vec, rows, phi))

@@ -25,7 +25,7 @@ from ._engine import RationalityError, SeriesContext
 from .exactmath import euler_phi, lcm
 from .potential import Charges, Potential, charge_tuple, compute_charges
 from .qseries import Windows
-from .symmetry import PhaseVector, SymmetryGroup, require_admissible
+from .symmetry import GROUP_SIZE_CAP, PhaseVector, SymmetryGroup, require_admissible
 from .theta import ThetaKernel, lattice_distance
 
 DEFAULT_QMAX = Fraction(2)
@@ -227,30 +227,59 @@ class _SumSetup(NamedTuple):
     right: list[tuple[int, ...]]
     mode_r: str
     theta_max: tuple[Fraction, ...]  # the largest left twist per coordinate
-    side: Fraction  # the weight of a side listed in the group's mode
+    weights: tuple[Fraction, Fraction]  # of a left and of a right representative
+
+    @property
+    def weight(self) -> Fraction:
+        """The weight of a pair, the product of its sides' weights."""
+        return self.weights[0] * self.weights[1]
 
 
-def _sum_setup(group: SymmetryGroup, twist: PhaseVector | None = None) -> _SumSetup:
-    """The representatives, modes and weights of the double sum over ``group``.
+def _sum_setup(group: SymmetryGroup, twist: PhaseVector | None = None,
+               exact: bool = True) -> _SumSetup:
+    """The representatives, modes and weight of the double sum over ``group``.
 
     A side runs over G itself ("D", scaled group elements) or over its
-    annihilator ann(G) inside prod_j Z/m_j ("T", characters), whichever is
-    smaller; |ann(G)| = prod_j m_j / |G| is known before anything is listed,
-    so only the chosen side is listed.  A "T" side carries the weight
-    |G| / prod_j m_j of the character identity, a "D" side 1.  With a twist
-    n the left side is n alone, in mode "D" (one sector, averaged over the
-    second twist); otherwise both sides run over the group.
+    annihilator ann(G) inside prod_j Z/m_j ("T", characters);
+    |ann(G)| = prod_j m_j / |G| is known before anything is listed, so only
+    the sides chosen are listed.  A "T" side carries the weight
+    |G| / prod_j m_j of the character identity, a "D" side 1, and a pair
+    the product of its sides' weights.  With a twist n the left side is n
+    alone, in mode "D" (one sector, averaged over the second twist), and
+    the right side runs over the smaller of G and ann(G).
+
+    Over the whole group, on the exact ring (``exact``), the left side runs
+    over G and the right over ann(G) whenever
+    max(|G|, |ann G|) <= phi(N) min(|G|, |ann G|), N = lcm(m_j), phi(N) > 1.
+    Every transform of that pairing is a rational series, m_j [w^-i] F_a
+    (``_engine._ExactRing.twist_sum``), so the products of its |G| |ann G|
+    pairs are one-slot Kronecker products; a same-mode sum over the smaller
+    side multiplies min(|G|, |ann G|)^2 pairs in Galois orbits of up to
+    phi(N), on phi(N)-slot vectors.  At phi(N) = 1 every vector is rational
+    already, and the mixed pairing would only list both sides.  Where the
+    larger side exceeds ``GROUP_SIZE_CAP`` both sides keep the smaller one's
+    mode, so no group whose smaller side can be listed fails.  The numeric
+    theta ring has no Galois orbits, so there the |G| |ann G| pairs of a
+    mixed pairing never number fewer than a same-mode sum's, and both sides
+    keep one mode.
     """
     moduli = group.coordinate_moduli()
-    if prod(moduli) < group.order**2:
-        reps, mode, side = group.annihilator_elements(), "T", Fraction(group.order, prod(moduli))
+    order, co_order = group.order, prod(moduli) // group.order
+    theta_max = tuple(Fraction(m - 1, m) for m in moduli)
+    character = Fraction(order, prod(moduli))
+    small, large = sorted((order, co_order))
+    phi = euler_phi(lcm(*moduli))
+    if exact and twist is None and phi > 1 and large <= min(phi * small, GROUP_SIZE_CAP):
+        return _SumSetup(moduli, group.scaled_elements(moduli), "D", group.annihilator_elements(),
+                         "T", theta_max, (Fraction(1), character))
+    if co_order < order:
+        reps, mode, side = group.annihilator_elements(), "T", character
     else:
         reps, mode, side = group.scaled_elements(moduli), "D", Fraction(1)
     if twist is None:
-        return _SumSetup(moduli, reps, mode, reps, mode,
-                         tuple(Fraction(m - 1, m) for m in moduli), side)
+        return _SumSetup(moduli, reps, mode, reps, mode, theta_max, (side, side))
     left = [tuple(int(t * m) for t, m in zip(twist.entries, moduli))]
-    return _SumSetup(moduli, left, "D", reps, mode, twist.entries, side)
+    return _SumSetup(moduli, left, "D", reps, mode, twist.entries, (Fraction(1), side))
 
 
 def _inverse_classes(setup: _SumSetup) -> list[list[tuple[int, ...]]]:
@@ -268,18 +297,21 @@ def _inverse_classes(setup: _SumSetup) -> list[list[tuple[int, ...]]]:
     splits into two classes, the self-inverse elements and one element of
     each pair {g, g^-1}, the first in sorted order; the pair class is
     counted twice, once reflected.  Neither class total moves under the
-    Galois units, which scale only a "D" right side, so each is rational on
-    its own.
+    Galois units, which scale only a "D" right side (the transforms of a "T"
+    right side are rational), so each is rational on its own.
 
     The split does not always pay: the merged prefixes of a lattice can
     beat the halved left side, and a group of exponent 2 has no pairs.  So
     the whole left side is kept, one class, unless the split's schedule forms
-    fewer products, counted from the automata and the exact ring's Galois
-    units mod lcm(m_j) (``_contract.fewest_products``, no schedule built).  It
-    declines the K3 Fermat's 0,0,1/2,1/2;0,1/2,1/4,1/4;1/4,1/4,1/4,1/4
-    (75 products folded, 72 whole), x1^6+x2^3+x3^3+x4^6's
-    0,0,1/3,2/3;1/6,1/3,0,1/2 (88 against 72) and 12 groups of the sextic
-    Fermat, where the fold forms 8 products more.
+    fewer products, counted from the automata, the right side's mode and the
+    exact ring's Galois units mod lcm(m_j) (``_contract.fewest_products``,
+    no schedule built).  It declines the K3 Fermat's
+    0,0,1/2,1/2;0,1/2,1/4,1/4;1/4,1/4,1/4,1/4 (104 products folded, 80
+    whole, "D" x "T"; 75 against 72 on the same-mode pairing) and
+    x1^6+x2^3+x3^3+x4^6's 0,0,1/3,2/3;1/6,1/3,0,1/2 (132 against 108; 88
+    against 72).  Counted as if units scaled a "T" right side, it would fold
+    two "D" x "T" groups of the sextic Fermat, where the fold forms 1140
+    products against 1116.
     """
     whole = [setup.left]
     inverse = {rep: tuple(-x % m for x, m in zip(rep, setup.moduli)) for rep in setup.left}
@@ -288,7 +320,8 @@ def _inverse_classes(setup: _SumSetup) -> list[list[tuple[int, ...]]]:
         return whole
     folded = [[rep for rep in setup.left if inverse[rep] == rep], kept]
     units = _engine.galois_units(lcm(*setup.moduli))
-    return _contract.fewest_products([whole, folded], setup.right, setup.moduli, units)
+    return _contract.fewest_products([whole, folded], setup.right, setup.mode_r, setup.moduli,
+                                     units)
 
 
 def _exact_sum(
@@ -312,7 +345,9 @@ def _exact_sum(
     and the pair class is added twice, once reflected y -> lo + hi - y, the
     image of the reflection about c/2.  A twisted sector's left side is one
     element, and a "T" left side holds characters, not sectors: neither is
-    folded.
+    folded.  Each total is weighted by the pair weight of ``_sum_setup``,
+    |G| / prod_j m_j on a "D" x "T" sum.  Such a total is rational by
+    construction, so ``rationalize``'s check guards only same-mode sums.
     """
     setup = _sum_setup(group, twist)
     st_lo, st_hi = lo + shift, hi + shift
@@ -324,12 +359,11 @@ def _exact_sum(
                                 setup.mode_l, setup.mode_r)
     d = ctx.denominator
     ky_lo, ky_hi, ky_shift = st_lo * d, st_hi * d, int(shift * d)
-    weight = setup.side if twist is not None else setup.side**2
     parts = []
     for total in totals:
         assert all(kq >= 0 for (kq, _) in total), "negative q-exponent in the double sum"
         window = {(kq, ky - ky_shift): vec for (kq, ky), vec in total.items() if ky_lo <= ky <= ky_hi}
-        parts.append(_engine.rationalize(window, ctx, sign * weight / group.order))
+        parts.append(_engine.rationalize(window, ctx, sign * setup.weight / group.order))
     if len(parts) == 1:
         return parts[0]
     terms, pairs = parts
@@ -590,8 +624,9 @@ class NumericGenus:
         self.group = group
         self._charges = tuple(charges.q)
         self._sign = -1 if int(charges.central_charge) % 2 else 1
-        self._setup = _sum_setup(group)
-        self._weight = float(self._setup.side) ** 2
+        self._setup = _sum_setup(group, exact=False)
+        weight_l, weight_r = map(float, self._setup.weights)
+        self._weight = weight_l * weight_r
         self._phases: dict = {}
 
     def __call__(self, z: complex, tau: complex, retries: int = 3) -> EllValue:

@@ -3,8 +3,9 @@ ones, the term-pair reference arithmetic for the exact engine's
 integer-vector series and a slow sector builder on it, list-based reference
 group algebra kept off the lattice code, the one-vector-at-a-time zero-level
 lattice count, a point-by-point zero count of one atom's sector theta
-ratio next to ``verify``'s pole rule on it, the q-slices of a series and the
-Jacobian ring count behind the Witten index.  Nothing here
+ratio next to ``verify``'s pole rule on it, the q-slices of a series, the
+two pairings of a whole-group sum and the Jacobian ring count behind the
+Witten index.  Nothing here
 imports the engine or ``genus`` at module level."""
 
 import itertools
@@ -92,6 +93,25 @@ def d_left_orbifolds(draw):
     # an exponent above 2 leaves an element that is not its own inverse
     assume(setup.mode_l == "D" and len(setup.left) <= 16 and 2 < lcm(*setup.moduli) <= 42)
     return p, group
+
+
+def pairings(group):
+    """The set-ups of the whole-group sum over ``group``: the exact path's and,
+    where that one pairs group elements with characters, the same-mode one
+    of the numeric path (both sides over the smaller of G and ann(G))."""
+    from orbigenus.genus import _sum_setup
+
+    setup = _sum_setup(group)
+    return [setup] if setup.mode_l == setup.mode_r else [setup, _sum_setup(group, exact=False)]
+
+
+def same_mode_pairing(monkeypatch):
+    """Run every exact sum on the same-mode pairing of ``pairings``."""
+    from orbigenus import genus
+
+    setup = genus._sum_setup
+    monkeypatch.setattr(genus, "_sum_setup",
+                        lambda group, twist=None, exact=True: setup(group, twist, exact=False))
 
 
 @lru_cache(maxsize=None)

@@ -24,9 +24,11 @@ from helpers import (
     LOOP_K3,
     QUINTIC,
     cy_potentials,
+    pairings,
     reference_series_mul,
     reference_variable_factor,
     reference_vec_mul,
+    same_mode_pairing,
 )
 from orbigenus import _engine, genus
 from orbigenus._engine import RationalityError
@@ -34,6 +36,7 @@ from orbigenus.exactmath import _power_rows, lcm
 from orbigenus.genus import (
     NearPoleError,
     ell_genus_numeric,
+    jacobi_reach,
     sector_value_from_coords,
 )
 from orbigenus.potential import compute_charges, parse_potential, transpose_potential
@@ -99,8 +102,10 @@ def orbit_count(group):
     pair (l, r) to (u l, r) for character sums ("T") and to (l, u r) for
     group elements ("D").  A "D" left side runs over one element of each
     inverse pair {g, g^-1}, the self-inverse ones included; orbits are
-    counted by visiting every pair of such a left element and a right one."""
+    counted by visiting every pair of such a left element and a right one.
+    Both sides run in one mode."""
     setup = genus._sum_setup(group)
+    assert setup.mode_l == setup.mode_r
     moduli, reps, mode = setup.moduli, setup.right, setup.mode_r
     n = lcm(*moduli)
     units = [u for u in range(1, n + 1) if math.gcd(u, n) == 1]
@@ -141,7 +146,64 @@ def test_sector_products_one_chain_per_galois_orbit(monkeypatch, potential, grou
     (LOOP_K3, sl_subgroup(LOOP_K3)),
 ])
 def test_merged_prefixes_save_products(monkeypatch, potential, group):
+    """On the same-mode pairing: both groups sum "D" x "T" by default."""
+    assert genus._sum_setup(group).mode_r == "T"
+    same_mode_pairing(monkeypatch)
+    assert genus._sum_setup(group).mode_r == "D"
     assert count_products(monkeypatch, potential, group) < orbit_count(group)
+
+
+def test_mixed_sum_folds_and_counts_its_products(monkeypatch):
+    """The loop K3 with SL at q^1, |SL| = |ann SL| = 32, N = 8: group
+    elements against characters, whose transforms no unit scales, so every
+    edge is its own orbit.  Folded, the schedule forms 244 products; the
+    whole left side would form 336."""
+    group = sl_subgroup(LOOP_K3)
+    setup = genus._sum_setup(group)
+    assert (setup.mode_l, setup.mode_r, len(setup.left), len(setup.right)) == ("D", "T", 32, 32)
+    assert len(genus._inverse_classes(setup)) == 2
+    assert count_products(monkeypatch, LOOP_K3, group) == 244
+
+
+def test_mixed_pairing_lists_no_side_past_the_size_cap(monkeypatch):
+    """Where the larger side would pass ``GROUP_SIZE_CAP``, both sides keep
+    the same-mode choice: a group whose smaller side can be listed never
+    fails on listing the larger."""
+    group = sl_subgroup(LOOP_K3)
+    monkeypatch.setattr(genus, "GROUP_SIZE_CAP", 31)
+    setup = genus._sum_setup(group)
+    assert (setup.mode_l, setup.mode_r, len(setup.right)) == ("D", "D", 32)
+
+
+@st.composite
+def mixed_orbifolds(draw):
+    """A generated CY model with J or SL whose exact genus sum runs group
+    elements against characters, each side at most 64 representatives."""
+    p = draw(cy_potentials(200))
+    group = (grading_subgroup if draw(st.booleans()) else sl_subgroup)(p)
+    setup = genus._sum_setup(group)
+    assume(setup.mode_l != setup.mode_r and max(len(setup.left), len(setup.right)) <= 64)
+    return p, group
+
+
+@settings(max_examples=20, deadline=None,
+          suppress_health_check=[HealthCheck.filter_too_much, HealthCheck.too_slow])
+@given(mixed_orbifolds())
+@example((LOOP_K3, sl_subgroup(LOOP_K3)))
+@example((K3_CHAIN, sl_subgroup(K3_CHAIN)))
+def test_mixed_pairing_equals_same_mode_sum(case):
+    """The genus at q^1 summed "D" x "T", each pair weighted |G| / prod_j m_j,
+    has the terms of the same-mode sum."""
+    potential, group = case
+    qmax = F(1)
+    ycap = jacobi_reach(compute_charges(potential).central_charge, qmax) + genus.CERTIFY_MARGIN
+    setup = genus._sum_setup(group)
+    assert (setup.mode_l, setup.mode_r) == ("D", "T")
+    mixed = genus._genus_rational_terms(potential, group, qmax, ycap)
+    with pytest.MonkeyPatch.context() as patch:
+        same_mode_pairing(patch)
+        same = genus._genus_rational_terms(potential, group, qmax, ycap)
+    assert mixed == same
 
 
 @pytest.mark.parametrize("potential, group", [
@@ -174,7 +236,11 @@ def test_paired_sum_equals_unpaired_sum(monkeypatch, potential, group):
 def test_non_galois_sum_is_not_rational(monkeypatch, potential, group, ring):
     """Each orbit sum is formed from its sigma_k images, with no shortcut
     that assumes the total rational: transforms that break the Galois
-    symmetry give a sum that ``rationalize`` rejects."""
+    symmetry give a sum that ``rationalize`` rejects.  Each group sums
+    cyclotomic transforms, in one mode on both sides: a "D" x "T" total is
+    rational by construction."""
+    setup = genus._sum_setup(group)
+    assert setup.mode_l == setup.mode_r
     monkeypatch.setattr(_engine, "_ExactRing", ring)
     with pytest.raises(RationalityError):
         genus._genus_rational_terms(potential, group, F(1), F(3))
@@ -292,7 +358,8 @@ def test_theta_twist_sum_matches_explicit_sum():
 ])
 def test_one_formal_factor_per_left_twist(monkeypatch, potential, group, mode):
     """Each (q_j, m_j) class builds at most one formal factor per left twist,
-    whatever the right twists and character indices."""
+    whatever the right twists and character indices, on each pairing of the
+    sum; ``mode`` is the right side's on the same-mode one."""
     builds = []
     build = _engine.variable_factor
 
@@ -300,13 +367,16 @@ def test_one_formal_factor_per_left_twist(monkeypatch, potential, group, mode):
         builds.append((ctx.charges[j], ctx.moduli[j], a % ctx.moduli[j]))
         return build(ctx, j, a)
 
-    setup = genus._sum_setup(group)
-    assert setup.mode_r == mode
+    setups = pairings(group)
+    assert setups[-1].mode_r == mode
     monkeypatch.setattr(_engine, "variable_factor", counted)
-    genus._exact_sum(tuple(compute_charges(potential).q), group, F(1), F(-2), F(4))
-    classes = set(zip(compute_charges(potential).q, setup.moduli))
-    assert builds and len(builds) == len(set(builds))
-    assert len(builds) <= sum(m for _, m in classes)
+    for setup in setups:
+        builds.clear()
+        monkeypatch.setattr(genus, "_sum_setup", lambda group, twist=None, exact=True: setup)
+        genus._exact_sum(tuple(compute_charges(potential).q), group, F(1), F(-2), F(4))
+        classes = set(zip(compute_charges(potential).q, setup.moduli))
+        assert builds and len(builds) == len(set(builds))
+        assert len(builds) <= sum(m for _, m in classes)
 
 
 @st.composite
@@ -367,40 +437,46 @@ N12_MODEL = parse_potential("x1^3+x2^4+x3^4+x4^6")
 
 @st.composite
 def contraction_cases(draw):
-    """A generated CY model with J or SL, or the dual of one, and either the
-    whole double sum or the sector of one left twist."""
+    """A generated CY model with J or SL, or the dual of one, either the
+    whole double sum or the sector of one left twist, and the pairing of a
+    whole sum: the exact path's or the same-mode one.  Each side lists at
+    most 16 representatives."""
     p = draw(cy_potentials(200))
     group = (grading_subgroup if draw(st.booleans()) else sl_subgroup)(p)
     if draw(st.booleans()):
         p, group = transpose_potential(p), dual_group(p, group)
-    setup = genus._sum_setup(group)
-    moduli, reps = setup.moduli, setup.right
+    exact = draw(st.booleans())
+    setup = genus._sum_setup(group, exact=exact)
     # the term-pair reference costs phi(N)^2 per pair of terms
-    assume(len(reps) <= 16 and lcm(*moduli) <= 12)
+    assume(len(setup.left) <= 16 and len(setup.right) <= 16 and lcm(*setup.moduli) <= 12)
     twist = draw(st.sampled_from(group.elements)) if draw(st.booleans()) else None
-    return p, group, twist
+    return p, group, twist, exact
 
 
 @settings(max_examples=30, deadline=None,
           suppress_health_check=[HealthCheck.filter_too_much, HealthCheck.too_slow])
 @given(contraction_cases())
-@example((K3_CHAIN, sl_subgroup(K3_CHAIN), None))  # merged states, mode D
-@example((K3_DUAL, K3_DUAL_GROUP, None))  # mode T
-@example((QUINTIC, grading_subgroup(QUINTIC), grading_subgroup(QUINTIC).elements[2]))
-@example((QUINTIC, sl_subgroup(QUINTIC), None))  # N = 5, mode T
-@example((N8_MODEL, grading_subgroup(N8_MODEL), None))  # N = 8, mode D
-@example((N12_MODEL, grading_subgroup(N12_MODEL), None))  # N = 12, moduli (3, 4, 4, 6)
+@example((K3_CHAIN, sl_subgroup(K3_CHAIN), None, False))  # merged states, mode D
+@example((K3_CHAIN, sl_subgroup(K3_CHAIN), None, True))  # merged states, modes D x T
+@example((K3_DUAL, K3_DUAL_GROUP, None, False))  # mode T
+@example((QUINTIC, grading_subgroup(QUINTIC), grading_subgroup(QUINTIC).elements[2], True))
+@example((QUINTIC, sl_subgroup(QUINTIC), None, True))  # N = 5, mode T
+@example((N8_MODEL, grading_subgroup(N8_MODEL), None, True))  # N = 8, mode D
+@example((N12_MODEL, grading_subgroup(N12_MODEL), None, False))  # N = 12, moduli (3, 4, 4, 6)
 def test_contraction_equals_explicit_pair_sum(case):
     """The contraction, over Galois orbits and unpaired, equals the sum of
     every pair product: truncation, reduction and each sigma_u are linear."""
-    potential, group, twist = case
+    potential, group, twist, exact = case
     qs = tuple(compute_charges(potential).q)
-    setup = genus._sum_setup(group, twist)
+    setup = genus._sum_setup(group, twist, exact)
     moduli, reps, mode = setup.moduli, setup.right, setup.mode_r
-    if twist is None:
-        left, mode_l = reps, mode
-    else:
+    if twist is not None:
         left, mode_l = [tuple(int(t * m) for t, m in zip(twist.entries, moduli))], "D"
+    elif setup.mode_l != mode:
+        assert (exact, mode) == (True, "T")
+        left, mode_l = group.scaled_elements(moduli), "D"
+    else:
+        left, mode_l = reps, mode
     assert (setup.left, setup.mode_l) == (left, mode_l)
     ctx = genus._build_context(qs, moduli, F(1), F(-1), F(2), setup.theta_max)
     total, = _engine.double_sum(_engine._ExactRing(ctx), [left], reps, mode_l, mode)

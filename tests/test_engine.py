@@ -13,6 +13,7 @@ from hypothesis import strategies as st
 from helpers import (
     K3_CHAIN,
     QUINTIC,
+    pairings,
     reference_series_mul,
     reference_variable_factor,
 )
@@ -190,14 +191,14 @@ DEPOSIT_MODELS = {  # conductor: a model whose J and SL sums run at it
 def test_summed_deposit_map_is_sum_of_unit_maps(conductor):
     """The deposit of a product's orbit images uses one map per unit set,
     the literal sum of the substitutions x -> x^u: for every unit set the
-    contraction emits on the model's J and SL sums, with the whole left
-    side and with the left classes of the folded genus sum."""
+    contraction emits on the model's J and SL sums, on each pairing, with the
+    whole left side and with the left classes of the folded genus sum."""
     potential = DEPOSIT_MODELS[conductor]
     phi = euler_phi(conductor)
     charges = tuple(compute_charges(potential).q)
     unit_sets = set()
-    for group in (grading_subgroup(potential), sl_subgroup(potential)):
-        setup = genus._sum_setup(group)
+    setups = pairings(grading_subgroup(potential)) + pairings(sl_subgroup(potential))
+    for setup in setups:
         if lcm(*setup.moduli) != conductor:
             continue
         ctx = _build_context(charges, setup.moduli, Fraction(1), Fraction(-1), Fraction(1),

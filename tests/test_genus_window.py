@@ -235,7 +235,7 @@ def test_cone_runs_at_conductor_one():
     setup = genus._sum_setup(SymmetryGroup.trivial(len(qs)))
     zero = (0,) * len(qs)
     assert (setup.left, setup.right, setup.mode_l, setup.mode_r) == ([zero], [zero], "D", "D")
-    assert setup.side == 1
+    assert setup.weight == 1
     ctx = genus._build_context(qs, setup.moduli, F(3), F(-3), F(3), setup.theta_max)
     assert (ctx.conductor, ctx.phi) == (1, 1)
 

@@ -16,7 +16,7 @@ from math import gcd
 import pytest
 from hypothesis import HealthCheck, example, given, settings
 
-from helpers import CUBIC, K3_CHAIN, LOOP_K3, QUINTIC, TWO_SQUARES, d_left_orbifolds
+from helpers import CUBIC, K3_CHAIN, LOOP_K3, QUINTIC, TWO_SQUARES, d_left_orbifolds, pairings
 from orbigenus import _contract, _engine, genus
 from orbigenus.exactmath import lcm
 from orbigenus.genus import jacobi_reach
@@ -33,15 +33,21 @@ K3_FERMAT_UNFOLDED = SymmetryGroup.from_generator_strings(
 MIXED_UNFOLDED = SymmetryGroup.from_generator_strings(["0,0,1/3,2/3", "1/6,1/3,0,1/2"], 4)
 SEXTIC = parse_potential("+".join(f"x{i}^6" for i in range(1, 7)))
 # two of the 12 sextic Fermat groups on which the Galois units decide: with
-# no units, the automata count fewer products folded
+# no units, the automata of the same-mode pairing count fewer products
+# folded; and one of the two whose "D" x "T" sum the fold costs products,
+# which units scaling the right side would count as fewer
 SEXTIC_UNFOLDED = [SymmetryGroup.from_generator_strings(text.split(";"), 6) for text in (
     "0,0,0,0,1/3,2/3;0,0,0,1/2,0,1/2;0,1/6,1/3,1/3,0,1/6;1/6,0,5/6,1/3,1/6,1/2",
     "0,0,0,1/6,1/6,2/3;0,1/6,1/3,0,1/2,0;1/6,0,5/6,0,1/2,1/2",
+    "0,0,0,0,1/6,5/6;0,1/6,1/3,5/6,0,2/3;1/6,0,5/6,1/3,0,2/3",
 )]
 # "D" groups with inverse pairs on which the fold forms more products:
-# (group, folded products, whole products)
-UNFOLDED = {K3_FERMAT: [(K3_FERMAT_UNFOLDED, 75, 72)], MIXED: [(MIXED_UNFOLDED, 88, 72)],
-            SEXTIC: [(SEXTIC_UNFOLDED[0], 1952, 1944), (SEXTIC_UNFOLDED[1], 1328, 1320)]}
+# (group, folded products, whole products), on the exact path's pairing and
+# the same-mode one
+UNFOLDED = {K3_FERMAT: [(K3_FERMAT_UNFOLDED, 104, 80), (K3_FERMAT_UNFOLDED, 75, 72)],
+            MIXED: [(MIXED_UNFOLDED, 132, 108), (MIXED_UNFOLDED, 88, 72)],
+            SEXTIC: [(SEXTIC_UNFOLDED[0], 1952, 1944), (SEXTIC_UNFOLDED[1], 1328, 1320),
+                     (SEXTIC_UNFOLDED[2], 1140, 1116)]}
 
 
 def single_element_sums(potential, group, qmax, width):
@@ -191,14 +197,13 @@ def plan_products(classes, setup):
 
 @pytest.mark.parametrize("potential", FOLD_MODELS + [MIXED, SEXTIC], ids=lambda p: p.text)
 def test_fold_rule_never_picks_the_costlier_schedule(potential):
-    """On every "D" admissible group with inverse pairs (on the sextic, the
-    pinned ones), the classes ``_inverse_classes`` picks from the automata
-    form no more products than the other candidate's schedule; plans only,
-    no series."""
+    """On every "D" left side with inverse pairs, of each pairing of every
+    admissible group (on the sextic, the pinned ones), the classes
+    ``_inverse_classes`` picks from the automata form no more products than
+    the other candidate's schedule; plans only, no series."""
     checked = []
     groups = SEXTIC_UNFOLDED if potential == SEXTIC else admissible_subgroups(potential)
-    for group in groups:
-        setup = genus._sum_setup(group)
+    for group, setup in ((group, setup) for group in groups for setup in pairings(group)):
         if setup.mode_l != "D":
             continue
         inverse = {rep: tuple(-x % m for x, m in zip(rep, setup.moduli)) for rep in setup.left}
