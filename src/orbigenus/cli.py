@@ -237,54 +237,63 @@ def _cmd_check(args) -> int:
     return 0 if all_pass else 1
 
 
-def build_parser() -> argparse.ArgumentParser:
-    """The parser; each subcommand accepts only the options it reads."""
-    parser = argparse.ArgumentParser(
-        prog="orbigenus",
-        description="Orbifold elliptic genus of invertible polynomial potentials",
-    )
-    sub = parser.add_subparsers(dest="command", required=True)
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--potential", required=True,
-                        help="potential file, inline text, or inline JSON")
-    common.add_argument("--out", default=None, help="also write the JSON to this path")
-    grouped = argparse.ArgumentParser(add_help=False, parents=[common])
-    grouped.add_argument("--group", default=None,
-                         help='generators "a/b,...;c/d,..." or the aliases J / SL (default J)')
-    windowed = argparse.ArgumentParser(add_help=False, parents=[grouped])
-    windowed.add_argument("--qmax", default=None, help="q-order truncation (rational)")
+_POTENTIAL = ("--potential", dict(required=True, help="potential file, inline text, or inline JSON"))
+_OUT = ("--out", dict(help="also write the JSON to this path"))
+_GROUP = ("--group", dict(help='generators "a/b,...;c/d,..." or the aliases J / SL (default J)'))
+_QMAX = ("--qmax", dict(help="q-order truncation (rational)"))
 
-    sub.add_parser("info", parents=[common], help="potential data and symmetry overview")
-    sub.add_parser("groups", parents=[common], help="enumerate admissible groups")
-    sub.add_parser("dual", parents=[grouped], help="dual potential and dual group")
-    genus = sub.add_parser("genus", parents=[windowed], help="exact genus expansion as JSON")
-    genus.add_argument("--ywin", default=None, help="reported y-window half width (rational)")
-    check = sub.add_parser("check", parents=[windowed], help="run verification checks")
-    check.add_argument("--tol", type=float, default=None, help="numeric tolerance")
-    check.add_argument("--samples", type=int, default=5, help="sample count for numeric checks")
-    check.add_argument("--seed", type=int, default=0, help="sample RNG seed")
-    check.add_argument("--set", default=None,
-                       help=f"comma-separated subset of {{{','.join(CHECK_NAMES)}}}")
-    for command in sub.choices.values():
-        # an option the subcommand does not take is reported with its usage
-        command.set_defaults(command_parser=command)
+# subcommand: its help line, its handler and the options it reads, in usage order
+COMMANDS = {
+    "info": ("potential data and symmetry overview", _cmd_info, (_POTENTIAL, _OUT)),
+    "groups": ("enumerate admissible groups", _cmd_groups, (_POTENTIAL, _OUT)),
+    "dual": ("dual potential and dual group", _cmd_dual, (_POTENTIAL, _OUT, _GROUP)),
+    "genus": ("exact genus expansion as JSON", _cmd_genus, (
+        _POTENTIAL, _OUT, _GROUP, _QMAX,
+        ("--ywin", dict(help="reported y-window half width (rational)")))),
+    "check": ("run verification checks", _cmd_check, (
+        _POTENTIAL, _OUT, _GROUP, _QMAX,
+        ("--tol", dict(type=float, help="numeric tolerance")),
+        ("--samples", dict(type=int, default=5, help="sample count for numeric checks")),
+        ("--seed", dict(type=int, default=0, help="sample RNG seed")),
+        ("--set", dict(help=f"comma-separated subset of {{{','.join(CHECK_NAMES)}}}")))),
+}
+
+
+def _add_options(parser: argparse.ArgumentParser, command: str) -> argparse.ArgumentParser:
+    for flag, kwargs in COMMANDS[command][2]:
+        parser.add_argument(flag, **kwargs)
+    return parser
+
+
+def build_parser() -> argparse.ArgumentParser:
+    """Every ``COMMANDS`` entry under one parser, the only one that lists them all.
+
+    ``main`` builds it only for ``-h``, no arguments or an unknown command.
+    """
+    parser = argparse.ArgumentParser(
+        prog="orbigenus", description="Orbifold elliptic genus of invertible polynomial potentials")
+    sub = parser.add_subparsers(dest="command", required=True)
+    for command, (help_line, _, _) in COMMANDS.items():
+        _add_options(sub.add_parser(command, help=help_line), command)
     return parser
 
 
 def main(argv=None) -> int:
-    args, extra = build_parser().parse_known_args(argv)
-    if extra:
-        args.command_parser.error(f"unrecognized arguments: {' '.join(extra)}")
-    handlers = {
-        "info": _cmd_info,
-        "groups": _cmd_groups,
-        "dual": _cmd_dual,
-        "genus": _cmd_genus,
-        "check": _cmd_check,
-    }
+    """Run one subcommand, parsed by its own parser alone, built from ``COMMANDS``.
+
+    Arguments that do not start with a command, such as ``-h``, build the whole tree.
+    """
+    argv = sys.argv[1:] if argv is None else list(argv)
+    if argv and argv[0] in COMMANDS:
+        command = argv[0]
+        parser = _add_options(argparse.ArgumentParser(prog=f"orbigenus {command}"), command)
+        args = parser.parse_args(argv[1:])
+    else:
+        args = build_parser().parse_args(argv)
+        command = args.command
     try:
         _check_out(args.out)
-        return handlers[args.command](args)
+        return COMMANDS[command][1](args)
     except (PotentialSyntaxError, InvalidPotentialError, AdmissibilityError, InputError) as err:
         sys.stderr.write(f"error: {err}\n")
         return 2

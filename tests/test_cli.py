@@ -1,12 +1,14 @@
+import argparse
 import hashlib
 import json
+import sys
 from fractions import Fraction
 from pathlib import Path
 
 import pytest
 
 from orbigenus import _engine, oracle, symmetry, verify
-from orbigenus.cli import main
+from orbigenus.cli import COMMANDS, build_parser, main
 from orbigenus.oracle import StateCapError
 from orbigenus.potential import parse_potential
 
@@ -435,3 +437,79 @@ def test_option_of_another_subcommand_is_bad_input(capsys, argv):
     assert captured.out == ""
     assert captured.err.startswith(f"usage: orbigenus {argv[0]} ")
     assert "unrecognized arguments: " + " ".join(argv[1:]) in captured.err
+
+
+def _outcome(capsys, call):
+    """Exit status, stdout and stderr of call(), which may exit through SystemExit."""
+    try:
+        code = call()
+    except SystemExit as exit_:
+        code = exit_.code
+    captured = capsys.readouterr()
+    return code, captured.out, captured.err
+
+
+def _tree_parse(argv):
+    """Parse argv with the whole build_parser tree: a named command's subparser, else the tree."""
+    tree = build_parser()
+    if argv and argv[0] in COMMANDS:
+        (commands,) = [a for a in tree._actions if isinstance(a, argparse._SubParsersAction)]
+        return commands.choices[argv[0]].parse_args(argv[1:])
+    return tree.parse_args(argv)
+
+
+@pytest.mark.parametrize("argv", [
+    ["-h"],
+    *([command, "-h"] for command in COMMANDS),
+    [],
+    ["nosuch", "--potential", "x1^2"],
+    *([command] for command in COMMANDS),
+    ["info", "--group", "J", "--potential", "x1^2+x2^2"],
+    ["groups", "--qmax", "1", "--potential", "x1^2+x2^2"],
+    ["dual", "--qmax", "-3", "--potential", "x1^2+x2^2"],
+    ["genus", "--seed", "1", "--potential", "x1^2+x2^2"],
+    ["check", "--ywin", "4", "--potential", "x1^2+x2^2"],
+    ["check", "--samples", "x", "--potential", "x1^2+x2^2"],
+], ids=lambda argv: " ".join(argv) or "no arguments")
+def test_parse_exits_as_the_whole_tree(capsys, argv):
+    """Help, usage errors and their exit status match build_parser's tree in this Python."""
+    expected = _outcome(capsys, lambda: _tree_parse(argv))
+    assert expected[0] in (0, 2)
+    assert _outcome(capsys, lambda: main(argv)) == expected
+
+
+@pytest.mark.parametrize("argv", [
+    ["check", "--samples", "x", "--potential", "x1^2+x2^2"],
+    ["genus", "-h"],
+], ids=" ".join)
+def test_main_reads_sys_argv(capsys, monkeypatch, argv):
+    monkeypatch.setattr(sys, "argv", ["orbigenus", *argv])
+    assert _outcome(capsys, main) == _outcome(capsys, lambda: _tree_parse(argv))
+
+
+def test_abbreviated_options_parse_as_the_whole_tree(monkeypatch):
+    argv = ["genus", "--pot", "x1^2+x2^2", "--qm", "1"]
+    seen = []
+    help_line, _, options = COMMANDS["genus"]
+    monkeypatch.setitem(COMMANDS, "genus", (help_line, lambda args: seen.append(args) or 0, options))
+    assert main(argv) == 0
+    assert seen == [_tree_parse(argv)]
+    assert (seen[0].potential, seen[0].qmax) == ("x1^2+x2^2", "1")
+
+
+def test_a_named_command_builds_one_parser(capsys, monkeypatch):
+    """Only the parser of the command that runs is built, not the whole tree."""
+    built = []
+    init = argparse.ArgumentParser.__init__
+
+    def counting_init(self, *args, **kwargs):
+        built.append(kwargs.get("prog"))
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting_init)
+    for command in COMMANDS:
+        built.clear()
+        extra = ["--set", "holo"] if command == "check" else []
+        assert main([command, "--potential", "x1^2+x2^2", *extra]) == 0
+        assert built == [f"orbigenus {command}"]
+    capsys.readouterr()
